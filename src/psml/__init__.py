@@ -24,8 +24,8 @@ from .analytic import (
     recall,
     uncertainty_ratio,
 )
-from .cli import main as cli_main
-from .clocks import HLCTimestamp, HVClock, Ordering, VectorClock
+from .cli import main as cli_main, render_csv
+from .clocks import HLCTimestamp, Ordering, VectorClock
 from .metrics import (
     PRESETS,
     FprResult,
@@ -33,7 +33,6 @@ from .metrics import (
     PrResult,
     clustered_ztest,
     config_with,
-    convergence_series,
     default_warmup,
     fpr_experiment,
     fpr_row,
@@ -41,18 +40,13 @@ from .metrics import (
     partial_predicate_experiment,
     pr_diagram,
     pr_experiment,
-    render_csv,
-    render_structured,
     sweep,
-    two_proportion_ztest,
-    write_rows,
 )
 from .monitors import (
     Candidate,
     Cut,
     cut_length,
     detect_async,
-    detect_partial_p,
     detect_partialsync,
     detect_quasi,
     is_eps_consistent,

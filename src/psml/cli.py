@@ -25,13 +25,14 @@ import math
 import os
 import sys
 import tempfile
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .analytic import (
     admissible_eps_mon,
     hlc_min_len_half_recall,
     hlc_recall,
     inflection_points,
+    is_hypersensitive,
     phase_transition,
     phi_interval,
     phi_point,
@@ -42,22 +43,16 @@ from .analytic import (
 )
 from .metrics import (
     PRESETS,
+    config_with,
     default_warmup,
     fpr_row,
     hlc_recall_curve,
+    interval_params,
     partial_predicate_experiment,
     pr_diagram,
-    render_csv,
     sweep,
 )
-from .simkernel import (
-    FixedLength,
-    GeometricLength,
-    PointLength,
-    SimConfig,
-    generate,
-    trace_records,
-)
+from .simkernel import SimConfig, generate, trace_records
 
 
 # ---------------------------------------------------------------------------
@@ -165,37 +160,24 @@ class _Settings:
 def _build_sim(settings: _Settings, defaults: Mapping[str, Any] | None = None) -> SimConfig:
     """Materialize a SimConfig from preset defaults plus flag/file values."""
     merged: dict[str, Any] = dict(defaults or {})
-    for key in ("n", "eps_app", "delta", "alpha", "beta", "ell", "geom_p", "horizon"):
-        if settings.given(key):
-            merged[key] = settings.get(key)
+    given = {
+        key: settings.get(key)
+        for key in ("n", "eps_app", "delta", "alpha", "beta", "ell", "geom_p", "horizon")
+        if settings.given(key)
+    }
+    # an explicit interval choice replaces the preset's, never joins it
+    if "ell" in given or "geom_p" in given:
+        merged.pop("ell", None)
+        merged.pop("geom_p", None)
+    merged.update(given)
     if "eps_app" in merged:
         merged["epsilon_app"] = merged.pop("eps_app")
-    merged["seed"] = settings.seed()
-    # an explicit interval choice replaces the preset's, never joins it
-    if settings.given("ell"):
-        merged.pop("geom_p", None)
-    elif settings.given("geom_p"):
-        merged.pop("ell", None)
     if "n" not in merged:
         raise ValueError("missing required parameter --n")
     if "epsilon_app" not in merged:
         raise ValueError("missing required parameter --eps-app")
-    kwargs = dict(merged)
-    n = kwargs.pop("n")
-    epsilon_app = kwargs.pop("epsilon_app")
-    ell = kwargs.pop("ell", None)
-    geom_p = kwargs.pop("geom_p", None)
-    if ell is not None and geom_p is not None:
-        raise ValueError("give either --ell or --interval-geom, not both")
-    if ell is not None:
-        interval = PointLength() if ell == 1 else FixedLength(ell)
-    elif geom_p is not None:
-        interval = GeometricLength(geom_p)
-    else:
-        interval = PointLength()
-    cfg = SimConfig(n=n, epsilon_app=epsilon_app, interval=interval, **kwargs)
-    cfg.validate()
-    return cfg
+    base = SimConfig(n=merged.pop("n"), epsilon_app=merged.pop("epsilon_app"))
+    return config_with(base, seed=settings.seed(), **merged)
 
 
 def _int_list(text: str) -> list[int]:
@@ -223,19 +205,34 @@ def _fmt(value: Any) -> str:
             return ""
         if math.isinf(value):
             return "inf" if value > 0 else "-inf"
-        # scalar results print at full precision; tables round (render_csv)
+        # scalar results print at full precision; tables round (_cell)
         return repr(value)
     return str(value)
 
 
+def _cell(value: Any) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        if math.isnan(value):
+            return ""
+        return f"{value:.6g}"
+    if isinstance(value, (tuple, list)):
+        return ";".join(str(v) for v in value)
+    return str(value)
+
+
+def render_csv(rows: Iterable[Mapping[str, Any]], columns: Sequence[str]) -> str:
+    """Rows as CSV text: fixed column order, floats at 6 significant
+    digits, undefined values as empty cells beside their flag column."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(_cell(row.get(col)) for col in columns))
+    return "\n".join(lines) + "\n"
+
+
 def _echo_config(cfg: SimConfig, **extra: Any) -> dict[str, Any]:
-    interval = cfg.interval
-    if isinstance(interval, GeometricLength):
-        ell, geom_p = None, interval.p
-    elif isinstance(interval, FixedLength):
-        ell, geom_p = interval.length, None
-    else:
-        ell, geom_p = 1, None
+    ell, geom_p = interval_params(cfg.interval)
     echo: dict[str, Any] = {
         "n": cfg.n,
         "eps_app": cfg.epsilon_app,
@@ -413,10 +410,9 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     if eta < 1.0:
         # the threshold is only defined for targets strictly below 1; at
         # eta = 1 the interval below is the single point eps_app anyway
-        threshold = phase_transition(n, beta, ell, eta)
         pairs += [
-            ("phase_transition", threshold),
-            ("hypersensitive", eps_app <= threshold),
+            ("phase_transition", phase_transition(n, beta, ell, eta)),
+            ("hypersensitive", is_hypersensitive(eps_app, n, beta, ell, eta)),
         ]
     if interval.empty:
         # no window satisfies both targets; offer the one-sided picks

@@ -1,6 +1,6 @@
 """Logical and hybrid clocks for partially synchronous systems.
 
-Three clock families live here, all immutable:
+Two clock families live here, both immutable:
 
 * :class:`VectorClock` tracks causality exactly.  Comparing two stamps
   classifies the pair as ordered, equal, or concurrent.
@@ -9,10 +9,6 @@ Three clock families live here, all immutable:
   events sharing the same ``l``.  It is causally sound (an event that
   happened before another never carries a larger stamp) but not
   complete: distinct concurrent events may compare as ordered.
-* :class:`HVClock` is a vector of physical-clock estimates kept inside
-  a synchrony window of width ``eps``: entries that would fall more
-  than ``eps`` behind the owner's physical clock are clamped up to the
-  window edge.
 
 Physical clocks are plain non-negative ``int`` ticks throughout.
 """
@@ -105,12 +101,6 @@ class VectorClock:
             return Ordering.AFTER
         return Ordering.CONCURRENT
 
-    def happened_before(self, other: VectorClock) -> bool:
-        return self.compare(other) is Ordering.BEFORE
-
-    def concurrent_with(self, other: VectorClock) -> bool:
-        return self.compare(other) is Ordering.CONCURRENT
-
 
 # ---------------------------------------------------------------------------
 # Hybrid logical clocks
@@ -160,68 +150,3 @@ class HLCTimestamp:
         else:
             c2 = 0
         return HLCTimestamp(l2, c2)
-
-    def concurrent_with(self, other: HLCTimestamp) -> bool:
-        """HLC-level concurrency: identical ``(l, c)`` pairs.
-
-        Events with equal stamps are guaranteed causally concurrent.
-        The converse fails: concurrency in general cannot be decided
-        from one scalar pair.
-        """
-        return self.l == other.l and self.c == other.c
-
-
-# ---------------------------------------------------------------------------
-# Hybrid vector clocks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, slots=True)
-class HVClock:
-    """A hybrid vector clock: per-process physical-clock estimates.
-
-    The owner entry is the owner's physical clock.  Every entry is kept
-    within ``eps`` of it; anything older is clamped up to
-    ``entries[owner] - eps``, so in a system with clock spread at most
-    ``eps`` the vector never underestimates by more than the window.
-    """
-
-    entries: tuple[int, ...]
-    owner: int
-    eps: int
-
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValueError("hybrid vector clock needs at least one entry")
-        if not 0 <= self.owner < len(self.entries):
-            raise ValueError(f"owner {self.owner} out of range for {len(self.entries)} entries")
-        if self.eps < 0:
-            raise ValueError("eps must be non-negative")
-
-    @classmethod
-    def zero(cls, n: int, owner: int, eps: int) -> HVClock:
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        return cls((0,) * n, owner, eps)
-
-    def _clamped(self, entries: list[int], pt: int) -> HVClock:
-        floor = pt - self.eps
-        entries[self.owner] = pt
-        return HVClock(tuple(max(e, floor) for e in entries), self.owner, self.eps)
-
-    def advance(self, pt: int) -> HVClock:
-        """Advance the owner's physical clock to ``pt`` (monotone)."""
-        if pt < self.entries[self.owner]:
-            raise ValueError("physical clock may not move backwards")
-        return self._clamped(list(self.entries), pt)
-
-    def receive(self, msg: HVClock, pt: int) -> HVClock:
-        """Merge ``msg`` componentwise at physical time ``pt``."""
-        if len(msg.entries) != len(self.entries):
-            raise ValueError("hybrid vector clock dimension mismatch")
-        if msg.eps != self.eps:
-            raise ValueError("hybrid vector clock window mismatch")
-        if pt < self.entries[self.owner]:
-            raise ValueError("physical clock may not move backwards")
-        merged = [max(a, b) for a, b in zip(self.entries, msg.entries)]
-        return self._clamped(merged, pt)

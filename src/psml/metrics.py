@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import IO, Any, Iterable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -41,7 +40,6 @@ from .monitors import (
     Cut,
     cut_length,
     detect_async,
-    detect_partial_p,
     detect_partialsync,
     detect_quasi,
     is_eps_consistent,
@@ -49,9 +47,9 @@ from .monitors import (
 from .simkernel import (
     FixedLength,
     GeometricLength,
+    IntervalSpec,
     PointLength,
     SimConfig,
-    Trace,
     generate,
 )
 
@@ -64,18 +62,14 @@ __all__ = [
     "MetricsRow",
     "default_warmup",
     "config_with",
+    "interval_params",
     "fpr_experiment",
-    "convergence_series",
     "pr_experiment",
     "sweep",
     "pr_diagram",
     "partial_predicate_experiment",
     "hlc_recall_curve",
-    "two_proportion_ztest",
     "clustered_ztest",
-    "render_csv",
-    "render_structured",
-    "write_rows",
     "PRESETS",
 ]
 
@@ -103,18 +97,6 @@ def _past_warmup(cut: Cut, warmup: int) -> bool:
     return min(c.start for c in cut.candidates) >= warmup
 
 
-def _interval_ell(config: SimConfig) -> tuple[int | None, float | None]:
-    """(fixed length, geometric p) of the interval mode; one is None."""
-    spec = config.interval
-    if isinstance(spec, PointLength):
-        return 1, None
-    if isinstance(spec, FixedLength):
-        return spec.length, None
-    if isinstance(spec, GeometricLength):
-        return None, spec.p
-    raise TypeError(f"unknown interval spec {spec!r}")
-
-
 def config_with(base: SimConfig, **overrides: Any) -> SimConfig:
     """A copy of ``base`` with field overrides.
 
@@ -136,6 +118,16 @@ def config_with(base: SimConfig, **overrides: Any) -> SimConfig:
     cfg = dataclasses.replace(base, **overrides)
     cfg.validate()
     return cfg
+
+
+def interval_params(spec: IntervalSpec) -> tuple[int | None, float | None]:
+    """The ``(ell, geom_p)`` shorthands of an interval spec, the inverse
+    of :func:`config_with`'s mapping; exactly one of the pair is None."""
+    if isinstance(spec, GeometricLength):
+        return None, spec.p
+    if isinstance(spec, FixedLength):
+        return spec.length, None
+    return 1, None
 
 
 # ---------------------------------------------------------------------------
@@ -206,45 +198,6 @@ def fpr_experiment(
     return FprResult(config, eps_check, warmup, y, y_f, fpr, tuple(flags))
 
 
-def convergence_series(
-    config: SimConfig,
-    sample_every: int,
-    eps_check: float | None = None,
-    warmup: int | None = None,
-) -> list[tuple[int, float]]:
-    """Running FPR sampled every ``sample_every`` ticks.
-
-    A cut is attributed to the tick its last interval ends on.  Sample
-    points with no cuts yet are omitted; the final sample covers the
-    whole trace and therefore equals ``fpr_experiment``'s value.
-    """
-    if sample_every <= 0:
-        raise ValueError("sample_every must be positive")
-    if eps_check is None:
-        eps_check = config.epsilon_app
-    warmup = _resolve_warmup(config, warmup)
-    trace = generate(config)
-    marks = sorted(
-        (max(c.end for c in cut.candidates), is_eps_consistent(cut, eps_check))
-        for cut in detect_async(trace)
-        if _past_warmup(cut, warmup)
-    )
-    ticks = list(range(sample_every, config.horizon + 1, sample_every))
-    if not ticks or ticks[-1] != config.horizon:
-        ticks.append(config.horizon)
-    series: list[tuple[int, float]] = []
-    y = y_f = 0
-    i = 0
-    for t in ticks:
-        while i < len(marks) and marks[i][0] <= t:
-            y += 1
-            y_f += marks[i][1]
-            i += 1
-        if y:
-            series.append((t, 1.0 - y_f / y))
-    return series
-
-
 def pr_experiment(
     config: SimConfig, eps_mon: float, warmup: int | None = None
 ) -> PrResult:
@@ -311,9 +264,6 @@ class MetricsRow:
         return dataclasses.asdict(self)
 
 
-_ROW_COLUMNS = [f.name for f in dataclasses.fields(MetricsRow)]
-
-
 def fpr_row(
     config: SimConfig, eps_check: float | None = None, warmup: int | None = None
 ) -> MetricsRow:
@@ -323,7 +273,7 @@ def fpr_row(
     """
     check = config.epsilon_app if eps_check is None else eps_check
     res = fpr_experiment(config, check, warmup)
-    ell, geom_p = _interval_ell(config)
+    ell, geom_p = interval_params(config.interval)
     return MetricsRow(
         n=config.n,
         eps_app=config.epsilon_app,
@@ -363,6 +313,8 @@ def sweep(
     shorthands.  Rows are independent; ``jobs`` > 1 computes them in
     worker processes without changing the output order.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     if not grid:
         raise ValueError("sweep grid is empty")
     if not seeds:
@@ -380,6 +332,11 @@ def sweep(
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_sweep_row, specs))
     return [_sweep_row(s) for s in specs]
+
+
+def _check_replicates(replicates: int) -> None:
+    if replicates < 1:
+        raise ValueError("replicates must be at least 1")
 
 
 def _mean_defined(values: list[float]) -> float:
@@ -403,7 +360,8 @@ def pr_diagram(
     """
     if mode not in ("analytic", "simulated"):
         raise ValueError("mode must be 'analytic' or 'simulated'")
-    ell, geom_p = _interval_ell(base)
+    _check_replicates(replicates)
+    ell, _ = interval_params(base.interval)
     if ell is None:
         raise ValueError("pr_diagram needs a fixed interval length")
     rows = []
@@ -445,16 +403,14 @@ def partial_predicate_experiment(
     denominator."""
     if not 1 <= p <= config.n:
         raise ValueError("p must be in 1..n")
+    _check_replicates(replicates)
     ratios = []
     for i in range(replicates):
         trace = generate(config_with(config, seed=config.seed + i))
-        denom = detect_partial_p(
-            trace, p, monitor="partialsync", eps_mon=config.epsilon_app
-        )
+        denom = len(detect_partialsync(trace, config.epsilon_app, range(p)))
         if denom == 0:
             continue
-        num = detect_partial_p(trace, p, monitor="quasi")
-        ratios.append(num / denom)
+        ratios.append(len(detect_quasi(trace, range(p))) / denom)
     return sum(ratios) / len(ratios) if ratios else float("nan")
 
 
@@ -468,6 +424,7 @@ def hlc_recall_curve(
     per-trace counts are small for short intervals and per-trace
     ratios would be quantization noise.
     """
+    _check_replicates(replicates)
     rows = []
     for ell in ell_values:
         cfg = config_with(config, ell=ell)
@@ -484,25 +441,6 @@ def hlc_recall_curve(
 # ---------------------------------------------------------------------------
 # statistics
 # ---------------------------------------------------------------------------
-
-
-def two_proportion_ztest(
-    k1: int, n1: int, k2: int, n2: int
-) -> tuple[float, float]:
-    """Pooled two-proportion z statistic and two-sided p-value.
-
-    Assumes the trials are independent; counts pooled from few long
-    traces violate that, see clustered_ztest.
-    """
-    if n1 <= 0 or n2 <= 0:
-        raise ValueError("trial counts must be positive")
-    p1, p2 = k1 / n1, k2 / n2
-    pooled = (k1 + k2) / (n1 + n2)
-    se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
-    if se == 0.0:
-        return 0.0, 1.0
-    z = (p1 - p2) / se
-    return z, math.erfc(abs(z) / math.sqrt(2.0))
 
 
 def clustered_ztest(
@@ -539,65 +477,6 @@ def clustered_ztest(
         return diff, 0.0, 1.0
     z = diff / se
     return diff, z, math.erfc(abs(z) / math.sqrt(2.0))
-
-
-# ---------------------------------------------------------------------------
-# row serialization
-# ---------------------------------------------------------------------------
-
-
-def _cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return f"{value:.6g}"
-    if isinstance(value, (tuple, list)):
-        return ";".join(str(v) for v in value)
-    return str(value)
-
-
-def render_csv(rows: Iterable[Mapping[str, Any] | MetricsRow], columns: Sequence[str] | None = None) -> str:
-    """Rows as CSV text: fixed column order, floats at 6 significant
-    digits, undefined values as empty cells beside their flag column."""
-    dicts = [r.as_dict() if isinstance(r, MetricsRow) else dict(r) for r in rows]
-    if columns is None:
-        columns = _ROW_COLUMNS if not dicts else list(dicts[0])
-    lines = [",".join(columns)]
-    for row in dicts:
-        lines.append(",".join(_cell(row.get(col)) for col in columns))
-    return "\n".join(lines) + "\n"
-
-
-def render_structured(rows: Iterable[Mapping[str, Any] | MetricsRow]) -> str:
-    """Rows as a JSON array of flat objects (NaN rendered as null)."""
-    dicts = [r.as_dict() if isinstance(r, MetricsRow) else dict(r) for r in rows]
-    cleaned = []
-    for row in dicts:
-        out = {}
-        for key, value in row.items():
-            if isinstance(value, float) and math.isnan(value):
-                value = None
-            elif isinstance(value, tuple):
-                value = list(value)
-            out[key] = value
-        cleaned.append(out)
-    return json.dumps(cleaned, indent=2) + "\n"
-
-
-def write_rows(
-    rows: Iterable[Mapping[str, Any] | MetricsRow],
-    out: IO[str],
-    fmt: str = "csv",
-    columns: Sequence[str] | None = None,
-) -> None:
-    if fmt == "csv":
-        out.write(render_csv(rows, columns))
-    elif fmt == "structured":
-        out.write(render_structured(rows))
-    else:
-        raise ValueError("fmt must be 'csv' or 'structured'")
 
 
 # ---------------------------------------------------------------------------

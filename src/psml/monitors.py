@@ -35,11 +35,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .clocks import HLCTimestamp, Ordering, VectorClock
+from .clocks import HLCTimestamp, VectorClock
 from .simkernel import Trace
 
 __all__ = [
@@ -52,9 +52,6 @@ __all__ = [
     "detect_async",
     "detect_partialsync",
     "detect_quasi",
-    "detect_partial_p",
-    "cut_records",
-    "write_cuts",
 ]
 
 
@@ -96,19 +93,12 @@ def cut_length(cut: Cut) -> int:
 
 def is_hb_consistent(cut: Cut) -> bool:
     """True iff all candidate stamp pairs compare as concurrent."""
-    cands = cut.candidates
-    if len(cands) >= 4:
-        # componentwise dominance in one shot; dominated-or-equal in
-        # either direction means the pair is not concurrent
-        stamps = np.array([c.vc.entries for c in cands])
-        le = (stamps[:, None, :] <= stamps[None, :, :]).all(axis=-1)
-        np.fill_diagonal(le, False)
-        return not le.any()
-    for i in range(len(cands)):
-        for j in range(i + 1, len(cands)):
-            if cands[i].vc.compare(cands[j].vc) is not Ordering.CONCURRENT:
-                return False
-    return True
+    # componentwise dominance in one shot; dominated-or-equal in either
+    # direction means the pair is not concurrent
+    stamps = np.array([c.vc.entries for c in cut.candidates])
+    le = (stamps[:, None, :] <= stamps[None, :, :]).all(axis=-1)
+    np.fill_diagonal(le, False)
+    return not le.any()
 
 
 def is_eps_consistent(cut: Cut, eps: float) -> bool:
@@ -244,44 +234,3 @@ def detect_quasi(trace: Trace, procs: Iterable[int] | None = None) -> list[Cut]:
 
     return _detect(candidate_queues(trace, procs), accept)
 
-
-def detect_partial_p(
-    trace: Trace, p: int, monitor: str = "quasi", eps_mon: float | None = None
-) -> int:
-    """Cut count over the fixed process prefix {0, ..., p-1}.
-
-    ``monitor`` selects "quasi" or "partialsync" (the latter requires
-    ``eps_mon``).
-    """
-    if not 1 <= p <= trace.config.n:
-        raise ValueError(f"p must be in [1, {trace.config.n}]")
-    procs = range(p)
-    if monitor == "quasi":
-        return len(detect_quasi(trace, procs))
-    if monitor == "partialsync":
-        if eps_mon is None:
-            raise ValueError("partialsync monitor needs eps_mon")
-        return len(detect_partialsync(trace, eps_mon, procs))
-    raise ValueError(f"unknown monitor {monitor!r}")
-
-
-# ---------------------------------------------------------------------------
-# line-record export
-# ---------------------------------------------------------------------------
-
-
-def cut_records(cuts: Sequence[Cut], eps: float) -> Iterator[str]:
-    """Flat key-value lines, one cut each, with consistency flags."""
-    for cut in cuts:
-        triples = ",".join(f"{c.proc}:{c.start}:{c.end}" for c in cut.candidates)
-        length = cut_length(cut)
-        hb = int(is_hb_consistent(cut))
-        yield (
-            f"kind=cut cands={triples} length={length} "
-            f"hb={hb} eps={int(hb and length <= eps)} overlap={int(length == 0)}"
-        )
-
-
-def write_cuts(cuts: Sequence[Cut], eps: float, out: IO[str]) -> None:
-    for line in cut_records(cuts, eps):
-        out.write(line + "\n")

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -55,11 +55,9 @@ __all__ = [
     "Trace",
     "step_schedule",
     "truthify",
-    "correlated_decisions",
     "predicate_intervals",
     "generate",
     "trace_records",
-    "write_trace",
 ]
 
 
@@ -224,18 +222,14 @@ class Trace:
     """A complete generated execution.
 
     ``intervals[p]`` lists process p's predicate intervals in time
-    order; ``messages`` lists delivered messages in send order.
-    ``schedule_log`` (debugging aid, populated on request for small
-    runs) holds one (clocks_before, advancing) pair per scheduler step.
+    order; ``messages`` lists delivered messages in send order;
+    ``final_clocks`` holds every process's clock when the run ends.
     """
 
     config: SimConfig
     intervals: tuple[tuple[PredicateInterval, ...], ...]
     messages: tuple[MessageRecord, ...]
     final_clocks: tuple[int, ...]
-    schedule_log: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] | None = field(
-        default=None, compare=False
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -308,24 +302,23 @@ def _coverage(intervals: list[tuple[int, int]], horizon: int) -> np.ndarray:
     return cov
 
 
-def _build_predicates(config: SimConfig) -> tuple[np.ndarray, list[list[tuple[int, int]]]]:
-    """Per-tick truth decisions and the intervals they open, per process.
+def predicate_intervals(config: SimConfig) -> list[list[tuple[int, int]]]:
+    """Interval placement for every process, independent of scheduling.
 
     Follower processes consult the predicate COVERAGE of their
     reference group (an interval keeps a predicate true past its
     opening tick), with strict majority/minority and ties read as
     false.
     """
+    config.validate()
     n, horizon = config.n, config.horizon
     base = [_truth_coins(config, p) for p in range(n)]
     corr = config.correlation
 
-    decisions: list[np.ndarray | None] = [None] * n
-    intervals: list[list[tuple[int, int]] | None] = [None] * n
+    intervals: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     cov_sum = np.zeros(horizon + 1, dtype=np.int32)
 
     def settle(p: int, dec: np.ndarray) -> None:
-        decisions[p] = dec
         intervals[p] = truthify(dec, _length_iter(config, p), horizon)
 
     def settle_follower(p: int, followed: np.ndarray, p_dep: float) -> None:
@@ -357,19 +350,7 @@ def _build_predicates(config: SimConfig) -> tuple[np.ndarray, list[list[tuple[in
     else:  # pragma: no cover - validate() rejects this earlier
         raise ValueError(f"unknown correlation spec: {corr!r}")
 
-    return np.vstack(decisions), [iv for iv in intervals if iv is not None]
-
-
-def correlated_decisions(config: SimConfig) -> np.ndarray:
-    """The (n, horizon+1) boolean matrix of per-tick truth decisions."""
-    config.validate()
-    return _build_predicates(config)[0]
-
-
-def predicate_intervals(config: SimConfig) -> list[list[tuple[int, int]]]:
-    """Interval placement for every process, independent of scheduling."""
-    config.validate()
-    return _build_predicates(config)[1]
+    return intervals
 
 
 # ---------------------------------------------------------------------------
@@ -412,12 +393,12 @@ def step_schedule(
 # ---------------------------------------------------------------------------
 
 
-def generate(config: SimConfig, *, record_schedule: bool = False) -> Trace:
+def generate(config: SimConfig) -> Trace:
     """Generate a complete trace; a pure function of ``config``.
 
-    ``record_schedule`` additionally captures (clocks, advancing) per
-    scheduler step, which costs memory linear in steps and is meant
-    for small-horizon verification runs.
+    Equal configs give equal traces.  The schedule is drawn from its
+    own stream and consumes no other randomness, so it can be replayed
+    from ``config`` alone with :func:`step_schedule`.
     """
     config.validate()
     n, horizon, delta = config.n, config.horizon, config.delta
@@ -449,12 +430,9 @@ def generate(config: SimConfig, *, record_schedule: bool = False) -> Trace:
     done: list[list[PredicateInterval]] = [[] for _ in range(n)]
     delivered: list[tuple[int, MessageRecord]] = []
     seq = 0
-    log: list[tuple[tuple[int, ...], tuple[int, ...]]] | None = [] if record_schedule else None
 
     while min(clocks) < horizon:
         advancing = step_schedule(clocks, config.epsilon_app, config.advance_prob, horizon, sched_rng)
-        if log is not None:
-            log.append((tuple(clocks), tuple(advancing)))
         for p in advancing:
             v = clocks[p] + 1
             clocks[p] = v
@@ -498,7 +476,6 @@ def generate(config: SimConfig, *, record_schedule: bool = False) -> Trace:
         intervals=tuple(tuple(ivs) for ivs in done),
         messages=tuple(m for _, m in delivered),
         final_clocks=tuple(clocks),
-        schedule_log=tuple(log) if log is not None else None,
     )
 
 
@@ -531,7 +508,3 @@ def trace_records(trace: Trace) -> Iterator[str]:
             f"vc={_fmt_vc(m.vc_send)} hlc={_fmt_hlc(m.hlc_send)}"
         )
 
-
-def write_trace(trace: Trace, out: IO[str]) -> None:
-    for line in trace_records(trace):
-        out.write(line + "\n")

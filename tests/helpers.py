@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from psml import simkernel
 from psml.clocks import Ordering
 from psml.monitors import Candidate, Cut
 from psml.simkernel import (
@@ -24,6 +25,7 @@ from psml.simkernel import (
     PointLength,
     SimConfig,
     Trace,
+    step_schedule,
 )
 
 
@@ -118,6 +120,30 @@ def brute_quasi(trace: Trace, procs: Sequence[int] | None = None) -> list[Cut]:
         return lo <= hi
 
     return brute_detect(trace_queues(trace, procs), accept)
+
+
+# ---------------------------------------------------------------------------
+# reference schedule
+# ---------------------------------------------------------------------------
+
+
+def replay_schedule(
+    config: SimConfig,
+) -> tuple[list[tuple[tuple[int, ...], tuple[int, ...]]], tuple[int, ...]]:
+    """The scheduler run of ``generate(config)``, replayed on its own
+    stream: one (clocks before the step, advancing processes) pair per
+    step, and the clocks when the run ends."""
+    rng = simkernel._stream(config.seed, simkernel._S_SCHED)
+    clocks = [0] * config.n
+    steps = []
+    while min(clocks) < config.horizon:
+        advancing = step_schedule(
+            clocks, config.epsilon_app, config.advance_prob, config.horizon, rng
+        )
+        steps.append((tuple(clocks), tuple(advancing)))
+        for p in advancing:
+            clocks[p] += 1
+    return steps, tuple(clocks)
 
 
 # ---------------------------------------------------------------------------

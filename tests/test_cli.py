@@ -43,6 +43,25 @@ def test_invalid_parameter_exits_two():
     assert "invalid parameters" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prdiagram", "--mode", "simulated", "--replicates", "-1"],
+        ["hlc-curve", "--replicates", "0"],
+        ["partial", "--replicates", "0"],
+        ["sweep", "--preset", "fig-ad-independence", "--jobs", "-3"],
+        ["simulate", "--n", "3", "--eps-app", "5", "--ell", "5", "--interval-geom", "0.3"],
+        ["simulate", "--n", "3", "--eps-app", "5", "--ell", "5", "--config", "GEOM_CFG"],
+    ],
+)
+def test_nonpositive_counts_and_mixed_intervals_exit_two(argv, tmp_path):
+    cfg = tmp_path / "geom.cfg"
+    cfg.write_text("geom_p = 0.3\n")
+    code, _, err = run_cli([str(cfg) if a == "GEOM_CFG" else a for a in argv])
+    assert code == 2
+    assert "invalid parameters" in err
+
+
 def test_missing_required_exits_two():
     code, _, err = run_cli(["simulate", "--n", "3"])
     assert code == 2
@@ -151,24 +170,15 @@ def test_out_file_matches_stdout(tmp_path):
 
 
 def test_trace_export_matches_library(tmp_path):
-    import io
-
-    from psml.simkernel import SimConfig, generate, write_trace
+    from psml.simkernel import SimConfig, generate, trace_records
 
     target = tmp_path / "trace.txt"
     code, _, err = run_cli(SIM_FAST + ["--trace-out", str(target)])
     assert code == 0, err
-    buf = io.StringIO()
-    write_trace(
-        generate(
-            SimConfig(
-                n=3, epsilon_app=5, delta=10, alpha=0.05, beta=0.2,
-                horizon=400, seed=7,
-            )
-        ),
-        buf,
+    trace = generate(
+        SimConfig(n=3, epsilon_app=5, delta=10, alpha=0.05, beta=0.2, horizon=400, seed=7)
     )
-    assert target.read_text() == buf.getvalue()
+    assert target.read_text() == "".join(line + "\n" for line in trace_records(trace))
 
 
 def test_structured_output_parses():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from psml.clocks import HLCTimestamp, HVClock, Ordering, VectorClock
+from psml.clocks import HLCTimestamp, Ordering, VectorClock
 
 from helpers import TinyExecution
 
@@ -109,8 +109,6 @@ def test_hlc_receive_three_way_split():
 def test_hlc_ordering_is_lexicographic():
     assert HLCTimestamp(3, 9) < HLCTimestamp(4, 0)
     assert HLCTimestamp(4, 1) < HLCTimestamp(4, 2)
-    assert HLCTimestamp(4, 2).concurrent_with(HLCTimestamp(4, 2))
-    assert not HLCTimestamp(4, 2).concurrent_with(HLCTimestamp(4, 3))
 
 
 def test_hlc_validation():
@@ -131,49 +129,3 @@ def test_hlc_causally_sound_and_rides_physical_clock(seed):
         for b in range(m):
             if run.hb[a, b]:
                 assert run.hlcs[a] < run.hlcs[b]
-
-
-# ---------------------------------------------------------------------------
-# hybrid vector clocks
-# ---------------------------------------------------------------------------
-
-
-def test_hvc_advance_clamps_to_window():
-    hv = HVClock.zero(3, 0, eps=4)
-    hv = hv.advance(10)
-    assert hv.entries == (10, 6, 6)  # floor = 10 - 4
-    hv = hv.advance(12)
-    assert hv.entries == (12, 8, 8)
-
-
-def test_hvc_receive_merges_then_clamps():
-    a = HVClock((10, 6, 6), 0, eps=4)
-    b = HVClock((7, 11, 8), 1, eps=4)
-    merged = a.receive(b, 11)
-    assert merged.entries == (11, 11, 8)
-    assert merged.owner == 0
-
-
-def test_hvc_monotonicity_and_mismatch_errors():
-    hv = HVClock.zero(2, 0, eps=3)
-    hv = hv.advance(5)
-    with pytest.raises(ValueError):
-        hv.advance(4)
-    with pytest.raises(ValueError):
-        hv.receive(HVClock.zero(3, 0, eps=3), 6)
-    with pytest.raises(ValueError):
-        hv.receive(HVClock.zero(2, 0, eps=5), 6)
-    with pytest.raises(ValueError):
-        HVClock((0, 0), 0, eps=-1)
-
-
-@given(st.integers(0, 20), st.integers(0, 20), st.integers(0, 8))
-def test_hvc_window_invariant(pt1, bump, eps):
-    """Every entry stays within eps of the owner's clock."""
-    hv = HVClock.zero(2, 0, eps)
-    hv = hv.advance(pt1)
-    hv = hv.advance(pt1 + bump)
-    owner_pt = hv.entries[0]
-    assert owner_pt == pt1 + bump
-    assert all(owner_pt - e <= eps for e in hv.entries)
-    assert all(e <= owner_pt for e in hv.entries)

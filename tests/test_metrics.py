@@ -12,7 +12,6 @@ from psml.metrics import (
     PRESETS,
     clustered_ztest,
     config_with,
-    convergence_series,
     default_warmup,
     fpr_experiment,
     fpr_row,
@@ -20,17 +19,12 @@ from psml.metrics import (
     partial_predicate_experiment,
     pr_diagram,
     pr_experiment,
-    render_csv,
-    render_structured,
     sweep,
-    two_proportion_ztest,
-    write_rows,
 )
 from psml.analytic import hlc_recall, precision, recall
+from psml.cli import _render_rows, render_csv
 from psml.monitors import cut_length, detect_async, detect_partialsync, is_eps_consistent
 from psml.simkernel import FixedLength, GeometricLength, PointLength, SimConfig, generate
-
-import io
 
 
 CFG = SimConfig(n=3, epsilon_app=5, delta=10, alpha=0.05, beta=0.15, horizon=600, seed=31)
@@ -93,22 +87,6 @@ def test_fpr_experiment_flags_sparse_counts():
 def test_fpr_experiment_rejects_bad_window():
     with pytest.raises(ValueError):
         fpr_experiment(CFG, eps_check=-1)
-
-
-def test_convergence_series_final_sample_equals_experiment():
-    for sample_every in (7, 50, 600, 1000):
-        series = convergence_series(CFG, sample_every)
-        res = fpr_experiment(CFG, eps_check=CFG.epsilon_app)
-        assert series[-1][0] == CFG.horizon
-        assert series[-1][1] == res.fpr  # exact, not approximate
-        ticks = [t for t, _ in series]
-        assert ticks == sorted(ticks)
-        assert all(t % sample_every == 0 or t == CFG.horizon for t in ticks)
-
-
-def test_convergence_series_rejects_bad_stride():
-    with pytest.raises(ValueError):
-        convergence_series(CFG, 0)
 
 
 def test_pr_experiment_matches_two_direct_runs():
@@ -256,16 +234,6 @@ def test_hlc_recall_curve_pools_counts():
 # ---------------------------------------------------------------------------
 
 
-def test_two_proportion_ztest_known_value():
-    z, p = two_proportion_ztest(30, 100, 10, 100)
-    assert z == pytest.approx(3.5355, abs=1e-3)
-    assert p == pytest.approx(0.000407, rel=1e-2)
-    z0, p0 = two_proportion_ztest(5, 50, 5, 50)
-    assert z0 == 0.0 and p0 == 1.0
-    with pytest.raises(ValueError):
-        two_proportion_ztest(1, 0, 1, 10)
-
-
 def test_clustered_ztest_identical_arms():
     counts = [(10, 100), (20, 150), (12, 110)]
     diff, z, p = clustered_ztest(counts, counts)
@@ -297,36 +265,16 @@ def test_render_csv_formatting():
     rows = [
         {"a": 1, "b": 0.123456789, "c": float("nan"), "d": ("x", "y"), "e": None},
     ]
-    text = render_csv(rows)
+    text = render_csv(rows, ["a", "b", "c", "d", "e"])
     lines = text.splitlines()
     assert lines[0] == "a,b,c,d,e"
     assert lines[1] == "1,0.123457,,x;y,"
 
 
-def test_render_csv_fixed_columns_for_metrics_rows():
-    row = fpr_row(config_with(CFG, horizon=200))
-    text = render_csv([row])
-    header = text.splitlines()[0].split(",")
-    assert header[:5] == ["n", "eps_app", "delta", "alpha", "beta"]
-    assert header[-1] == "flags"
-
-
 def test_render_structured_nan_becomes_null():
     rows = [{"x": float("nan"), "y": (1, 2)}]
-    data = json.loads(render_structured(rows))
-    assert data == [{"x": None, "y": [1, 2]}]
-
-
-def test_write_rows_dispatch():
-    row = {"a": 1}
-    buf = io.StringIO()
-    write_rows([row], buf, "csv")
-    assert buf.getvalue().startswith("a\n")
-    buf = io.StringIO()
-    write_rows([row], buf, "structured")
-    assert json.loads(buf.getvalue()) == [{"a": 1}]
-    with pytest.raises(ValueError):
-        write_rows([row], io.StringIO(), "yaml")
+    data = json.loads(_render_rows("structured", rows, ["x", "y"], {"beta": float("nan")}))
+    assert data == {"config": {"beta": None}, "rows": [{"x": None, "y": [1, 2]}]}
 
 
 def test_presets_shape():

@@ -1,7 +1,6 @@
 """Trace generator: determinism, synchrony invariants, and the
 schedule-independence of predicate placement."""
 
-import io
 import itertools
 
 import numpy as np
@@ -16,13 +15,14 @@ from psml.simkernel import (
     Independent,
     PointLength,
     SimConfig,
-    correlated_decisions,
     generate,
     predicate_intervals,
     step_schedule,
+    trace_records,
     truthify,
-    write_trace,
 )
+
+from helpers import replay_schedule
 
 
 BASE = SimConfig(n=4, epsilon_app=5, delta=8, alpha=0.1, beta=0.1, horizon=300, seed=1)
@@ -83,9 +83,19 @@ def test_truthify_back_to_back_intervals_stay_disjoint():
         assert c > b
 
 
+def _point_decisions(cfg: SimConfig) -> np.ndarray:
+    """Per-tick truth decisions, read off the interval starts: under
+    point lengths every decision opens its own interval."""
+    assert cfg.interval == PointLength()
+    dec = np.zeros((cfg.n, cfg.horizon + 1), dtype=bool)
+    for p, plan in enumerate(predicate_intervals(cfg)):
+        dec[p, [a for a, _ in plan]] = True
+    return dec
+
+
 def test_predicate_rate_matches_beta():
     cfg = SimConfig(n=2, epsilon_app=5, beta=0.2, horizon=20_000, seed=3)
-    dec = correlated_decisions(cfg)
+    dec = _point_decisions(cfg)
     # per-tick coins: binomial check at 4 standard errors
     rate = dec[:, 1:].mean()
     se = (0.2 * 0.8 / dec[:, 1:].size) ** 0.5
@@ -125,9 +135,9 @@ def test_geometric_interval_mean_length():
 
 def test_pma_zero_dependence_is_independent():
     kw = dict(n=6, epsilon_app=5, beta=0.1, horizon=2000, seed=5)
-    ind = correlated_decisions(SimConfig(**kw, correlation=Independent()))
-    pma = correlated_decisions(SimConfig(**kw, correlation=PMA(group1=3, p_dep=0.0)))
-    assert (ind == pma).all()
+    ind = predicate_intervals(SimConfig(**kw, correlation=Independent()))
+    pma = predicate_intervals(SimConfig(**kw, correlation=PMA(group1=3, p_dep=0.0)))
+    assert ind == pma
 
 
 def test_pma_full_dependence_copies_majority_coverage():
@@ -140,7 +150,6 @@ def test_pma_full_dependence_copies_majority_coverage():
         correlation=PMA(group1=3, p_dep=1.0),
         interval=FixedLength(2),
     )
-    dec = correlated_decisions(cfg)
     plans = predicate_intervals(cfg)
     cov = np.zeros(cfg.horizon + 1, dtype=np.int32)
     for plan in plans[:3]:
@@ -148,28 +157,28 @@ def test_pma_full_dependence_copies_majority_coverage():
             cov[a : b + 1] += 1
     majority = 2 * cov > 3
     for p in (3, 4):
-        assert (dec[p, 1:] == majority[1:]).all()
+        assert plans[p] == truthify(majority, itertools.repeat(2), cfg.horizon)
 
 
 def test_pma_group_untouched_by_followers():
     kw = dict(n=6, epsilon_app=5, beta=0.1, horizon=2000, seed=7)
-    ind = correlated_decisions(SimConfig(**kw, correlation=Independent()))
-    pma = correlated_decisions(SimConfig(**kw, correlation=PMA(group1=3, p_dep=0.7)))
-    assert (ind[:3] == pma[:3]).all()
+    ind = predicate_intervals(SimConfig(**kw, correlation=Independent()))
+    pma = predicate_intervals(SimConfig(**kw, correlation=PMA(group1=3, p_dep=0.7)))
+    assert ind[:3] == pma[:3]
 
 
 def test_pmaj_leader_matches_independent():
     kw = dict(n=4, epsilon_app=5, beta=0.1, horizon=2000, seed=8)
-    ind = correlated_decisions(SimConfig(**kw, correlation=Independent()))
-    pmaj = correlated_decisions(SimConfig(**kw, correlation=PMAJ()))
-    assert (ind[0] == pmaj[0]).all()
+    ind = predicate_intervals(SimConfig(**kw, correlation=Independent()))
+    pmaj = predicate_intervals(SimConfig(**kw, correlation=PMAJ()))
+    assert ind[0] == pmaj[0]
 
 
 def test_hnma_followers_lean_toward_minority():
     cfg = SimConfig(
         n=10, epsilon_app=5, beta=0.3, horizon=20_000, seed=9, correlation=HNMA()
     )
-    dec = correlated_decisions(cfg)
+    dec = _point_decisions(cfg)
     plans = predicate_intervals(cfg)
     cov = np.zeros(cfg.horizon + 1, dtype=np.int32)
     for plan in plans[:5]:
@@ -211,24 +220,24 @@ def test_step_schedule_respects_drift_cap():
 
 
 def test_generated_spread_never_exceeds_epsilon():
-    for eps in (0, 1, 4):
-        cfg = SimConfig(n=3, epsilon_app=eps, delta=5, alpha=0.2, beta=0.1, horizon=120, seed=11)
-        trace = generate(cfg, record_schedule=True)
-        assert trace.final_clocks == (120,) * 3
-        for clocks, advancing in trace.schedule_log:
-            assert max(clocks) - min(clocks) <= eps
-            assert advancing
-        # spread also holds after each step's advances
-        for (clocks, advancing), (after, _) in zip(
-            trace.schedule_log, trace.schedule_log[1:]
-        ):
-            assert max(after) - min(after) <= eps
+    kw = dict(n=3, epsilon_app=4, delta=5, alpha=0.2, beta=0.1, horizon=120, seed=11)
+    edges = ({"epsilon_app": 0}, {"epsilon_app": 1}, {}, {"delta": 0}, {"alpha": 1.0},
+             {"n": 2}, {"horizon": 1})
+    for overrides in edges:
+        cfg = SimConfig(**{**kw, **overrides})
+        steps, final = replay_schedule(cfg)
+        assert final == generate(cfg).final_clocks == (cfg.horizon,) * cfg.n
+        # spread holds before every step and after the last one
+        for clocks in [clocks for clocks, _ in steps] + [final]:
+            assert max(clocks) - min(clocks) <= cfg.epsilon_app
+        assert all(advancing for _, advancing in steps)
 
 
 def test_lockstep_schedule_at_epsilon_zero():
     cfg = SimConfig(n=3, epsilon_app=0, delta=5, alpha=0.2, beta=0.1, horizon=60, seed=12)
-    trace = generate(cfg, record_schedule=True)
-    for clocks, advancing in trace.schedule_log:
+    steps, final = replay_schedule(cfg)
+    assert final == generate(cfg).final_clocks
+    for clocks, advancing in steps:
         assert len(set(clocks)) == 1
         assert list(advancing) == [0, 1, 2]
 
@@ -322,9 +331,7 @@ def test_growing_the_system_keeps_existing_streams():
 
 def test_write_trace_round_trip_fields():
     trace = generate(SimConfig(n=3, epsilon_app=4, delta=6, alpha=0.2, beta=0.15, horizon=80, seed=16))
-    buf = io.StringIO()
-    write_trace(trace, buf)
-    lines = buf.getvalue().splitlines()
+    lines = list(trace_records(trace))
     n_intervals = sum(len(p) for p in trace.intervals)
     kinds = [line.split()[0] for line in lines]
     assert kinds.count("kind=interval") == n_intervals
