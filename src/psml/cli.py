@@ -52,7 +52,7 @@ from .metrics import (
     pr_diagram,
     sweep,
 )
-from .simkernel import SimConfig, generate, trace_records
+from .simkernel import SimConfig, trace_records
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +86,9 @@ def _conv_bare_float(text: str) -> float:
         raise ValueError("nan is not a valid setting")
     return value
 
+
+# the choices of --format and --mode, enforced on config files too
+_CHOICES = {"format": ("csv", "structured"), "mode": ("analytic", "simulated")}
 
 _CONVERTERS: dict[str, Callable[[str], Any]] = {
     "n": int,
@@ -126,6 +129,9 @@ class _Settings:
             raise ValueError(
                 "unknown config file keys: " + ", ".join(sorted(unknown))
             )
+        for key, choices in _CHOICES.items():
+            if key in self.file and self.file[key] not in choices:
+                raise ValueError(f"{key} must be one of {', '.join(choices)}")
 
     def get(self, key: str, default: Any = None) -> Any:
         value = getattr(self.args, key, None)
@@ -262,9 +268,6 @@ def _render_rows(
     columns: Sequence[str],
     config: Mapping[str, Any],
 ) -> str:
-    if fmt == "csv":
-        header = "".join(f"# {k} = {_fmt(v)}\n" for k, v in config.items())
-        return header + render_csv(rows, columns)
     if fmt == "structured":
         payload = {
             "config": {k: _json_safe(v) for k, v in config.items()},
@@ -273,7 +276,8 @@ def _render_rows(
             ],
         }
         return json.dumps(payload, indent=2) + "\n"
-    raise ValueError("format must be 'csv' or 'structured'")
+    header = "".join(f"# {k} = {_fmt(v)}\n" for k, v in config.items())
+    return header + render_csv(rows, columns)
 
 
 def _deliver(text: str, out: str | None) -> None:
@@ -456,8 +460,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     warmup = s.get("warmup")
     row = fpr_row(cfg, eps_check, warmup)
     if args.trace_out is not None:
-        # regenerating is cheap and the seed makes it the same trace
-        lines = "".join(line + "\n" for line in trace_records(generate(cfg)))
+        lines = "".join(line + "\n" for line in trace_records(row.trace))
         _deliver(lines, args.trace_out)
     echo = _echo_config(
         cfg, command="simulate", eps_check=eps_check, warmup=row.warmup
@@ -619,7 +622,7 @@ _FLAG_SPECS: dict[str, tuple[tuple[str, ...], dict[str, Any]]] = {
     "out": (("--out",), {"help": "write output to this file atomically"}),
     "format": (
         ("--format",),
-        {"choices": ("csv", "structured"), "help": "output format (default csv)"},
+        {"choices": _CHOICES["format"], "help": "output format (default csv)"},
     ),
 }
 
@@ -709,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prd = sub.add_parser("prdiagram", help="precision/recall over a window grid")
     prd.add_argument("--preset", choices=[k for k, v in PRESETS.items() if v["kind"] == "prdiagram"])
-    prd.add_argument("--mode", choices=("analytic", "simulated"), default=None)
+    prd.add_argument("--mode", choices=_CHOICES["mode"], default=None)
     prd.add_argument("--eps-mon", type=_int_list, dest="eps_mon_list", metavar="LIST",
                      default=None, help="comma-separated monitor windows (ticks)")
     prd.add_argument("--eps-app", type=_int_list, dest="eps_app_list", metavar="LIST",

@@ -50,7 +50,7 @@ class VectorClock:
             raise ValueError("vector clock needs at least one entry")
         if not 0 <= self.owner < len(self.entries):
             raise ValueError(f"owner {self.owner} out of range for {len(self.entries)} entries")
-        if any(e < 0 for e in self.entries):
+        if min(self.entries) < 0:
             raise ValueError("vector clock entries must be non-negative")
 
     @classmethod
@@ -74,7 +74,7 @@ class VectorClock:
         """
         if len(msg.entries) != len(self.entries):
             raise ValueError("vector clock dimension mismatch")
-        merged = [max(a, b) for a, b in zip(self.entries, msg.entries)]
+        merged = list(map(max, self.entries, msg.entries))
         merged[self.owner] += 1
         return VectorClock(tuple(merged), self.owner)
 

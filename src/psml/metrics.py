@@ -30,7 +30,7 @@ import dataclasses
 import itertools
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -50,6 +50,7 @@ from .simkernel import (
     IntervalSpec,
     PointLength,
     SimConfig,
+    Trace,
     generate,
 )
 
@@ -138,7 +139,8 @@ def interval_params(spec: IntervalSpec) -> tuple[int | None, float | None]:
 @dataclass(frozen=True, slots=True)
 class FprResult:
     """Asynchronous-monitor count ``y``, the eps-consistent part
-    ``y_f``, and ``fpr = 1 - y_f/y`` for one trace."""
+    ``y_f``, and ``fpr = 1 - y_f/y`` for one trace, which ``trace``
+    holds."""
 
     config: SimConfig
     eps_check: float
@@ -147,6 +149,7 @@ class FprResult:
     y_f: int
     fpr: float
     flags: tuple[str, ...]
+    trace: Trace = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True, slots=True)
@@ -195,7 +198,7 @@ def fpr_experiment(
     fpr = 1.0 - y_f / y if y else float("nan")
     if y == 0:
         flags.append(FLAG_UNDEFINED)
-    return FprResult(config, eps_check, warmup, y, y_f, fpr, tuple(flags))
+    return FprResult(config, eps_check, warmup, y, y_f, fpr, tuple(flags), trace)
 
 
 def pr_experiment(
@@ -259,9 +262,12 @@ class MetricsRow:
     y_f: int
     fpr: float
     flags: tuple[str, ...]
+    # the classified trace: not a column, and sweeps drop it
+    trace: Trace | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
+        fields = dataclasses.fields(self)
+        return {f.name: getattr(self, f.name) for f in fields if f.name != "trace"}
 
 
 def fpr_row(
@@ -290,12 +296,14 @@ def fpr_row(
         y_f=res.y_f,
         fpr=res.fpr,
         flags=res.flags,
+        trace=res.trace,
     )
 
 
 def _sweep_row(args: tuple) -> MetricsRow:
     base, overrides, seed, eps_check, warmup = args
-    return fpr_row(config_with(base, seed=seed, **overrides), eps_check, warmup)
+    row = fpr_row(config_with(base, seed=seed, **overrides), eps_check, warmup)
+    return dataclasses.replace(row, trace=None)
 
 
 def sweep(

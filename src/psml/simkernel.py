@@ -23,6 +23,11 @@ the process's vector clock and hybrid logical clock, and the stamps
 are recorded in the trace.  An interval's end stamp is a snapshot of
 the process's vector clock after its final tick (ends are not events).
 
+Work is paid per event, not per advance: an advance below the
+process's watch tick (its next clock value with causal work) only
+moves the clock, and the scheduler coins come in blocks of steps, one
+``(steps, n)`` draw giving the same values as one draw per step.
+
 Randomness is split into independent per-process streams keyed by
 purpose, and every decision is indexed by clock value rather than by
 scheduler step.  Predicate placement therefore depends only on
@@ -53,7 +58,6 @@ __all__ = [
     "PredicateInterval",
     "MessageRecord",
     "Trace",
-    "step_schedule",
     "truthify",
     "predicate_intervals",
     "generate",
@@ -354,56 +358,34 @@ def predicate_intervals(config: SimConfig) -> list[list[tuple[int, int]]]:
 
 
 # ---------------------------------------------------------------------------
-# scheduling
-# ---------------------------------------------------------------------------
-
-
-def step_schedule(
-    clocks: list[int],
-    epsilon_app: int,
-    advance_prob: float,
-    horizon: int,
-    rng: np.random.Generator,
-) -> list[int]:
-    """One scheduler step: the (ascending) list of advancing processes.
-
-    Each unfinished process is selected with probability
-    ``advance_prob`` unless blocked at the drift cap (clock equal to
-    min + epsilon_app).  An empty selection falls back to the
-    minimum-clock unfinished process so the run always makes progress.
-    With epsilon_app == 0 every step advances all unfinished processes
-    (lockstep is the only schedule that keeps spread at zero).
-
-    Always consumes exactly one uniform draw per process.
-    """
-    coins = rng.random(len(clocks))
-    live = [p for p, c in enumerate(clocks) if c < horizon]
-    if epsilon_app == 0:
-        return live
-    cap = min(clocks) + epsilon_app
-    picked = [p for p in live if clocks[p] < cap and coins[p] < advance_prob]
-    if picked:
-        return picked
-    lo = min(clocks[p] for p in live)
-    return [next(p for p in live if clocks[p] == lo)]
-
-
-# ---------------------------------------------------------------------------
 # generation
 # ---------------------------------------------------------------------------
+
+# scheduler steps per coin draw; a (B, n) draw equals B successive draws of n
+_SCHED_BLOCK = 512
 
 
 def generate(config: SimConfig) -> Trace:
     """Generate a complete trace; a pure function of ``config``.
 
     Equal configs give equal traces.  The schedule is drawn from its
-    own stream and consumes no other randomness, so it can be replayed
-    from ``config`` alone with :func:`step_schedule`.
+    own stream, one row of ``n`` advance coins per step and
+    ``_SCHED_BLOCK`` rows per draw, so it depends only on (seed, n,
+    epsilon_app, advance_prob, horizon).
+
+    ``watch[p]`` is the first clock value at which process p has causal
+    work: its next interval start, the end of its open interval, its
+    next send tick, or the delivery threshold of its inbox head.  An
+    advance that reaches the watch runs the event body (receive, start,
+    send, end) and recomputes the watch; a send lowers the receiver's
+    watch to ``send_pt + delta``.
     """
     config.validate()
     n, horizon, delta = config.n, config.horizon, config.delta
+    eps, advance_prob = config.epsilon_app, config.advance_prob
+    never = horizon + 1  # sentinel tick past every plan and send list
 
-    plans = predicate_intervals(config)
+    plans = [plan + [(never, never)] for plan in predicate_intervals(config)]
     send_ticks: list[list[int]] = []
     send_to: list[list[int]] = []
     for p in range(n):
@@ -411,61 +393,94 @@ def generate(config: SimConfig) -> Trace:
         coins[0] = False
         ticks = np.flatnonzero(coins)
         raw = _stream(config.seed, _S_RECV, p).integers(0, n - 1, size=ticks.size)
-        send_ticks.append([int(t) for t in ticks])
+        send_ticks.append(ticks.tolist() + [never])
         send_to.append([int(r) + 1 if r >= p else int(r) for r in raw])
-
-    sched_rng = _stream(config.seed, _S_SCHED)
 
     clocks = [0] * n
     vcs = [VectorClock.zero(n, p) for p in range(n)]
     hlcs = [HLCTimestamp.zero()] * n
     # in flight: per-receiver heap of (delivery threshold, send seq, sender,
     # send_pt, vc_send, hlc_send)
-    pending: list[list[tuple[int, int, int, int, VectorClock, HLCTimestamp]]] = [
-        [] for _ in range(n)
-    ]
+    pending: list[list[tuple]] = [[] for _ in range(n)]
     open_iv: list[tuple[int, int, VectorClock, HLCTimestamp] | None] = [None] * n
     iptr = [0] * n
     sptr = [0] * n
     done: list[list[PredicateInterval]] = [[] for _ in range(n)]
     delivered: list[tuple[int, MessageRecord]] = []
-    seq = 0
+    seq = itertools.count()
 
-    while min(clocks) < horizon:
-        advancing = step_schedule(clocks, config.epsilon_app, config.advance_prob, horizon, sched_rng)
-        for p in advancing:
-            v = clocks[p] + 1
-            clocks[p] = v
+    def next_watch(p: int) -> int:
+        iv, inbox = open_iv[p], pending[p]
+        return min(plans[p][iptr[p]][0], send_ticks[p][sptr[p]],
+                   iv[1] if iv else never, inbox[0][0] if inbox else never)
 
-            inbox = pending[p]
-            while inbox and inbox[0][0] <= v:
-                _, mseq, sender, send_pt, vc_s, hlc_s = heapq.heappop(inbox)
-                vcs[p] = vcs[p].receive(vc_s)
-                hlcs[p] = hlcs[p].receive(hlc_s, v)
-                delivered.append(
-                    (mseq, MessageRecord(sender, send_pt, p, v, vc_s, hlc_s, vcs[p], hlcs[p]))
-                )
+    def events(p: int, v: int) -> None:
+        inbox = pending[p]
+        while inbox and inbox[0][0] <= v:
+            _, mseq, sender, send_pt, vc_s, hlc_s = heapq.heappop(inbox)
+            vcs[p] = vcs[p].receive(vc_s)
+            hlcs[p] = hlcs[p].receive(hlc_s, v)
+            delivered.append(
+                (mseq, MessageRecord(sender, send_pt, p, v, vc_s, hlc_s, vcs[p], hlcs[p]))
+            )
 
-            plan = plans[p]
-            k = iptr[p]
-            if k < len(plan) and plan[k][0] == v:
-                iptr[p] = k + 1
-                vcs[p] = vcs[p].local_event()
-                hlcs[p] = hlcs[p].advance(v)
-                open_iv[p] = (plan[k][0], plan[k][1], vcs[p], hlcs[p])
+        start, end = plans[p][iptr[p]]
+        if start == v:
+            iptr[p] += 1
+            vcs[p] = vcs[p].local_event()
+            hlcs[p] = hlcs[p].advance(v)
+            open_iv[p] = (start, end, vcs[p], hlcs[p])
 
-            sp = sptr[p]
-            if sp < len(send_ticks[p]) and send_ticks[p][sp] == v:
-                sptr[p] = sp + 1
-                vcs[p] = vcs[p].local_event()
-                hlcs[p] = hlcs[p].advance(v)
-                heapq.heappush(pending[send_to[p][sp]], (v + delta, seq, p, v, vcs[p], hlcs[p]))
-                seq += 1
+        sp = sptr[p]
+        if send_ticks[p][sp] == v:
+            sptr[p] = sp + 1
+            vcs[p] = vcs[p].local_event()
+            hlcs[p] = hlcs[p].advance(v)
+            q = send_to[p][sp]
+            heapq.heappush(pending[q], (v + delta, next(seq), p, v, vcs[p], hlcs[p]))
+            # a receiver already past the threshold takes the message on its
+            # next advance, which with delta = 0 may come later in this step
+            watch[q] = min(watch[q], v + delta)
 
-            iv = open_iv[p]
-            if iv is not None and iv[1] == v:
-                done[p].append(PredicateInterval(p, iv[0], iv[1], iv[2], vcs[p], iv[3]))
-                open_iv[p] = None
+        iv = open_iv[p]
+        if iv is not None and iv[1] == v:
+            done[p].append(PredicateInterval(p, iv[0], iv[1], iv[2], vcs[p], iv[3]))
+            open_iv[p] = None
+
+        watch[p] = next_watch(p)
+
+    watch = [next_watch(p) for p in range(n)]
+    sched_rng = _stream(config.seed, _S_SCHED)
+    rows: list[list[bool]] = []  # scheduler coins, row r is the next step's
+    r, procs = 0, range(n)
+
+    while (lo := min(clocks)) < horizon:
+        if eps == 0:
+            # lockstep: every clock equals lo, so every process steps
+            chosen, lim = procs, horizon
+        else:
+            if r == len(rows):
+                rows = (sched_rng.random((_SCHED_BLOCK, n)) < advance_prob).tolist()
+                r = 0
+            # a won coin advances a process below the drift cap and the
+            # horizon; p's clock is still its value from the start of the step
+            chosen, lim = itertools.compress(procs, rows[r]), min(lo + eps, horizon)
+            r += 1
+        moved = False
+        for p in chosen:
+            v = clocks[p]
+            if v < lim:
+                moved = True
+                v += 1
+                clocks[p] = v
+                if v >= watch[p]:
+                    events(p, v)
+        if not moved:
+            # forced progress: the first process at the minimum clock
+            p = clocks.index(lo)
+            v = clocks[p] = lo + 1
+            if v >= watch[p]:
+                events(p, v)
 
     # point intervals that open and close on the same tick are finalized in
     # the loop above because the end check runs after the start check

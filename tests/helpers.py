@@ -4,11 +4,14 @@ The detection reference here deliberately avoids every shortcut the
 production monitor takes: it compares full vector clocks instead of
 owner components, keeps no incremental work queue, and re-scans all
 head pairs from scratch after any advance.  Slow and obviously
-correct.
+correct.  The generator reference likewise runs the full event body
+on every process advance and draws the scheduler coins one step at a
+time.
 """
 
 from __future__ import annotations
 
+import heapq
 import os
 import subprocess
 import sys
@@ -17,15 +20,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from psml import simkernel
-from psml.clocks import Ordering
+from psml.clocks import HLCTimestamp, Ordering, VectorClock
 from psml.monitors import Candidate, Cut
 from psml.simkernel import (
     FixedLength,
     GeometricLength,
+    MessageRecord,
     PointLength,
+    PredicateInterval,
     SimConfig,
     Trace,
-    step_schedule,
 )
 
 
@@ -123,7 +127,7 @@ def brute_quasi(trace: Trace, procs: Sequence[int] | None = None) -> list[Cut]:
 
 
 # ---------------------------------------------------------------------------
-# reference schedule
+# reference schedule and generator
 # ---------------------------------------------------------------------------
 
 
@@ -137,13 +141,132 @@ def replay_schedule(
     clocks = [0] * config.n
     steps = []
     while min(clocks) < config.horizon:
-        advancing = step_schedule(
+        advancing = reference_step_schedule(
             clocks, config.epsilon_app, config.advance_prob, config.horizon, rng
         )
         steps.append((tuple(clocks), tuple(advancing)))
         for p in advancing:
             clocks[p] += 1
     return steps, tuple(clocks)
+
+
+def reference_step_schedule(
+    clocks: list[int],
+    epsilon_app: int,
+    advance_prob: float,
+    horizon: int,
+    rng: np.random.Generator,
+) -> list[int]:
+    """One scheduler step: the (ascending) list of advancing processes.
+
+    Each unfinished process is selected with probability
+    ``advance_prob`` unless blocked at the drift cap (clock equal to
+    min + epsilon_app).  An empty selection falls back to the
+    minimum-clock unfinished process so the run always makes progress.
+    With epsilon_app == 0 every step advances all unfinished processes
+    (lockstep is the only schedule that keeps spread at zero).
+
+    Always consumes exactly one uniform draw per process.
+    """
+    coins = rng.random(len(clocks))
+    live = [p for p, c in enumerate(clocks) if c < horizon]
+    if epsilon_app == 0:
+        return live
+    cap = min(clocks) + epsilon_app
+    picked = [p for p in live if clocks[p] < cap and coins[p] < advance_prob]
+    if picked:
+        return picked
+    lo = min(clocks[p] for p in live)
+    return [next(p for p in live if clocks[p] == lo)]
+
+
+def reference_generate(config: SimConfig) -> Trace:
+    """The per-advance generator ``simkernel.generate`` must equal.
+
+    Every process advance runs the whole event body (receive, start,
+    send, end), and every step draws its coins with one
+    ``rng.random(n)`` call through :func:`reference_step_schedule`.
+    """
+    config.validate()
+    n, horizon, delta = config.n, config.horizon, config.delta
+
+    plans = simkernel.predicate_intervals(config)
+    send_ticks: list[list[int]] = []
+    send_to: list[list[int]] = []
+    stream = simkernel._stream
+    for p in range(n):
+        coins = stream(config.seed, simkernel._S_SEND, p).random(horizon + 1) < config.alpha
+        coins[0] = False
+        ticks = np.flatnonzero(coins)
+        raw = stream(config.seed, simkernel._S_RECV, p).integers(0, n - 1, size=ticks.size)
+        send_ticks.append([int(t) for t in ticks])
+        send_to.append([int(r) + 1 if r >= p else int(r) for r in raw])
+
+    sched_rng = simkernel._stream(config.seed, simkernel._S_SCHED)
+
+    clocks = [0] * n
+    vcs = [VectorClock.zero(n, p) for p in range(n)]
+    hlcs = [HLCTimestamp.zero()] * n
+    # in flight: per-receiver heap of (delivery threshold, send seq, sender,
+    # send_pt, vc_send, hlc_send)
+    pending: list[list[tuple[int, int, int, int, VectorClock, HLCTimestamp]]] = [
+        [] for _ in range(n)
+    ]
+    open_iv: list[tuple[int, int, VectorClock, HLCTimestamp] | None] = [None] * n
+    iptr = [0] * n
+    sptr = [0] * n
+    done: list[list[PredicateInterval]] = [[] for _ in range(n)]
+    delivered: list[tuple[int, MessageRecord]] = []
+    seq = 0
+
+    while min(clocks) < horizon:
+        advancing = reference_step_schedule(
+            clocks, config.epsilon_app, config.advance_prob, horizon, sched_rng
+        )
+        for p in advancing:
+            v = clocks[p] + 1
+            clocks[p] = v
+
+            inbox = pending[p]
+            while inbox and inbox[0][0] <= v:
+                _, mseq, sender, send_pt, vc_s, hlc_s = heapq.heappop(inbox)
+                vcs[p] = vcs[p].receive(vc_s)
+                hlcs[p] = hlcs[p].receive(hlc_s, v)
+                delivered.append(
+                    (mseq, MessageRecord(sender, send_pt, p, v, vc_s, hlc_s, vcs[p], hlcs[p]))
+                )
+
+            plan = plans[p]
+            k = iptr[p]
+            if k < len(plan) and plan[k][0] == v:
+                iptr[p] = k + 1
+                vcs[p] = vcs[p].local_event()
+                hlcs[p] = hlcs[p].advance(v)
+                open_iv[p] = (plan[k][0], plan[k][1], vcs[p], hlcs[p])
+
+            sp = sptr[p]
+            if sp < len(send_ticks[p]) and send_ticks[p][sp] == v:
+                sptr[p] = sp + 1
+                vcs[p] = vcs[p].local_event()
+                hlcs[p] = hlcs[p].advance(v)
+                heapq.heappush(pending[send_to[p][sp]], (v + delta, seq, p, v, vcs[p], hlcs[p]))
+                seq += 1
+
+            iv = open_iv[p]
+            if iv is not None and iv[1] == v:
+                done[p].append(PredicateInterval(p, iv[0], iv[1], iv[2], vcs[p], iv[3]))
+                open_iv[p] = None
+
+    # point intervals that open and close on the same tick are finalized in
+    # the loop above because the end check runs after the start check
+    assert all(iv is None for iv in open_iv)
+    delivered.sort(key=lambda t: t[0])
+    return Trace(
+        config=config,
+        intervals=tuple(tuple(ivs) for ivs in done),
+        messages=tuple(m for _, m in delivered),
+        final_clocks=tuple(clocks),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +309,6 @@ class TinyExecution:
     """
 
     def __init__(self, n: int, steps: int, seed: int):
-        from psml.clocks import HLCTimestamp, VectorClock
-
         rng = np.random.default_rng(seed)
         self.n = n
         self.vcs: list[VectorClock] = []

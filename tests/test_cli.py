@@ -84,6 +84,30 @@ def test_unknown_config_key_exits_two(tmp_path):
     assert "betta" in err
 
 
+@pytest.mark.parametrize(
+    "argv, setting, experiment",
+    [
+        (["simulate", "--n", "3", "--eps-app", "5"], "format = yaml", "fpr_row"),
+        (["prdiagram"], "mode = yaml", "pr_diagram"),
+    ],
+)
+def test_config_file_choice_exits_two_before_running(
+    argv, setting, experiment, tmp_path, monkeypatch, capsys
+):
+    from psml import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the experiment ran")  # main would exit 3
+
+    monkeypatch.setattr(cli, experiment, never)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(setting + "\n")
+    out = tmp_path / "out.txt"
+    assert cli.main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert setting.split()[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_preset_exits_two():
     code, _, err = run_cli(["sweep", "--preset", "fig-nope"])
     assert code == 2
@@ -179,6 +203,24 @@ def test_trace_export_matches_library(tmp_path):
         SimConfig(n=3, epsilon_app=5, delta=10, alpha=0.05, beta=0.2, horizon=400, seed=7)
     )
     assert target.read_text() == "".join(line + "\n" for line in trace_records(trace))
+
+
+def test_trace_out_generates_once(tmp_path, monkeypatch):
+    """The export is the trace the experiment classified, not a rerun;
+    every generation places predicates exactly once."""
+    from psml import cli, simkernel
+
+    placed = []
+    real = simkernel.predicate_intervals
+
+    def counted(config):
+        placed.append(config)
+        return real(config)
+
+    monkeypatch.setattr(simkernel, "predicate_intervals", counted)
+    trace_out = ["--trace-out", str(tmp_path / "trace.txt")]
+    assert cli.main(SIM_FAST + trace_out + ["--out", str(tmp_path / "row")]) == 0
+    assert len(placed) == 1
 
 
 def test_structured_output_parses():

@@ -60,9 +60,11 @@ def test_default_warmup_is_five_percent():
 def test_fpr_experiment_counts_match_direct_enumeration():
     res = fpr_experiment(CFG, eps_check=5)
     warm = default_warmup(CFG)
+    trace = generate(CFG)
+    assert res.trace == trace
     cuts = [
         c
-        for c in detect_async(generate(CFG))
+        for c in detect_async(trace)
         if min(cand.start for cand in c.candidates) >= warm
     ]
     assert res.warmup == warm
@@ -124,6 +126,8 @@ def test_fpr_row_flattens_experiment():
     row = fpr_row(CFG)
     res = fpr_experiment(CFG, CFG.epsilon_app)
     assert (row.y, row.y_f, row.fpr) == (res.y, res.y_f, res.fpr)
+    # the trace rides along for the caller but is not a column
+    assert row.trace == res.trace and "trace" not in row.as_dict()
     assert row.eps_check == CFG.epsilon_app
     assert row.ell == 1 and row.geom_p is None
     grow = fpr_row(config_with(CFG, geom_p=0.5))
@@ -146,6 +150,8 @@ def test_sweep_rows_in_grid_order_with_seeds_innermost():
     ]
     # eps_check follows the per-row application window by default
     assert [r.eps_check for r in rows] == [3, 3, 6, 6, 3, 3, 6, 6]
+    # sweeps keep no traces
+    assert all(r.trace is None for r in rows)
 
 
 def test_sweep_parallel_rows_identical():

@@ -5,7 +5,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from psml import simkernel
 from psml.simkernel import (
     HNMA,
     PMA,
@@ -17,12 +19,11 @@ from psml.simkernel import (
     SimConfig,
     generate,
     predicate_intervals,
-    step_schedule,
     trace_records,
     truthify,
 )
 
-from helpers import replay_schedule
+from helpers import reference_generate, reference_step_schedule, replay_schedule
 
 
 BASE = SimConfig(n=4, epsilon_app=5, delta=8, alpha=0.1, beta=0.1, horizon=300, seed=1)
@@ -199,14 +200,14 @@ def test_hnma_followers_lean_toward_minority():
 
 def test_step_schedule_lockstep_at_zero_spread():
     rng = np.random.default_rng(0)
-    assert step_schedule([3, 3, 3], 0, 0.5, 10, rng) == [0, 1, 2]
-    assert step_schedule([10, 3, 3], 0, 0.5, 10, rng) == [1, 2]
+    assert reference_step_schedule([3, 3, 3], 0, 0.5, 10, rng) == [0, 1, 2]
+    assert reference_step_schedule([10, 3, 3], 0, 0.5, 10, rng) == [1, 2]
 
 
 def test_step_schedule_always_progresses():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        picked = step_schedule([4, 2, 7], 5, 0.5, 10, rng)
+        picked = reference_step_schedule([4, 2, 7], 5, 0.5, 10, rng)
         assert picked
         assert all(p in (0, 1, 2) for p in picked)
 
@@ -215,18 +216,23 @@ def test_step_schedule_respects_drift_cap():
     rng = np.random.default_rng(1)
     clocks = [5, 0, 3]
     for _ in range(500):
-        picked = step_schedule(clocks, 5, 0.9, 100, rng)
+        picked = reference_step_schedule(clocks, 5, 0.9, 100, rng)
         assert 0 not in picked or clocks[0] < min(clocks) + 5
 
 
 def test_generated_spread_never_exceeds_epsilon():
     kw = dict(n=3, epsilon_app=4, delta=5, alpha=0.2, beta=0.1, horizon=120, seed=11)
     edges = ({"epsilon_app": 0}, {"epsilon_app": 1}, {}, {"delta": 0}, {"alpha": 1.0},
-             {"n": 2}, {"horizon": 1})
+             {"n": 2}, {"horizon": 1}, {"advance_prob": 1.0},
+             {"delta": 0, "alpha": 1.0, "epsilon_app": 0, "beta": 1.0},
+             {"n": 6, "correlation": PMA(2), "interval": FixedLength(3)},
+             {"n": 5, "correlation": PMAJ(), "interval": GeometricLength(0.4)})
     for overrides in edges:
         cfg = SimConfig(**{**kw, **overrides})
         steps, final = replay_schedule(cfg)
-        assert final == generate(cfg).final_clocks == (cfg.horizon,) * cfg.n
+        trace = generate(cfg)
+        assert trace == reference_generate(cfg), overrides
+        assert final == trace.final_clocks == (cfg.horizon,) * cfg.n
         # spread holds before every step and after the last one
         for clocks in [clocks for clocks, _ in steps] + [final]:
             assert max(clocks) - min(clocks) <= cfg.epsilon_app
@@ -242,9 +248,51 @@ def test_lockstep_schedule_at_epsilon_zero():
         assert list(advancing) == [0, 1, 2]
 
 
+def test_block_coin_draws_equal_per_step_draws():
+    """A (B, n) coin draw yields the rows of B successive n-draws, so the
+    generator's block draws replay the per-step schedule exactly."""
+    n, block = 3, simkernel._SCHED_BLOCK
+    blocked = simkernel._stream(7, simkernel._S_SCHED)
+    stepped = simkernel._stream(7, simkernel._S_SCHED)
+    rows = np.vstack([blocked.random((block, n)), blocked.random((block, n))])
+    # the second block continues the stream where the first one stopped
+    for row in rows:
+        assert (row == stepped.random(n)).all()
+
+
 # ---------------------------------------------------------------------------
 # generation
 # ---------------------------------------------------------------------------
+
+
+_EDGE_CONFIGS = st.builds(
+    SimConfig,
+    n=st.integers(2, 5),
+    epsilon_app=st.sampled_from([0, 1, 2, 5, 20]),
+    delta=st.sampled_from([0, 1, 3, 10]),
+    alpha=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    beta=st.sampled_from([0.05, 0.3, 1.0]),
+    interval=st.one_of(
+        st.just(PointLength()),
+        st.builds(FixedLength, st.integers(1, 6)),
+        st.builds(GeometricLength, st.sampled_from([0.2, 0.6, 1.0])),
+    ),
+    horizon=st.sampled_from([1, 2, 17, 90]),
+    correlation=st.one_of(
+        st.just(Independent()),
+        st.just(HNMA()),
+        st.just(PMAJ()),
+        st.builds(PMA, st.just(1), st.sampled_from([0.0, 0.5, 1.0])),
+    ),
+    seed=st.integers(0, 1_000),
+    advance_prob=st.sampled_from([0.2, 0.5, 1.0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_EDGE_CONFIGS)
+def test_generate_equals_reference_generator(cfg):
+    assert generate(cfg) == reference_generate(cfg)
 
 
 def test_generate_is_deterministic():
