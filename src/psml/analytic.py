@@ -130,6 +130,14 @@ def phi_interval(eps: float, n: int, beta: float, ell: float) -> float:
     return _one_minus_q_pow(beta, eps + (ell - 1)) ** (n - 1)
 
 
+def _band_roots(n: int) -> tuple[float, float]:
+    """The roots ``(3n - 4 +- sqrt(5n^2 - 16n + 12)) / (2(n-1)^2)`` of
+    (n-1)^2 u^2 - (3n-4) u + 1, as ``(a_plus, a_minus)``."""
+    root = math.sqrt(5.0 * n * n - 16.0 * n + 12.0)
+    den = 2.0 * (n - 1.0) ** 2
+    return (3.0 * n - 4.0 + root) / den, (3.0 * n - 4.0 - root) / den
+
+
 def inflection_points(n: int, beta: float) -> tuple[float, float]:
     """The two zeros of phi_point's third derivative in ``eps``.
 
@@ -145,11 +153,7 @@ def inflection_points(n: int, beta: float) -> tuple[float, float]:
     """
     _check_n(n)
     _check_beta(beta, allow_one=False)
-    disc = 5.0 * n * n - 16.0 * n + 12.0
-    root = math.sqrt(disc)
-    den = 2.0 * (n - 1.0) ** 2
-    a_plus = (3.0 * n - 4.0 + root) / den
-    a_minus = (3.0 * n - 4.0 - root) / den
+    a_plus, a_minus = _band_roots(n)
     return _log_q(beta, a_plus), _log_q(beta, a_minus)
 
 
@@ -165,11 +169,7 @@ def uncertainty_ratio(n: int, beta: float) -> float:
     if n <= 2:
         raise ValueError("uncertainty ratio needs n > 2")
     _check_beta(beta, allow_one=False)
-    disc = 5.0 * n * n - 16.0 * n + 12.0
-    root = math.sqrt(disc)
-    den = 2.0 * (n - 1.0) ** 2
-    log_a_plus = math.log((3.0 * n - 4.0 + root) / den)
-    log_a_minus = math.log((3.0 * n - 4.0 - root) / den)
+    log_a_plus, log_a_minus = map(math.log, _band_roots(n))
     if log_a_plus == 0.0:
         return math.inf
     return (log_a_minus - log_a_plus) / log_a_plus

@@ -20,6 +20,7 @@ interrupted run never leaves a partial file.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -35,7 +36,6 @@ from .analytic import (
     is_hypersensitive,
     phase_transition,
     phi_interval,
-    phi_point,
     pma_fpr_estimate,
     precision,
     recall,
@@ -80,66 +80,98 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _conv_bare_float(text: str) -> float:
+def number(text: str) -> float:
+    """A float that is not NaN; argparse errors name it by this name."""
     value = float(text)
     if math.isnan(value):
         raise ValueError("nan is not a valid setting")
     return value
 
 
-# the choices of --format and --mode, enforced on config files too
-_CHOICES = {"format": ("csv", "structured"), "mode": ("analytic", "simulated")}
+def _int_list(text: str) -> list[int]:
+    try:
+        values = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one integer")
+    return values
 
-_CONVERTERS: dict[str, Callable[[str], Any]] = {
-    "n": int,
-    "eps": _conv_bare_float,
-    "eps_app": int,
-    "eps_mon": _conv_bare_float,
-    "eps_check": _conv_bare_float,
-    "delta": int,
-    "alpha": float,
-    "beta": float,
-    "ell": int,
-    "geom_p": float,
-    "horizon": int,
-    "seed": int,
-    "replicates": int,
-    "warmup": int,
-    "eta": float,
-    "p": str,
-    "g2": int,
-    "p_ind": float,
-    "p_dep": float,
-    "jobs": int,
-    "format": str,
-    "mode": str,
+
+# Every setting a flag or a config file can give: the key is the flag's
+# dest and the config-file key, the entry its flag spelling and the
+# add_argument keywords; the type and the choices check both paths.
+_FLAG_SPECS: dict[str, tuple[str, dict[str, Any]]] = {
+    "n": ("--n", {"type": int, "help": "number of processes (count)"}),
+    "eps": ("--eps", {"type": number, "help": "clock window (ticks)"}),
+    "eps_app": ("--eps-app", {"type": int, "help": "application clock window (ticks)"}),
+    "eps_mon": ("--eps-mon", {"type": number, "help": "monitor clock window (ticks)"}),
+    "eps_check": (
+        "--eps-check",
+        {"type": number, "help": "window classifying cuts (ticks, default: eps-app)"},
+    ),
+    "delta": ("--delta", {"type": int, "help": "message delivery delay (ticks)"}),
+    "alpha": ("--alpha", {"type": float, "help": "per-tick message probability (0..1)"}),
+    "beta": ("--beta", {"type": float, "help": "per-tick predicate probability (0..1)"}),
+    "ell": ("--ell", {"type": int, "help": "fixed predicate interval length (ticks)"}),
+    "geom_p": (
+        "--interval-geom",
+        {"type": float, "metavar": "P", "help": "geometric interval length parameter (probability 0..1)"},
+    ),
+    "horizon": ("--horizon", {"type": int, "help": "trace length (ticks)"}),
+    "seed": ("--seed", {"type": int, "help": "base RNG seed (integer, default: $PSML_SEED or 0)"}),
+    "replicates": ("--replicates", {"type": int, "help": "seeded repetitions (count)"}),
+    "warmup": ("--warmup", {"type": int, "help": "discarded trace prefix (ticks, default: horizon/20)"}),
+    "eta": ("--eta", {"type": float, "help": "accuracy target (probability in (0, 1])"}),
+    "g2": ("--g2", {"type": int, "help": "follower group size (count)"}),
+    "p_ind": ("--p-ind", {"type": float, "help": "independent-firing probability (0..1)"}),
+    "p": (
+        "--p",
+        {"type": _int_list, "metavar": "LIST", "help": "comma-separated conjunct counts p (each in 1..n)"},
+    ),
+    "jobs": ("--jobs", {"type": int, "help": "worker processes (count, default 1)"}),
+    "mode": ("--mode", {"choices": ("analytic", "simulated")}),
+    "config": ("--config", {"help": "flat key = value settings file"}),
+    "out": ("--out", {"help": "write output to this file atomically"}),
+    "format": ("--format", {"choices": ("csv", "structured"), "help": "output format (default csv)"}),
 }
 
 
+def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        flag, kwargs = _FLAG_SPECS[name]
+        parser.add_argument(flag, dest=name, default=None, **kwargs)
+
+
+def _from_file(key: str, text: str) -> Any:
+    kwargs = _FLAG_SPECS[key][1]
+    value = kwargs.get("type", str)(text)
+    choices = kwargs.get("choices")
+    if choices is not None and value not in choices:
+        raise ValueError(f"{key} must be one of {', '.join(choices)}")
+    return value
+
+
 class _Settings:
-    """Flag > file > default lookup for one parsed invocation."""
+    """Flag > file > default lookup for one parsed invocation; file
+    values are converted and checked once, on entry."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        self.file = (
-            _parse_config_file(args.config) if getattr(args, "config", None) else {}
-        )
-        unknown = set(self.file) - set(_CONVERTERS)
+        text = _parse_config_file(args.config) if args.config else {}
+        # a file may set what this command has a flag for, nothing else
+        unknown = set(text) - (set(vars(args)) & set(_FLAG_SPECS)) - {"config", "out"}
         if unknown:
             raise ValueError(
-                "unknown config file keys: " + ", ".join(sorted(unknown))
+                f"config file keys without a flag in this command: {', '.join(sorted(unknown))}"
             )
-        for key, choices in _CHOICES.items():
-            if key in self.file and self.file[key] not in choices:
-                raise ValueError(f"{key} must be one of {', '.join(choices)}")
+        self.file = {key: _from_file(key, value) for key, value in text.items()}
 
     def get(self, key: str, default: Any = None) -> Any:
         value = getattr(self.args, key, None)
         if value is not None:
             return value
-        if key in self.file:
-            return _CONVERTERS[key](self.file[key])
-        return default
+        return self.file.get(key, default)
 
     def given(self, key: str) -> bool:
         return getattr(self.args, key, None) is not None or key in self.file
@@ -147,8 +179,7 @@ class _Settings:
     def require(self, key: str, default: Any = None) -> Any:
         value = self.get(key, default)
         if value is None:
-            flag = "--" + key.replace("_", "-")
-            raise ValueError(f"missing required parameter {flag}")
+            raise ValueError(f"missing required parameter {_FLAG_SPECS[key][0]}")
         return value
 
     def seed(self) -> int:
@@ -184,16 +215,6 @@ def _build_sim(settings: _Settings, defaults: Mapping[str, Any] | None = None) -
         raise ValueError("missing required parameter --eps-app")
     base = SimConfig(n=merged.pop("n"), epsilon_app=merged.pop("epsilon_app"))
     return config_with(base, seed=settings.seed(), **merged)
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        values = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers: {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return values
 
 
 # ---------------------------------------------------------------------------
@@ -308,93 +329,51 @@ def _emit_lines(pairs: Sequence[tuple[str, Any]], out: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_analytic_phi(args: argparse.Namespace) -> int:
-    s = _Settings(args)
-    eps = s.require("eps")
-    n = s.require("n")
-    beta = s.require("beta")
-    ell = s.get("ell", 1)
-    value = phi_interval(eps, n, beta, ell) if ell != 1 else phi_point(eps, n, beta)
-    _deliver(_fmt(value) + "\n", args.out)
-    return 0
-
-
-def _cmd_analytic_inflection(args: argparse.Namespace) -> int:
-    s = _Settings(args)
-    n = s.require("n")
-    p1, p2 = inflection_points(n, s.require("beta"))
+def _inflection(n: int, beta: float) -> list[tuple[str, Any]]:
+    p1, p2 = inflection_points(n, beta)
     pairs: list[tuple[str, Any]] = [("eps_p1", p1), ("eps_p2", p2)]
     if n > 2:
         # both points collapse to 0 at n = 2, so the ratio is undefined
-        pairs.append(("uncertainty_ratio", uncertainty_ratio(n, s.require("beta"))))
-    _emit_lines(pairs, args.out)
-    return 0
+        pairs.append(("uncertainty_ratio", uncertainty_ratio(n, beta)))
+    return pairs
 
 
-def _cmd_analytic_pr(args: argparse.Namespace) -> int:
+def _bound(*args: Any) -> list[tuple[str, Any]]:
+    interval = admissible_eps_mon(*args)
+    return [(f.name, getattr(interval, f.name)) for f in dataclasses.fields(interval)]
+
+
+# form -> (help, settings in call order, closed form).  A form returning
+# (name, value) pairs prints one line per pair, any other a bare value;
+# ell defaults to 1, where phi_interval is phi_point bit for bit.
+_FORMS: dict[str, tuple[str, tuple[str, ...], Callable[..., Any]]] = {
+    "phi": ("detection-window consistency probability", ("eps", "n", "beta", "ell"), phi_interval),
+    "inflection": ("transition-band endpoints", ("n", "beta"), _inflection),
+    "pr": (
+        "precision and recall of a monitor window",
+        ("eps_mon", "eps_app", "n", "beta", "ell"),
+        lambda *a: [("precision", precision(*a)), ("recall", recall(*a))],
+    ),
+    "bound": ("admissible monitor-window interval", ("eps_app", "n", "beta", "ell", "eta"), _bound),
+    "phase": ("hypersensitivity threshold on eps-app", ("n", "beta", "ell", "eta"), phase_transition),
+    "hlc-recall": ("scalar-clock monitor recall", ("eps_app", "n", "beta", "ell"), hlc_recall),
+    "hlc-minlen": ("interval length for recall 1/2", ("eps_app", "n", "beta"), hlc_min_len_half_recall),
+    "pma-est": (
+        "false-positive estimate under correlation",
+        ("eps", "g2", "beta", "p_ind"),
+        pma_fpr_estimate,
+    ),
+}
+
+
+def _cmd_analytic(args: argparse.Namespace) -> int:
     s = _Settings(args)
-    eps_mon = s.require("eps_mon")
-    eps_app = s.require("eps_app")
-    n, beta, ell = s.require("n"), s.require("beta"), s.get("ell", 1)
-    _emit_lines(
-        [
-            ("precision", precision(eps_mon, eps_app, n, beta, ell)),
-            ("recall", recall(eps_mon, eps_app, n, beta, ell)),
-        ],
-        args.out,
-    )
-    return 0
-
-
-def _cmd_analytic_bound(args: argparse.Namespace) -> int:
-    s = _Settings(args)
-    interval = admissible_eps_mon(
-        s.require("eps_app"), s.require("n"), s.require("beta"),
-        s.get("ell", 1), s.require("eta"),
-    )
-    _emit_lines(
-        [
-            ("lo", interval.lo),
-            ("hi", interval.hi),
-            ("empty", interval.empty),
-            ("unbounded_hi", interval.unbounded_hi),
-        ],
-        args.out,
-    )
-    return 0
-
-
-def _cmd_analytic_phase(args: argparse.Namespace) -> int:
-    s = _Settings(args)
-    value = phase_transition(
-        s.require("n"), s.require("beta"), s.get("ell", 1), s.require("eta")
-    )
-    _deliver(_fmt(value) + "\n", args.out)
-    return 0
-
-
-def _cmd_analytic_hlc_recall(args: argparse.Namespace) -> int:
-    s = _Settings(args)
-    value = hlc_recall(
-        s.require("eps_app"), s.require("n"), s.require("beta"), s.get("ell", 1)
-    )
-    _deliver(_fmt(value) + "\n", args.out)
-    return 0
-
-
-def _cmd_analytic_hlc_minlen(args: argparse.Namespace) -> int:
-    s = _Settings(args)
-    value = hlc_min_len_half_recall(s.require("eps_app"), s.require("n"), s.require("beta"))
-    _deliver(_fmt(value) + "\n", args.out)
-    return 0
-
-
-def _cmd_analytic_pma_est(args: argparse.Namespace) -> int:
-    s = _Settings(args)
-    value = pma_fpr_estimate(
-        s.require("eps"), s.require("g2"), s.require("beta"), s.require("p_ind")
-    )
-    _deliver(_fmt(value) + "\n", args.out)
+    _, names, form = _FORMS[args.form]
+    value = form(*(s.get(k, 1) if k == "ell" else s.require(k) for k in names))
+    if isinstance(value, list):
+        _emit_lines(value, args.out)
+    else:
+        _deliver(_fmt(value) + "\n", args.out)
     return 0
 
 
@@ -538,11 +517,7 @@ def _cmd_partial(args: argparse.Namespace) -> int:
     s = _Settings(args)
     spec = _preset_spec(args.preset, "partial", default="table-partial")
     base = _build_sim(s, spec["base"])
-    if s.given("p"):
-        raw = s.get("p")
-        p_values = raw if isinstance(raw, list) else _int_list(raw)
-    else:
-        p_values = spec["p"]
+    p_values = s.get("p", spec["p"])
     replicates = s.get("replicates", spec["replicates"])
     rows = []
     for p in p_values:
@@ -584,55 +559,6 @@ def _cmd_hlc_curve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-_FLAG_SPECS: dict[str, tuple[tuple[str, ...], dict[str, Any]]] = {
-    "n": (("--n",), {"type": int, "help": "number of processes (count)"}),
-    "eps": (("--eps",), {"type": float, "help": "clock window (ticks)"}),
-    "eps_app": (
-        ("--eps-app",),
-        {"type": int, "dest": "eps_app", "help": "application clock window (ticks)"},
-    ),
-    "eps_mon": (
-        ("--eps-mon",),
-        {"type": float, "dest": "eps_mon", "help": "monitor clock window (ticks)"},
-    ),
-    "eps_check": (
-        ("--eps-check",),
-        {"type": float, "dest": "eps_check", "help": "window classifying cuts (ticks, default: eps-app)"},
-    ),
-    "delta": (("--delta",), {"type": int, "help": "message delivery delay (ticks)"}),
-    "alpha": (("--alpha",), {"type": float, "help": "per-tick message probability (0..1)"}),
-    "beta": (("--beta",), {"type": float, "help": "per-tick predicate probability (0..1)"}),
-    "ell": (("--ell",), {"type": int, "help": "fixed predicate interval length (ticks)"}),
-    "geom_p": (
-        ("--interval-geom",),
-        {"type": float, "dest": "geom_p", "metavar": "P", "help": "geometric interval length parameter (probability 0..1)"},
-    ),
-    "horizon": (("--horizon",), {"type": int, "help": "trace length (ticks)"}),
-    "seed": (("--seed",), {"type": int, "help": "base RNG seed (integer, default: $PSML_SEED or 0)"}),
-    "replicates": (("--replicates",), {"type": int, "help": "seeded repetitions (count)"}),
-    "warmup": (("--warmup",), {"type": int, "help": "discarded trace prefix (ticks, default: horizon/20)"}),
-    "eta": (("--eta",), {"type": float, "help": "accuracy target (probability in (0, 1])"}),
-    "g2": (("--g2",), {"type": int, "help": "follower group size (count)"}),
-    "p_ind": (
-        ("--p-ind",),
-        {"type": float, "dest": "p_ind", "help": "independent-firing probability (0..1)"},
-    ),
-    "jobs": (("--jobs",), {"type": int, "help": "worker processes (count, default 1)"}),
-    "config": (("--config",), {"help": "flat key = value settings file"}),
-    "out": (("--out",), {"help": "write output to this file atomically"}),
-    "format": (
-        ("--format",),
-        {"choices": _CHOICES["format"], "help": "output format (default csv)"},
-    ),
-}
-
-
-def _add_flags(parser: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        flags, kwargs = _FLAG_SPECS[name]
-        parser.add_argument(*flags, default=None, **kwargs)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="psml",
@@ -646,37 +572,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     asub = analytic.add_subparsers(dest="form", required=True, metavar="form")
 
-    phi = asub.add_parser("phi", help="detection-window consistency probability")
-    _add_flags(phi, "eps", "n", "beta", "ell", "config", "out")
-    phi.set_defaults(func=_cmd_analytic_phi)
-
-    infl = asub.add_parser("inflection", help="transition-band endpoints")
-    _add_flags(infl, "n", "beta", "config", "out")
-    infl.set_defaults(func=_cmd_analytic_inflection)
-
-    pr = asub.add_parser("pr", help="precision and recall of a monitor window")
-    _add_flags(pr, "eps_mon", "eps_app", "n", "beta", "ell", "config", "out")
-    pr.set_defaults(func=_cmd_analytic_pr)
-
-    bound = asub.add_parser("bound", help="admissible monitor-window interval")
-    _add_flags(bound, "eps_app", "n", "beta", "ell", "eta", "config", "out")
-    bound.set_defaults(func=_cmd_analytic_bound)
-
-    phase = asub.add_parser("phase", help="hypersensitivity threshold on eps-app")
-    _add_flags(phase, "n", "beta", "ell", "eta", "config", "out")
-    phase.set_defaults(func=_cmd_analytic_phase)
-
-    hrec = asub.add_parser("hlc-recall", help="scalar-clock monitor recall")
-    _add_flags(hrec, "eps_app", "n", "beta", "ell", "config", "out")
-    hrec.set_defaults(func=_cmd_analytic_hlc_recall)
-
-    hmin = asub.add_parser("hlc-minlen", help="interval length for recall 1/2")
-    _add_flags(hmin, "eps_app", "n", "beta", "config", "out")
-    hmin.set_defaults(func=_cmd_analytic_hlc_minlen)
-
-    pma = asub.add_parser("pma-est", help="false-positive estimate under correlation")
-    _add_flags(pma, "eps", "g2", "beta", "p_ind", "config", "out")
-    pma.set_defaults(func=_cmd_analytic_pma_est)
+    for name, (help_, names, _) in _FORMS.items():
+        form = asub.add_parser(name, help=help_)
+        _add_flags(form, *names, "config", "out")
+        form.set_defaults(func=_cmd_analytic)
 
     tune = sub.add_parser(
         "tune",
@@ -712,23 +611,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     prd = sub.add_parser("prdiagram", help="precision/recall over a window grid")
     prd.add_argument("--preset", choices=[k for k, v in PRESETS.items() if v["kind"] == "prdiagram"])
-    prd.add_argument("--mode", choices=_CHOICES["mode"], default=None)
     prd.add_argument("--eps-mon", type=_int_list, dest="eps_mon_list", metavar="LIST",
                      default=None, help="comma-separated monitor windows (ticks)")
     prd.add_argument("--eps-app", type=_int_list, dest="eps_app_list", metavar="LIST",
                      default=None, help="comma-separated application windows (ticks)")
     _add_flags(
-        prd, "n", "delta", "alpha", "beta", "ell", "horizon", "seed",
+        prd, "mode", "n", "delta", "alpha", "beta", "ell", "horizon", "seed",
         "replicates", "warmup", "config", "out", "format",
     )
     prd.set_defaults(func=_cmd_prdiagram)
 
     part = sub.add_parser("partial", help="p-of-n detection fractions, quasi vs partial sync")
     part.add_argument("--preset", choices=[k for k, v in PRESETS.items() if v["kind"] == "partial"])
-    part.add_argument("--p", dest="p", metavar="LIST", default=None,
-                      help="comma-separated conjunct counts p (each in 1..n)")
     _add_flags(
-        part, "n", "eps_app", "delta", "alpha", "beta", "ell", "geom_p",
+        part, "p", "n", "eps_app", "delta", "alpha", "beta", "ell", "geom_p",
         "horizon", "seed", "replicates", "config", "out", "format",
     )
     part.set_defaults(func=_cmd_partial)

@@ -342,9 +342,11 @@ def sweep(
     return [_sweep_row(s) for s in specs]
 
 
-def _check_replicates(replicates: int) -> None:
+def _replicas(config: SimConfig, replicates: int) -> list[SimConfig]:
+    """The replicate set of ``config``: seeds ``config.seed + i``."""
     if replicates < 1:
         raise ValueError("replicates must be at least 1")
+    return [config_with(config, seed=config.seed + i) for i in range(replicates)]
 
 
 def _mean_defined(values: list[float]) -> float:
@@ -368,7 +370,7 @@ def pr_diagram(
     """
     if mode not in ("analytic", "simulated"):
         raise ValueError("mode must be 'analytic' or 'simulated'")
-    _check_replicates(replicates)
+    replicas = _replicas(base, replicates)
     ell, _ = interval_params(base.interval)
     if ell is None:
         raise ValueError("pr_diagram needs a fixed interval length")
@@ -380,10 +382,9 @@ def pr_diagram(
                 prec = precision(eps_mon, eps_app, base.n, base.beta, ell)
                 rec = recall(eps_mon, eps_app, base.n, base.beta, ell)
             else:
-                cfg = config_with(base, epsilon_app=eps_app)
                 results = [
-                    pr_experiment(config_with(cfg, seed=cfg.seed + i), eps_mon, warmup)
-                    for i in range(replicates)
+                    pr_experiment(config_with(rep, epsilon_app=eps_app), eps_mon, warmup)
+                    for rep in replicas
                 ]
                 prec = _mean_defined([r.precision_est for r in results])
                 rec = _mean_defined([r.recall_est for r in results])
@@ -411,10 +412,9 @@ def partial_predicate_experiment(
     denominator."""
     if not 1 <= p <= config.n:
         raise ValueError("p must be in 1..n")
-    _check_replicates(replicates)
     ratios = []
-    for i in range(replicates):
-        trace = generate(config_with(config, seed=config.seed + i))
+    for rep in _replicas(config, replicates):
+        trace = generate(rep)
         denom = len(detect_partialsync(trace, config.epsilon_app, range(p)))
         if denom == 0:
             continue
@@ -432,17 +432,16 @@ def hlc_recall_curve(
     per-trace counts are small for short intervals and per-trace
     ratios would be quantization noise.
     """
-    _check_replicates(replicates)
+    replicas = _replicas(config, replicates)
     rows = []
     for ell in ell_values:
-        cfg = config_with(config, ell=ell)
         num = denom = 0
-        for i in range(replicates):
-            trace = generate(config_with(cfg, seed=cfg.seed + i))
-            denom += len(detect_partialsync(trace, cfg.epsilon_app))
+        for rep in replicas:
+            trace = generate(config_with(rep, ell=ell))
+            denom += len(detect_partialsync(trace, config.epsilon_app))
             num += len(detect_quasi(trace))
         sim = num / denom if denom else float("nan")
-        rows.append((ell, sim, hlc_recall(cfg.epsilon_app, cfg.n, cfg.beta, ell)))
+        rows.append((ell, sim, hlc_recall(config.epsilon_app, config.n, config.beta, ell)))
     return rows
 
 

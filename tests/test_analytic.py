@@ -86,12 +86,22 @@ def test_phi_domain_errors():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n,beta", [(5, 0.01), (20, 0.01), (20, 0.05), (50, 0.002)])
+_INFLECTION_POINTS = {
+    (5, 0.01): (54.254409708952785, 221.6158460371612),
+    (20, 0.01): (199.5887943430404, 386.3496304192775),
+    (20, 0.05): (39.10714723423668, 75.70080239440286),
+    (50, 0.002): (1467.8201693362132, 2420.1070099039507),
+}
+
+
+@pytest.mark.parametrize("n,beta", _INFLECTION_POINTS)
 def test_inflection_points_are_third_derivative_zeros(n, beta):
     """Differentiating phi = (1-u)^(n-1) with u = (1-beta)^eps three
     times gives phi''' proportional to (n-1)^2 u^2 - (3n-4) u + 1, so
-    the returned points must be roots of that quadratic."""
+    the returned points must be roots of that quadratic; the values
+    are pinned to the bit."""
     p1, p2 = inflection_points(n, beta)
+    assert (p1, p2) == _INFLECTION_POINTS[n, beta]
     assert 0 < p1 < p2
     for point in (p1, p2):
         u = (1 - beta) ** point
@@ -111,6 +121,8 @@ def test_uncertainty_ratio_beta_free():
 
 def test_uncertainty_ratio_reference_value():
     assert uncertainty_ratio(100, 0.01) == pytest.approx(0.5267, abs=5e-4)
+    assert uncertainty_ratio(100, 0.01) == 0.5267158273109112
+    assert uncertainty_ratio(5, 0.01) == 3.0847526906295193
 
 
 def test_uncertainty_ratio_shrinks_with_n():

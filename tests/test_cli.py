@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, precedence, reproducibility."""
 
 import json
+import re
 
 import pytest
 
@@ -106,6 +107,41 @@ def test_config_file_choice_exits_two_before_running(
     assert cli.main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
     assert setting.split()[0] in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, setting",
+    [
+        (["prdiagram"], "eps_mon = 80"),
+        (["hlc-curve", "--horizon", "300", "--replicates", "1"], "ell = 30"),
+        (["simulate", "--n", "3", "--eps-app", "5", "--horizon", "300"], "g2 = 3"),
+    ],
+)
+def test_config_key_without_flag_exits_two(argv, setting, tmp_path, capsys):
+    """A file key is accepted only where the command has that flag; a
+    key the command would never read is named, not silently ignored."""
+    from psml import cli
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(setting + "\n")
+    out = tmp_path / "out.txt"
+    assert cli.main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    assert setting.split()[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_list_setting_matches_flag(tmp_path, capsys):
+    from psml import cli
+
+    argv = ["partial", "--n", "4", "--eps-app", "5", "--beta", "0.1", "--ell", "6",
+            "--horizon", "300", "--replicates", "1"]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p = 2,3\n")
+    assert cli.main([*argv, "--p", "2,3"]) == 0
+    by_flag = capsys.readouterr().out
+    assert cli.main([*argv, "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == by_flag
+    assert "# p_values = (2, 3)" in by_flag
 
 
 def test_unknown_preset_exits_two():
@@ -315,15 +351,125 @@ def test_tune_point_interval_at_eta_one():
     assert "phase_transition" not in keys
 
 
-def test_help_states_units():
-    code, out, _ = run_cli(["simulate", "--help"])
-    assert code == 0
-    assert "(ticks)" in out
-    assert "probability" in out
-    code, out, _ = run_cli(["--help"])
-    assert code == 0
-    for name in ("analytic", "tune", "simulate", "sweep", "prdiagram", "partial", "hlc-curve"):
-        assert name in out
+# stdout at the commit before the analytic forms became one table
+_ANALYTIC_BYTES = {
+    "phi": (
+        ["analytic", "phi", "--eps", "200", "--n", "20", "--beta", "0.01"],
+        "0.06501800089828214\n",
+    ),
+    "phi-ell": (
+        ["analytic", "phi", "--eps", "50", "--n", "5", "--beta", "0.05", "--ell", "4"],
+        "0.7611004934437124\n",
+    ),
+    "inflection": (
+        ["analytic", "inflection", "--n", "20", "--beta", "0.01"],
+        "eps_p1 = 199.5887943430404\neps_p2 = 386.3496304192775\n"
+        "uncertainty_ratio = 0.9357280637471288\n",
+    ),
+    "inflection-n2": (
+        ["analytic", "inflection", "--n", "2", "--beta", "0.5"],
+        "eps_p1 = 0.0\neps_p2 = 0.0\n",
+    ),
+    "pr": (
+        ["analytic", "pr", "--eps-mon", "80", "--eps-app", "100", "--n", "20", "--beta", "0.01"],
+        "precision = 1.0\nrecall = 0.07323044894418654\n",
+    ),
+    "bound": (
+        ["analytic", "bound", "--eps-app", "100", "--n", "20", "--beta", "0.01", "--eta", "0.9"],
+        "lo = 99.05154612628347\nhi = 100.96293255115418\nempty = no\nunbounded_hi = no\n",
+    ),
+    "bound-eta1": (
+        ["analytic", "bound", "--eps-app", "100", "--n", "20", "--beta", "0.01", "--eta", "1"],
+        "lo = 100.0\nhi = 100.0\nempty = no\nunbounded_hi = no\n",
+    ),
+    "bound-unbounded": (
+        ["analytic", "bound", "--eps-app", "2000", "--n", "20", "--beta", "0.01", "--eta", "0.9"],
+        "lo = 517.1545917434179\nhi = inf\nempty = no\nunbounded_hi = yes\n",
+    ),
+    "phase": (
+        ["analytic", "phase", "--n", "20", "--beta", "0.01", "--eta", "0.9"],
+        "516.6028733518684\n",
+    ),
+    "hlc-recall-ell": (
+        ["analytic", "hlc-recall", "--eps-app", "10", "--n", "3", "--beta", "0.005", "--ell", "25"],
+        "0.5357568561379626\n",
+    ),
+    "hlc-recall": (
+        ["analytic", "hlc-recall", "--eps-app", "10", "--n", "3", "--beta", "0.005"],
+        "0.0086870977032869\n",
+    ),
+    "hlc-minlen": (
+        ["analytic", "hlc-minlen", "--eps-app", "10", "--n", "3", "--beta", "0.005"],
+        "22.25791547490924\n",
+    ),
+    "pma-est": (
+        ["analytic", "pma-est", "--eps", "60", "--g2", "10", "--beta", "0.1", "--p-ind", "0.5"],
+        "0.37602672975161255\n",
+    ),
+    "tune": (
+        ["tune", "--eps-app", "100", "--n", "20", "--beta", "0.01", "--eta", "0.95"],
+        "eps_app = 100\nn = 20\nbeta = 0.01\nell = 1\neta = 0.95\n"
+        "phase_transition = 588.3668155170542\nhypersensitive = yes\n"
+        "admissible = [99.53647199893906, 100.46695938524951]\n",
+    ),
+    "tune-eta1": (
+        ["tune", "--eps-app", "50", "--n", "10", "--beta", "0.05", "--eta", "1.0"],
+        "eps_app = 50\nn = 10\nbeta = 0.05\nell = 1\neta = 1.0\nadmissible = [50.0, 50.0]\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _ANALYTIC_BYTES)
+def test_analytic_output_bytes(name, capsys):
+    from psml import cli
+
+    argv, expected = _ANALYTIC_BYTES[name]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+_SIM_FLAGS = "--n --eps-app --delta --alpha --beta --ell --horizon --seed"
+
+
+_HELP_OPTIONS = [
+    ("", "", ("analytic", "tune", "simulate", "sweep", "prdiagram", "partial", "hlc-curve")),
+    ("analytic", "", ()),
+    ("analytic phi", "--eps --n --beta --ell --config --out", ()),
+    ("analytic inflection", "--n --beta --config --out", ()),
+    ("analytic pr", "--eps-mon --eps-app --n --beta --ell --config --out", ()),
+    ("analytic bound", "--eps-app --n --beta --ell --eta --config --out", ()),
+    ("analytic phase", "--n --beta --ell --eta --config --out", ()),
+    ("analytic hlc-recall", "--eps-app --n --beta --ell --config --out", ()),
+    ("analytic hlc-minlen", "--eps-app --n --beta --config --out", ()),
+    ("analytic pma-est", "--eps --g2 --beta --p-ind --config --out", ()),
+    ("tune", "--eps-app --n --beta --ell --eta --config --out", ()),
+    ("simulate", f"{_SIM_FLAGS} --eps-check --interval-geom --warmup --trace-out "
+     "--config --out --format", ("(ticks)", "probability")),
+    ("sweep", f"{_SIM_FLAGS} --preset --interval-geom --replicates --warmup --jobs "
+     "--config --out --format", ()),
+    ("prdiagram", f"{_SIM_FLAGS} --preset --mode --eps-mon --replicates --warmup "
+     "--config --out --format", ()),
+    ("partial", f"{_SIM_FLAGS} --preset --p --interval-geom --replicates "
+     "--config --out --format", ()),
+    ("hlc-curve", f"{_SIM_FLAGS} --preset --replicates --config --out --format", ()),
+]
+
+
+@pytest.mark.parametrize(
+    "command, options, words", _HELP_OPTIONS, ids=[c or "psml" for c, _, _ in _HELP_OPTIONS]
+)
+def test_help_states_units(command, options, words, capsys):
+    """Each help lists exactly the options the command took before its
+    parser was built from a table, and states units where it did."""
+    from psml import cli
+
+    with pytest.raises(SystemExit) as done:
+        cli.main([*command.split(), "--help"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    assert set(re.findall(r"--[a-z][a-z0-9-]*", out)) == {"--help", *options.split()}
+    for word in words:
+        assert word in out
 
 
 # ---------------------------------------------------------------------------
