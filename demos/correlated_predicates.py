@@ -6,7 +6,7 @@ cascades follow prefixes. The simulator ships three such families, and
 an effective-parameter trick keeps the closed form useful: replace
 (n, beta) with the effective count of independent coins.
 
-Run:  python demos/correlated_predicates.py  (about a minute)
+Run:  python demos/correlated_predicates.py  (a few seconds)
 """
 
 from psml import PMA, SimConfig, config_with, fpr_experiment, phi_point, pma_fpr_estimate

@@ -7,7 +7,7 @@ misses short intervals. This script sweeps interval length and
 compares the measured recall with the closed form, including the
 length needed for 50% recall.
 
-Run:  python demos/quasi_recall.py  (about half a minute)
+Run:  python demos/quasi_recall.py  (a few seconds)
 """
 
 from psml import SimConfig, hlc_min_len_half_recall, hlc_recall_curve

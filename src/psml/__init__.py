@@ -43,7 +43,6 @@ from .metrics import (
     sweep,
 )
 from .monitors import (
-    Candidate,
     Cut,
     cut_length,
     detect_async,

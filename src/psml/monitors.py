@@ -1,10 +1,12 @@
 """Conjunctive-predicate detection monitors.
 
 A monitor consumes one queue of candidate intervals per monitored
-process (a process's predicate-true intervals, each stamped with the
-vector clock and hybrid logical clock of its truthification) and
-enumerates cuts: one candidate per process, pairwise causally
-concurrent.  Three acceptance disciplines share one enumeration
+process and enumerates cuts: one candidate per process, pairwise
+causally concurrent.  The candidates are the trace's own
+:class:`~psml.simkernel.PredicateInterval` records, read in place: a
+process's predicate-true intervals, stamped with the vector clock
+(``vc_start``) and hybrid logical clock (``hlc_start``) of their
+truthification.  Three acceptance disciplines share one enumeration
 engine:
 
 * asynchronous: accept every concurrent cut;
@@ -18,10 +20,9 @@ while some head candidate happens-before another head, the preceding
 one can join no concurrent cut with the rest and is discarded; once
 heads are pairwise concurrent the cut is recorded and the head with
 the smallest interval end moves on (ties to the lowest process
-index).  A newly recorded cut is counted only if some process's head
-interval is disjoint in time from that process's candidate in the
-previously counted cut, so sliding a cut by one interior event does
-not inflate counts.
+index).  Heads only advance and one process's intervals are disjoint,
+so every recorded cut differs from the one recorded before it in some
+process's interval: no cut is a slide of the previous one.
 
 Inside the engine, happens-before between two candidate stamps is
 decided from the owner components alone: the start event of candidate
@@ -35,15 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .clocks import HLCTimestamp, VectorClock
-from .simkernel import Trace
+from .simkernel import PredicateInterval, Trace
 
 __all__ = [
-    "Candidate",
     "Cut",
     "cut_length",
     "is_hb_consistent",
@@ -56,46 +55,35 @@ __all__ = [
 
 
 @dataclass(frozen=True, slots=True)
-class Candidate:
-    """One predicate-true interval [start, end] of process ``proc``,
-    stamped at its truthification event."""
-
-    proc: int
-    start: int
-    end: int
-    vc: VectorClock
-    hlc: HLCTimestamp
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError("candidate interval must have end >= start")
-
-
-@dataclass(frozen=True, slots=True)
 class Cut:
     """One candidate per monitored process, in ascending process order."""
 
-    candidates: tuple[Candidate, ...]
+    candidates: tuple[PredicateInterval, ...]
 
     def __post_init__(self) -> None:
-        procs = [c.proc for c in self.candidates]
-        if len(set(procs)) != len(procs):
+        if not self.candidates:
+            raise ValueError("cut needs at least one candidate")
+        if len({c.proc for c in self.candidates}) != len(self.candidates):
             raise ValueError("cut has duplicate process indices")
 
 
+def _length(cands: Sequence[PredicateInterval]) -> int:
+    """max(max_i start_i - min_i end_i, 0): the smallest window the
+    candidates fit in; 0 when the intervals share a common tick."""
+    return max(max(c.start for c in cands) - min(c.end for c in cands), 0)
+
+
 def cut_length(cut: Cut) -> int:
-    """max(max_i start_i - min_i end_i, 0): the smallest window the cut
-    fits in; 0 when the intervals share a common tick."""
-    starts = max(c.start for c in cut.candidates)
-    ends = min(c.end for c in cut.candidates)
-    return max(starts - ends, 0)
+    """The smallest window the cut fits in; 0 when its intervals share
+    a common tick."""
+    return _length(cut.candidates)
 
 
 def is_hb_consistent(cut: Cut) -> bool:
     """True iff all candidate stamp pairs compare as concurrent."""
     # componentwise dominance in one shot; dominated-or-equal in either
     # direction means the pair is not concurrent
-    stamps = np.array([c.vc.entries for c in cut.candidates])
+    stamps = np.array([c.vc_start.entries for c in cut.candidates])
     le = (stamps[:, None, :] <= stamps[None, :, :]).all(axis=-1)
     np.fill_diagonal(le, False)
     return not le.any()
@@ -111,83 +99,76 @@ def is_eps_consistent(cut: Cut, eps: float) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def candidate_queues(trace: Trace, procs: Iterable[int] | None = None) -> list[list[Candidate]]:
-    """Per-process candidate queues for the monitored set (default all)."""
+def candidate_queues(
+    trace: Trace, procs: Iterable[int] | None = None
+) -> list[list[PredicateInterval]]:
+    """Per-process candidate queues for the monitored set (default all):
+    the trace's own interval records, in ascending process order."""
     n = trace.config.n
     chosen = sorted(set(procs)) if procs is not None else list(range(n))
     if not chosen:
         raise ValueError("monitored set is empty")
     if chosen[0] < 0 or chosen[-1] >= n:
         raise ValueError("monitored process out of range")
-    return [
-        [Candidate(iv.proc, iv.start, iv.end, iv.vc_start, iv.hlc_start) for iv in trace.intervals[p]]
-        for p in chosen
-    ]
-
-
-def _disjoint(a: Candidate, b: Candidate) -> bool:
-    return a.end < b.start or b.end < a.start
+    return [list(trace.intervals[p]) for p in chosen]
 
 
 def _detect(
-    queues: list[list[Candidate]],
-    accept: Callable[[list[Candidate]], bool],
+    queues: list[list[PredicateInterval]],
+    accept: Callable[[list[PredicateInterval]], bool],
 ) -> list[Cut]:
-    m = len(queues)
-    heads = [0] * m
     if any(not q for q in queues):
         return []
+    m = len(queues)
+    pos = [0] * m
+    heads = [q[0] for q in queues]
+    procs = [c.proc for c in heads]
+    ends = [c.end for c in heads]
+    stamps = [c.vc_start.entries for c in heads]
+    owns = [s[p] for s, p in zip(stamps, procs)]
 
-    def exhausted(i: int) -> bool:
-        heads[i] += 1
-        return heads[i] >= len(queues[i])
+    def advance(i: int) -> bool:
+        """Move head ``i`` on; False once its queue is exhausted."""
+        pos[i] += 1
+        if pos[i] == len(queues[i]):
+            return False
+        c = heads[i] = queues[i][pos[i]]
+        ends[i] = c.end
+        s = stamps[i] = c.vc_start.entries
+        owns[i] = s[procs[i]]
+        return True
 
     cuts: list[Cut] = []
-    last_counted: Cut | None = None
     # indices whose head changed and must be rechecked against the rest
     todo = list(range(m))
-    queued = [True] * m
-
     while True:
         while todo:
             i = todo.pop()
-            queued[i] = False
-            rescan = True
-            while rescan:
-                rescan = False
-                ci = queues[i][heads[i]]
-                own_i = ci.vc.entries[ci.proc]
-                for j in range(m):
-                    if j == i:
-                        continue
-                    cj = queues[j][heads[j]]
-                    if cj.vc.entries[ci.proc] >= own_i:
-                        # head_i happened before head_j: no cut can use it
-                        if exhausted(i):
-                            return cuts
-                        rescan = True
-                        break
-                    if ci.vc.entries[cj.proc] >= cj.vc.entries[cj.proc]:
-                        if exhausted(j):
-                            return cuts
-                        if not queued[j]:
-                            todo.append(j)
-                            queued[j] = True
-
-        cands = [queues[i][heads[i]] for i in range(m)]
-        if accept(cands):
-            cut = Cut(tuple(cands))
-            if last_counted is None or any(
-                _disjoint(a, b) for a, b in zip(cands, last_counted.candidates)
-            ):
-                cuts.append(cut)
-                last_counted = cut
+            # head_i happened before any other head that learned its
+            # owner count: no cut can use it
+            p_i = procs[i]
+            learned = [s[p_i] for s in stamps]
+            learned[i] = -1  # its own stamp does not count
+            top = max(learned)
+            while owns[i] <= top:
+                if not advance(i):
+                    return cuts
+            # heads whose owner count head_i learned happened before it:
+            # they go, and are rechecked
+            s_i = stamps[i]
+            for j, (p, own) in enumerate(zip(procs, owns)):
+                if s_i[p] >= own and j != i:
+                    if not advance(j):
+                        return cuts
+                    if j not in todo:
+                        todo.append(j)
+        if accept(heads):
+            cuts.append(Cut(tuple(heads)))
         # advance the earliest-ending head; ties fall to the lowest index
-        k = min(range(m), key=lambda i: cands[i].end)
-        if exhausted(k):
+        k = ends.index(min(ends))
+        if not advance(k):
             return cuts
         todo.append(k)
-        queued[k] = True
 
 
 def detect_async(trace: Trace, procs: Iterable[int] | None = None) -> list[Cut]:
@@ -209,11 +190,7 @@ def detect_partialsync(
         raise ValueError("eps_mon must be non-negative")
     if math.isinf(eps_mon):
         return detect_async(trace, procs)
-
-    def accept(cands: list[Candidate]) -> bool:
-        return max(c.start for c in cands) - min(c.end for c in cands) <= eps_mon
-
-    return _detect(candidate_queues(trace, procs), accept)
+    return _detect(candidate_queues(trace, procs), lambda cands: _length(cands) <= eps_mon)
 
 
 def detect_quasi(trace: Trace, procs: Iterable[int] | None = None) -> list[Cut]:
@@ -227,9 +204,9 @@ def detect_quasi(trace: Trace, procs: Iterable[int] | None = None) -> list[Cut]:
     has length zero.
     """
 
-    def accept(cands: list[Candidate]) -> bool:
-        lo = max(c.hlc.l for c in cands)
-        hi = min(c.hlc.l + (c.end - c.start) for c in cands)
+    def accept(cands: list[PredicateInterval]) -> bool:
+        lo = max(c.hlc_start.l for c in cands)
+        hi = min(c.hlc_start.l + (c.end - c.start) for c in cands)
         return lo <= hi
 
     return _detect(candidate_queues(trace, procs), accept)

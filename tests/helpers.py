@@ -18,13 +18,18 @@ import sys
 from typing import Callable, Sequence
 
 import numpy as np
+from hypothesis import strategies as st
 
 from psml import simkernel
 from psml.clocks import HLCTimestamp, Ordering, VectorClock
-from psml.monitors import Candidate, Cut
+from psml.monitors import Cut
 from psml.simkernel import (
+    HNMA,
+    PMA,
+    PMAJ,
     FixedLength,
     GeometricLength,
+    Independent,
     MessageRecord,
     PointLength,
     PredicateInterval,
@@ -38,25 +43,21 @@ from psml.simkernel import (
 # ---------------------------------------------------------------------------
 
 
-def trace_queues(trace: Trace, procs: Sequence[int] | None = None) -> list[list[Candidate]]:
-    """Candidate queues built directly from the trace records."""
+def trace_queues(
+    trace: Trace, procs: Sequence[int] | None = None
+) -> list[list[PredicateInterval]]:
+    """Candidate queues read directly from the trace records."""
     chosen = list(procs) if procs is not None else list(range(trace.config.n))
-    return [
-        [
-            Candidate(iv.proc, iv.start, iv.end, iv.vc_start, iv.hlc_start)
-            for iv in trace.intervals[p]
-        ]
-        for p in chosen
-    ]
+    return [list(trace.intervals[p]) for p in chosen]
 
 
-def _disjoint(a: Candidate, b: Candidate) -> bool:
+def _disjoint(a: PredicateInterval, b: PredicateInterval) -> bool:
     return a.end < b.start or b.end < a.start
 
 
 def brute_detect(
-    queues: list[list[Candidate]],
-    accept: Callable[[list[Candidate]], bool],
+    queues: list[list[PredicateInterval]],
+    accept: Callable[[list[PredicateInterval]], bool],
 ) -> list[Cut]:
     """Naive queue-based enumeration with full vector-clock compares.
 
@@ -64,7 +65,9 @@ def brute_detect(
     (full componentwise comparison); once heads are pairwise
     concurrent, record the cut if accepted and not a slide of the
     previously counted cut; then advance the earliest-ending head,
-    ties to the lowest process index.
+    ties to the lowest process index.  The production engine drops the
+    slide rule, which can never fire; keeping it here lets the
+    engine-equals-reference tests prove that.
     """
     if any(not q for q in queues):
         return []
@@ -81,7 +84,7 @@ def brute_detect(
                 for j in range(m):
                     if i == j:
                         continue
-                    rel = queues[i][heads[i]].vc.compare(queues[j][heads[j]].vc)
+                    rel = queues[i][heads[i]].vc_start.compare(queues[j][heads[j]].vc_start)
                     if rel is Ordering.BEFORE:
                         heads[i] += 1
                         if heads[i] >= len(queues[i]):
@@ -111,16 +114,16 @@ def brute_async(trace: Trace, procs: Sequence[int] | None = None) -> list[Cut]:
 def brute_partialsync(
     trace: Trace, eps_mon: float, procs: Sequence[int] | None = None
 ) -> list[Cut]:
-    def accept(cands: list[Candidate]) -> bool:
+    def accept(cands: list[PredicateInterval]) -> bool:
         return max(c.start for c in cands) - min(c.end for c in cands) <= eps_mon
 
     return brute_detect(trace_queues(trace, procs), accept)
 
 
 def brute_quasi(trace: Trace, procs: Sequence[int] | None = None) -> list[Cut]:
-    def accept(cands: list[Candidate]) -> bool:
-        lo = max(c.hlc.l for c in cands)
-        hi = min(c.hlc.l + (c.end - c.start) for c in cands)
+    def accept(cands: list[PredicateInterval]) -> bool:
+        lo = max(c.hlc_start.l for c in cands)
+        hi = min(c.hlc_start.l + (c.end - c.start) for c in cands)
         return lo <= hi
 
     return brute_detect(trace_queues(trace, procs), accept)
@@ -272,6 +275,33 @@ def reference_generate(config: SimConfig) -> Trace:
 # ---------------------------------------------------------------------------
 # randomized small configurations
 # ---------------------------------------------------------------------------
+
+# the edge configurations every optimised path is checked over: lockstep
+# (eps_app=0), same-step delivery (delta=0), a message on every tick
+# (alpha=1), always-advancing schedules, n=2, horizon=1, every interval
+# spec and every correlation model
+EDGE_CONFIGS = st.builds(
+    SimConfig,
+    n=st.integers(2, 5),
+    epsilon_app=st.sampled_from([0, 1, 2, 5, 20]),
+    delta=st.sampled_from([0, 1, 3, 10]),
+    alpha=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+    beta=st.sampled_from([0.05, 0.3, 1.0]),
+    interval=st.one_of(
+        st.just(PointLength()),
+        st.builds(FixedLength, st.integers(1, 6)),
+        st.builds(GeometricLength, st.sampled_from([0.2, 0.6, 1.0])),
+    ),
+    horizon=st.sampled_from([1, 2, 17, 90]),
+    correlation=st.one_of(
+        st.just(Independent()),
+        st.just(HNMA()),
+        st.just(PMAJ()),
+        st.builds(PMA, st.just(1), st.sampled_from([0.0, 0.5, 1.0])),
+    ),
+    seed=st.integers(0, 1_000),
+    advance_prob=st.sampled_from([0.2, 0.5, 1.0]),
+)
 
 
 def random_small_config(index: int) -> SimConfig:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from psml.clocks import HLCTimestamp, Ordering, VectorClock
+from psml.metrics import default_warmup, fpr_experiment, pr_experiment
 from psml.monitors import (
-    Candidate,
     Cut,
     candidate_queues,
     cut_length,
@@ -17,14 +17,20 @@ from psml.monitors import (
     is_eps_consistent,
     is_hb_consistent,
 )
-from psml.simkernel import SimConfig, generate
+from psml.simkernel import PredicateInterval, SimConfig, generate
 
-from helpers import brute_async, brute_partialsync, brute_quasi, random_small_config
+from helpers import (
+    EDGE_CONFIGS,
+    brute_async,
+    brute_partialsync,
+    brute_quasi,
+    random_small_config,
+)
 
 
-def _cand(proc, start, end, entries, n=None, l=None):
+def _cand(proc, start, end, entries):
     vc = VectorClock(tuple(entries), proc)
-    return Candidate(proc, start, end, vc, HLCTimestamp(l if l is not None else start, 0))
+    return PredicateInterval(proc, start, end, vc, vc, HLCTimestamp(start, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +54,9 @@ def test_cut_rejects_duplicate_processes():
         Cut((a, b))
 
 
-def test_candidate_rejects_reversed_interval():
-    with pytest.raises(ValueError):
-        _cand(0, 5, 4, (1, 0))
+def test_cut_rejects_empty_candidates():
+    with pytest.raises(ValueError, match="at least one candidate"):
+        Cut(())
 
 
 def test_is_eps_consistent_boundary():
@@ -74,13 +80,10 @@ def test_is_eps_consistent_boundary():
 def test_hb_consistency_vector_path_matches_pairwise(tuples):
     """The batched stamp comparison must agree with pairwise compare()
     on cuts of every size."""
-    cands = tuple(
-        Candidate(i, i, i, VectorClock(entries, i), HLCTimestamp(i, 0))
-        for i, entries in enumerate(tuples)
-    )
+    cands = tuple(_cand(i, i, i, entries) for i, entries in enumerate(tuples))
     cut = Cut(cands)
     expected = all(
-        cands[i].vc.compare(cands[j].vc) is Ordering.CONCURRENT
+        cands[i].vc_start.compare(cands[j].vc_start) is Ordering.CONCURRENT
         for i in range(len(cands))
         for j in range(i + 1, len(cands))
     )
@@ -96,6 +99,9 @@ def test_candidate_queues_subset_and_errors():
     trace = generate(SimConfig(n=4, epsilon_app=5, beta=0.2, horizon=100, seed=21))
     full = candidate_queues(trace)
     assert len(full) == 4
+    # the trace's own interval records, not copies
+    assert full == [list(ivs) for ivs in trace.intervals]
+    assert all(a is b for q, ivs in zip(full, trace.intervals) for a, b in zip(q, ivs))
     sub = candidate_queues(trace, [2, 0])
     assert [q[0].proc for q in sub if q] == [0, 2]  # sorted process order
     with pytest.raises(ValueError):
@@ -187,3 +193,37 @@ def test_partialsync_rejects_bad_window():
         detect_partialsync(trace, -1)
     with pytest.raises(ValueError):
         detect_partialsync(trace, float("nan"))
+
+
+# ---------------------------------------------------------------------------
+# edge configurations: monitors and experiment counts against the references
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(EDGE_CONFIGS, st.integers(0, 6))
+def test_monitors_and_counts_match_references_on_edge_configs(cfg, eps_mon):
+    res = fpr_experiment(cfg, cfg.epsilon_app)
+    trace = res.trace
+    assert detect_async(trace) == brute_async(trace)
+    for eps in (0, cfg.epsilon_app, math.inf):
+        assert detect_partialsync(trace, eps) == brute_partialsync(trace, eps)
+    assert detect_quasi(trace) == brute_quasi(trace)
+
+    warm = default_warmup(cfg)
+
+    def past(cuts):
+        return [c for c in cuts if min(cand.start for cand in c.candidates) >= warm]
+
+    # fpr counts against the full happens-before check of the reference cuts
+    counted = past(brute_async(trace))
+    assert res.y == len(counted)
+    assert res.y_f == sum(is_eps_consistent(c, cfg.epsilon_app) for c in counted)
+
+    # precision/recall counts against two reference runs classified by length
+    pr = pr_experiment(cfg, eps_mon)
+    got = past(brute_partialsync(trace, eps_mon))
+    real = past(brute_partialsync(trace, cfg.epsilon_app))
+    assert pr.detected == len(got)
+    assert pr.true_set == len(real)
+    assert pr.hits == sum(cut_length(c) <= cfg.epsilon_app for c in got)

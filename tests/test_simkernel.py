@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from psml import simkernel
 from psml.simkernel import (
@@ -23,7 +23,7 @@ from psml.simkernel import (
     truthify,
 )
 
-from helpers import reference_generate, reference_step_schedule, replay_schedule
+from helpers import EDGE_CONFIGS, reference_generate, reference_step_schedule, replay_schedule
 
 
 BASE = SimConfig(n=4, epsilon_app=5, delta=8, alpha=0.1, beta=0.1, horizon=300, seed=1)
@@ -265,32 +265,8 @@ def test_block_coin_draws_equal_per_step_draws():
 # ---------------------------------------------------------------------------
 
 
-_EDGE_CONFIGS = st.builds(
-    SimConfig,
-    n=st.integers(2, 5),
-    epsilon_app=st.sampled_from([0, 1, 2, 5, 20]),
-    delta=st.sampled_from([0, 1, 3, 10]),
-    alpha=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
-    beta=st.sampled_from([0.05, 0.3, 1.0]),
-    interval=st.one_of(
-        st.just(PointLength()),
-        st.builds(FixedLength, st.integers(1, 6)),
-        st.builds(GeometricLength, st.sampled_from([0.2, 0.6, 1.0])),
-    ),
-    horizon=st.sampled_from([1, 2, 17, 90]),
-    correlation=st.one_of(
-        st.just(Independent()),
-        st.just(HNMA()),
-        st.just(PMAJ()),
-        st.builds(PMA, st.just(1), st.sampled_from([0.0, 0.5, 1.0])),
-    ),
-    seed=st.integers(0, 1_000),
-    advance_prob=st.sampled_from([0.2, 0.5, 1.0]),
-)
-
-
 @settings(max_examples=200, deadline=None)
-@given(_EDGE_CONFIGS)
+@given(EDGE_CONFIGS)
 def test_generate_equals_reference_generator(cfg):
     assert generate(cfg) == reference_generate(cfg)
 
