@@ -29,7 +29,6 @@ from .clocks import HLCTimestamp, Ordering, VectorClock
 from .metrics import (
     PRESETS,
     FprResult,
-    MetricsRow,
     PrResult,
     clustered_ztest,
     config_with,
@@ -37,6 +36,7 @@ from .metrics import (
     fpr_experiment,
     fpr_row,
     hlc_recall_curve,
+    partial_fractions,
     partial_predicate_experiment,
     pr_diagram,
     pr_experiment,

@@ -43,12 +43,12 @@ from .analytic import (
 )
 from .metrics import (
     PRESETS,
+    config_columns,
     config_with,
     default_warmup,
     fpr_row,
     hlc_recall_curve,
-    interval_params,
-    partial_predicate_experiment,
+    partial_fractions,
     pr_diagram,
     sweep,
 )
@@ -259,20 +259,7 @@ def render_csv(rows: Iterable[Mapping[str, Any]], columns: Sequence[str]) -> str
 
 
 def _echo_config(cfg: SimConfig, **extra: Any) -> dict[str, Any]:
-    ell, geom_p = interval_params(cfg.interval)
-    echo: dict[str, Any] = {
-        "n": cfg.n,
-        "eps_app": cfg.epsilon_app,
-        "delta": cfg.delta,
-        "alpha": cfg.alpha,
-        "beta": cfg.beta,
-        "ell": ell,
-        "geom_p": geom_p,
-        "horizon": cfg.horizon,
-        "seed": cfg.seed,
-    }
-    echo.update(extra)
-    return echo
+    return {**config_columns(cfg), **extra}
 
 
 def _json_safe(value: Any) -> Any:
@@ -520,8 +507,7 @@ def _cmd_partial(args: argparse.Namespace) -> int:
     p_values = s.get("p", spec["p"])
     replicates = s.get("replicates", spec["replicates"])
     rows = []
-    for p in p_values:
-        frac = partial_predicate_experiment(base, p, replicates)
+    for p, frac in zip(p_values, partial_fractions(base, p_values, replicates)):
         flags = ("undefined",) if math.isnan(frac) else ()
         rows.append({"p": p, "fraction": frac, "flags": flags})
     echo = _echo_config(
@@ -646,6 +632,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for out in (getattr(args, "out", None), getattr(args, "trace_out", None)):
+            if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+                raise ValueError(f"no directory to write {out} in")
         return args.func(args)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"psml: invalid parameters: {exc}", file=sys.stderr)

@@ -29,6 +29,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
@@ -60,14 +61,16 @@ __all__ = [
     "FLAG_UNDEFINED",
     "FprResult",
     "PrResult",
-    "MetricsRow",
     "default_warmup",
     "config_with",
     "interval_params",
+    "config_columns",
     "fpr_experiment",
+    "fpr_row",
     "pr_experiment",
     "sweep",
     "pr_diagram",
+    "partial_fractions",
     "partial_predicate_experiment",
     "hlc_recall_curve",
     "clustered_ztest",
@@ -131,6 +134,22 @@ def interval_params(spec: IntervalSpec) -> tuple[int | None, float | None]:
     return 1, None
 
 
+def config_columns(cfg: SimConfig) -> dict[str, Any]:
+    """The output columns of a config, ``n`` through ``seed``."""
+    ell, geom_p = interval_params(cfg.interval)
+    return {
+        "n": cfg.n,
+        "eps_app": cfg.epsilon_app,
+        "delta": cfg.delta,
+        "alpha": cfg.alpha,
+        "beta": cfg.beta,
+        "ell": ell,
+        "geom_p": geom_p,
+        "horizon": cfg.horizon,
+        "seed": cfg.seed,
+    }
+
+
 # ---------------------------------------------------------------------------
 # single-trace experiments
 # ---------------------------------------------------------------------------
@@ -139,8 +158,9 @@ def interval_params(spec: IntervalSpec) -> tuple[int | None, float | None]:
 @dataclass(frozen=True, slots=True)
 class FprResult:
     """Asynchronous-monitor count ``y``, the eps-consistent part
-    ``y_f``, and ``fpr = 1 - y_f/y`` for one trace, which ``trace``
-    holds."""
+    ``y_f``, and ``fpr = 1 - y_f/y`` for one trace; :meth:`as_dict`
+    is its output row.  ``trace`` holds the classified trace, or None
+    in a sweep, which keeps no traces; it is not a column."""
 
     config: SimConfig
     eps_check: float
@@ -149,7 +169,18 @@ class FprResult:
     y_f: int
     fpr: float
     flags: tuple[str, ...]
-    trace: Trace = field(repr=False, compare=False)
+    trace: Trace | None = field(default=None, repr=False, compare=False)
+
+    def as_dict(self) -> dict[str, Any]:
+        return {
+            **config_columns(self.config),
+            "warmup": self.warmup,
+            "eps_check": self.eps_check,
+            "y": self.y,
+            "y_f": self.y_f,
+            "fpr": self.fpr,
+            "flags": self.flags,
+        }
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,40 +234,55 @@ def fpr_experiment(
     return FprResult(config, eps_check, warmup, y, y_f, fpr, tuple(flags), trace)
 
 
+def fpr_row(
+    config: SimConfig, eps_check: float | None = None, warmup: int | None = None
+) -> FprResult:
+    """:func:`fpr_experiment` with ``eps_check`` defaulting to the
+    config's own application window."""
+    check = config.epsilon_app if eps_check is None else eps_check
+    return fpr_experiment(config, check, warmup)
+
+
+def _pr_results(
+    config: SimConfig, eps_mon_values: Sequence[float], warmup: int | None
+) -> list[PrResult]:
+    """Precision/recall counts of the partially synchronous monitor at
+    every window in ``eps_mon_values``, from one trace and one
+    enumeration.
+
+    The enumeration runs at the widest of the windows and eps_app.  The
+    engine's trajectory does not depend on the window, so that run
+    reports every window's cuts and the ground truth, and counting its
+    cuts by length recovers each count exactly.
+    """
+    if not all(eps_mon >= 0 for eps_mon in eps_mon_values):
+        raise ValueError("eps_mon must be non-negative")
+    warmup = _resolve_warmup(config, warmup)
+    eps_app = config.epsilon_app
+    cuts = detect_partialsync(generate(config), max([*eps_mon_values, eps_app]))
+    lengths = sorted(cut_length(cut) for cut in cuts if _past_warmup(cut, warmup))
+    true_set = bisect_right(lengths, eps_app)
+    results = []
+    for eps_mon in eps_mon_values:
+        detected = bisect_right(lengths, eps_mon)
+        hits = bisect_right(lengths, min(eps_mon, eps_app))
+        flags = _count_flags(max(detected, true_set))
+        prec = hits / detected if detected else float("nan")
+        rec = hits / true_set if true_set else float("nan")
+        if not detected or not true_set:
+            flags.append(FLAG_UNDEFINED)
+        results.append(
+            PrResult(config, eps_mon, warmup, detected, true_set, hits, prec, rec, tuple(flags))
+        )
+    return results
+
+
 def pr_experiment(
     config: SimConfig, eps_mon: float, warmup: int | None = None
 ) -> PrResult:
-    """Precision/recall counts of the partially synchronous monitor.
-
-    Enumerates once at ``max(eps_mon, eps_app)``; that run reports a
-    superset of both the monitor's cuts and the ground truth, and the
-    head-advancement trajectory does not depend on the acceptance
-    window, so classifying its cuts by length recovers both counts
-    exactly.
-    """
-    if not eps_mon >= 0:
-        raise ValueError("eps_mon must be non-negative")
-    warmup = _resolve_warmup(config, warmup)
-    eps_sup = max(eps_mon, config.epsilon_app)
-    trace = generate(config)
-    detected = true_set = hits = 0
-    for cut in detect_partialsync(trace, eps_sup):
-        if not _past_warmup(cut, warmup):
-            continue
-        length = cut_length(cut)
-        got = length <= eps_mon
-        real = length <= config.epsilon_app
-        detected += got
-        true_set += real
-        hits += got and real
-    flags = _count_flags(max(detected, true_set))
-    prec = hits / detected if detected else float("nan")
-    rec = hits / true_set if true_set else float("nan")
-    if not detected or not true_set:
-        flags.append(FLAG_UNDEFINED)
-    return PrResult(
-        config, eps_mon, warmup, detected, true_set, hits, prec, rec, tuple(flags)
-    )
+    """Precision/recall counts of the partially synchronous monitor at
+    one window ``eps_mon`` (see :func:`_pr_results`)."""
+    return _pr_results(config, [eps_mon], warmup)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -244,68 +290,10 @@ def pr_experiment(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class MetricsRow:
-    """One flat sweep record: the full parameter point plus the
-    FPR-experiment results for one seed."""
-
-    n: int
-    eps_app: int
-    delta: int
-    alpha: float
-    beta: float
-    ell: int | None
-    geom_p: float | None
-    horizon: int
-    seed: int
-    warmup: int
-    eps_check: float
-    y: int
-    y_f: int
-    fpr: float
-    flags: tuple[str, ...]
-    # the classified trace: not a column, and sweeps drop it
-    trace: Trace | None = field(default=None, repr=False, compare=False)
-
-    def as_dict(self) -> dict[str, Any]:
-        fields = dataclasses.fields(self)
-        return {f.name: getattr(self, f.name) for f in fields if f.name != "trace"}
-
-
-def fpr_row(
-    config: SimConfig, eps_check: float | None = None, warmup: int | None = None
-) -> MetricsRow:
-    """One FPR experiment flattened to a sweep-style record.
-
-    ``eps_check`` defaults to the config's own application window.
-    """
-    check = config.epsilon_app if eps_check is None else eps_check
-    res = fpr_experiment(config, check, warmup)
-    ell, geom_p = interval_params(config.interval)
-    return MetricsRow(
-        n=config.n,
-        eps_app=config.epsilon_app,
-        delta=config.delta,
-        alpha=config.alpha,
-        beta=config.beta,
-        ell=ell,
-        geom_p=geom_p,
-        horizon=config.horizon,
-        seed=config.seed,
-        warmup=res.warmup,
-        eps_check=res.eps_check,
-        y=res.y,
-        y_f=res.y_f,
-        fpr=res.fpr,
-        flags=res.flags,
-        trace=res.trace,
-    )
-
-
-def _sweep_row(args: tuple) -> MetricsRow:
+def _sweep_row(args: tuple) -> FprResult:
     base, overrides, seed, eps_check, warmup = args
-    row = fpr_row(config_with(base, seed=seed, **overrides), eps_check, warmup)
-    return dataclasses.replace(row, trace=None)
+    res = fpr_row(config_with(base, seed=seed, **overrides), eps_check, warmup)
+    return dataclasses.replace(res, trace=None)
 
 
 def sweep(
@@ -315,7 +303,7 @@ def sweep(
     eps_check: float | None = None,
     warmup: int | None = None,
     jobs: int = 1,
-) -> list[MetricsRow]:
+) -> list[FprResult]:
     """FPR experiments over the Cartesian product of ``grid`` values
     times ``seeds``, one row each, in grid order with seeds innermost.
 
@@ -368,7 +356,8 @@ def pr_diagram(
 
     ``analytic`` evaluates the closed forms; ``simulated`` averages
     ``pr_experiment`` estimates over ``replicates`` seeded runs per
-    cell.  Rows come out in eps_app-major order.
+    cell, each run's trace generated and enumerated once for every
+    eps_mon.  Rows come out in eps_app-major order.
     """
     if mode not in ("analytic", "simulated"):
         raise ValueError("mode must be 'analytic' or 'simulated'")
@@ -376,18 +365,19 @@ def pr_diagram(
     ell, _ = interval_params(base.interval)
     if ell is None:
         raise ValueError("pr_diagram needs a fixed interval length")
+    # every eps_app is checked before the first trace is generated
+    grid = [[config_with(rep, epsilon_app=eps_app) for rep in replicas] for eps_app in eps_apps]
     rows = []
-    for eps_app in eps_apps:
-        for eps_mon in eps_mon_values:
+    for eps_app, reps in zip(eps_apps, grid):
+        if mode == "simulated":
+            runs = [_pr_results(rep, eps_mon_values, warmup) for rep in reps]
+        for j, eps_mon in enumerate(eps_mon_values):
             flags: list[str] = []
             if mode == "analytic":
                 prec = precision(eps_mon, eps_app, base.n, base.beta, ell)
                 rec = recall(eps_mon, eps_app, base.n, base.beta, ell)
             else:
-                results = [
-                    pr_experiment(config_with(rep, epsilon_app=eps_app), eps_mon, warmup)
-                    for rep in replicas
-                ]
+                results = [run[j] for run in runs]
                 prec = _mean_defined([r.precision_est for r in results])
                 rec = _mean_defined([r.recall_est for r in results])
                 ys = sum(max(r.detected, r.true_set) for r in results)
@@ -406,22 +396,29 @@ def pr_diagram(
     return rows
 
 
+def partial_fractions(
+    config: SimConfig, p_values: Sequence[int], replicates: int = 5
+) -> list[float]:
+    """Per p: the mean over seeds of the quasi-to-partially-synchronous
+    detection ratio for p-of-n conjunctions, NaN when no replicate has
+    a nonzero denominator.  Each replicate's trace serves every p."""
+    if not all(1 <= p <= config.n for p in p_values):
+        raise ValueError("p must be in 1..n")
+    ratios: list[list[float]] = [[] for _ in p_values]
+    for rep in _replicas(config, replicates):
+        trace = generate(rep)
+        for kept, p in zip(ratios, p_values):
+            denom = len(detect_partialsync(trace, config.epsilon_app, range(p)))
+            if denom:
+                kept.append(len(detect_quasi(trace, range(p))) / denom)
+    return [sum(r) / len(r) if r else float("nan") for r in ratios]
+
+
 def partial_predicate_experiment(
     config: SimConfig, p: int, replicates: int = 5
 ) -> float:
-    """Mean over seeds of the quasi-to-partially-synchronous detection
-    ratio for p-of-n conjunctions; NaN when no replicate has a nonzero
-    denominator."""
-    if not 1 <= p <= config.n:
-        raise ValueError("p must be in 1..n")
-    ratios = []
-    for rep in _replicas(config, replicates):
-        trace = generate(rep)
-        denom = len(detect_partialsync(trace, config.epsilon_app, range(p)))
-        if denom == 0:
-            continue
-        ratios.append(len(detect_quasi(trace, range(p))) / denom)
-    return sum(ratios) / len(ratios) if ratios else float("nan")
+    """:func:`partial_fractions` for one p."""
+    return partial_fractions(config, [p], replicates)[0]
 
 
 def hlc_recall_curve(
@@ -435,11 +432,13 @@ def hlc_recall_curve(
     ratios would be quantization noise.
     """
     replicas = _replicas(config, replicates)
+    # every ell is checked before the first trace is generated
+    grid = [[config_with(rep, ell=ell) for rep in replicas] for ell in ell_values]
     rows = []
-    for ell in ell_values:
+    for ell, reps in zip(ell_values, grid):
         num = denom = 0
-        for rep in replicas:
-            trace = generate(config_with(rep, ell=ell))
+        for rep in reps:
+            trace = generate(rep)
             denom += len(detect_partialsync(trace, config.epsilon_app))
             num += len(detect_quasi(trace))
         sim = num / denom if denom else float("nan")

@@ -6,23 +6,25 @@ causally concurrent.  The candidates are the trace's own
 :class:`~psml.simkernel.PredicateInterval` records, read in place: a
 process's predicate-true intervals, stamped with the vector clock
 (``vc_start``) and hybrid logical clock (``hlc_start``) of their
-truthification.  Three acceptance disciplines share one enumeration
-engine:
+truthification.  One engine enumerates the concurrent cuts and the
+three monitors filter what it yields:
 
-* asynchronous: accept every concurrent cut;
-* partially synchronous: accept only cuts whose length fits a window
+* asynchronous: keep every concurrent cut;
+* partially synchronous: keep only cuts whose length fits a window
   ``eps_mon``;
-* quasi-synchronous: accept only cuts whose intervals share a common
+* quasi-synchronous: keep only cuts whose intervals share a common
   tick, decided from the scalar hybrid-logical-clock stamps alone.
 
 The engine is the queue-based weak-conjunctive-predicate algorithm:
 while some head candidate happens-before another head, the preceding
 one can join no concurrent cut with the rest and is discarded; once
-heads are pairwise concurrent the cut is recorded and the head with
+heads are pairwise concurrent the cut is yielded and the head with
 the smallest interval end moves on (ties to the lowest process
 index).  Heads only advance and one process's intervals are disjoint,
-so every recorded cut differs from the one recorded before it in some
-process's interval: no cut is a slide of the previous one.
+so every yielded cut differs from the one yielded before it in some
+process's interval: no cut is a slide of the previous one.  The
+engine never sees a monitor's rule, so every monitor's cuts are a
+subsequence of the asynchronous monitor's, in the same order.
 
 Inside the engine, happens-before between two candidate stamps is
 decided from the owner components alone: the start event of candidate
@@ -34,9 +36,8 @@ one execution and takes constant time per pair.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -115,10 +116,10 @@ def candidate_queues(
 
 def _detect(
     queues: list[list[PredicateInterval]],
-    accept: Callable[[list[PredicateInterval]], bool],
-) -> list[Cut]:
+) -> Iterator[tuple[PredicateInterval, ...]]:
+    """Yield the heads of every pairwise-concurrent cut, in order."""
     if any(not q for q in queues):
-        return []
+        return
     m = len(queues)
     pos = [0] * m
     heads = [q[0] for q in queues]
@@ -138,7 +139,6 @@ def _detect(
         owns[i] = s[procs[i]]
         return True
 
-    cuts: list[Cut] = []
     # indices whose head changed and must be rechecked against the rest
     todo = list(range(m))
     while True:
@@ -152,62 +152,51 @@ def _detect(
             top = max(learned)
             while owns[i] <= top:
                 if not advance(i):
-                    return cuts
+                    return
             # heads whose owner count head_i learned happened before it:
             # they go, and are rechecked
             s_i = stamps[i]
             for j, (p, own) in enumerate(zip(procs, owns)):
                 if s_i[p] >= own and j != i:
                     if not advance(j):
-                        return cuts
+                        return
                     if j not in todo:
                         todo.append(j)
-        if accept(heads):
-            cuts.append(Cut(tuple(heads)))
+        yield tuple(heads)
         # advance the earliest-ending head; ties fall to the lowest index
         k = ends.index(min(ends))
         if not advance(k):
-            return cuts
+            return
         todo.append(k)
 
 
 def detect_async(trace: Trace, procs: Iterable[int] | None = None) -> list[Cut]:
     """All distinct pairwise-concurrent cuts, in emission order."""
-    return _detect(candidate_queues(trace, procs), lambda cands: True)
+    return [Cut(h) for h in _detect(candidate_queues(trace, procs))]
 
 
 def detect_partialsync(
     trace: Trace, eps_mon: float, procs: Iterable[int] | None = None
 ) -> list[Cut]:
-    """Concurrent cuts fitting a monitoring window of width ``eps_mon``.
-
-    Cuts wider than the window are skipped by advancing the
-    earliest-ending head, the same move made after a recorded cut, so
-    the enumeration trajectory matches detect_async's and the output
-    is exactly its length-filtered subsequence.
-    """
+    """Concurrent cuts fitting a monitoring window of width ``eps_mon``:
+    exactly detect_async's length-filtered subsequence."""
     if not eps_mon >= 0:
         raise ValueError("eps_mon must be non-negative")
-    if math.isinf(eps_mon):
-        return detect_async(trace, procs)
-    return _detect(candidate_queues(trace, procs), lambda cands: _length(cands) <= eps_mon)
+    return [Cut(h) for h in _detect(candidate_queues(trace, procs)) if _length(h) <= eps_mon]
+
+
+def _shares_tick(cands: Sequence[PredicateInterval]) -> bool:
+    """Some logical value falls in every candidate's window
+    [hlc.l, hlc.l + (end - start)]: max of lows <= min of highs."""
+    lo = max(c.hlc_start.l for c in cands)
+    hi = min(c.hlc_start.l + (c.end - c.start) for c in cands)
+    return lo <= hi
 
 
 def detect_quasi(trace: Trace, procs: Iterable[int] | None = None) -> list[Cut]:
-    """Concurrent cuts whose intervals share a common tick.
-
-    Decided from scalar clocks: candidate ``c`` covers the logical
-    window [hlc.l, hlc.l + (end - start)], and a cut is accepted when
-    some single value falls in every window (max of lows <= min of
-    highs).  In a trace whose hybrid clocks ride the physical clock
-    this coincides with max(start) <= min(end), so every accepted cut
-    has length zero.
+    """Concurrent cuts whose intervals share a common tick, decided
+    from scalar clocks alone (:func:`_shares_tick`).  In a trace whose
+    hybrid clocks ride the physical clock this coincides with
+    max(start) <= min(end), so every kept cut has length zero.
     """
-
-    def accept(cands: list[PredicateInterval]) -> bool:
-        lo = max(c.hlc_start.l for c in cands)
-        hi = min(c.hlc_start.l + (c.end - c.start) for c in cands)
-        return lo <= hi
-
-    return _detect(candidate_queues(trace, procs), accept)
-
+    return [Cut(h) for h in _detect(candidate_queues(trace, procs)) if _shares_tick(h)]

@@ -42,3 +42,30 @@ def test_capture_traces_keeps_generated_traces(tracing):
     with tracing.capture_traces(traces):
         metrics.fpr_experiment(cfg, 4)
     assert [t.config for t in traces] == [cfg]
+
+
+def test_cli_runs_record_every_span_the_worker_reads(tracing, tmp_path):
+    """The per-layer metrics read these spans; a psml call routed around
+    a traced name would zero its metric without failing a run."""
+    from psml import cli
+
+    rec = tracing.Recorder()
+    common = ["--eps-app", "5", "--beta", "0.2", "--horizon", "300", "--seed", "1"]
+    with tracing.traced_calls(rec):
+        assert cli.main(["simulate", "--n", "3", *common, "--out", str(tmp_path / "s")]) == 0
+        assert cli.main(
+            ["hlc-curve", "--n", "3", *common, "--ell", "4", "--replicates", "1",
+             "--out", str(tmp_path / "h")]
+        ) == 0
+    recorded = {name for name, *_ in rec.spans}
+    assert recorded >= {
+        "metrics.fpr_row",
+        "metrics.fpr_experiment",
+        "metrics.hlc_recall_curve",
+        "simkernel.generate",
+        "simkernel.predicate_intervals",
+        "monitors.candidate_queues",
+        "monitors.detect_async",
+        "monitors.detect_partialsync",
+        "monitors.detect_quasi",
+    }

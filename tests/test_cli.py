@@ -158,10 +158,53 @@ def test_partial_p_out_of_range_exits_two():
 
 
 def test_unwritable_out_exits_three(tmp_path):
-    target = tmp_path / "missing" / "out.csv"
+    target = tmp_path / "taken"
+    target.mkdir()  # the rename onto a directory fails after the run
     code, _, err = run_cli(SIM_FAST + ["--out", str(target)])
     assert code == 3
     assert "runtime failure" in err
+    assert list(tmp_path.iterdir()) == [target]  # no temp residue
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace-out"])
+def test_output_in_missing_directory_exits_two_before_running(
+    flag, tmp_path, monkeypatch, capsys
+):
+    from psml import cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the experiment ran")  # main would exit 3
+
+    monkeypatch.setattr(cli, "fpr_row", never)
+    target = tmp_path / "missing" / "out.csv"
+    assert cli.main(SIM_FAST + [flag, str(target)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid parameters" in err and str(target) in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["partial", "--p", "2,9"],
+        ["prdiagram", "--mode", "simulated", "--eps-mon", "60,-1"],
+        ["prdiagram", "--mode", "simulated", "--eps-app", "60,-1"],
+        ["hlc-curve", "--ell", "20,0"],
+    ],
+)
+def test_invalid_list_entry_exits_two_before_running(argv, tmp_path, monkeypatch, capsys):
+    """Every entry of a list setting is checked before the first trace
+    is generated, not when the loop reaches it."""
+    from psml import cli, metrics
+
+    def never(*args, **kwargs):
+        raise AssertionError("a trace was generated")  # main would exit 3
+
+    monkeypatch.setattr(metrics, "generate", never)
+    out = tmp_path / "out.txt"
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    assert "invalid parameters" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +469,130 @@ def test_analytic_output_bytes(name, capsys):
     argv, expected = _ANALYTIC_BYTES[name]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+# stdout of small data-command runs at the commit before each distinct
+# trace was generated and enumerated once
+_DATA_BYTES = {
+    "simulate-csv": (
+        [
+            "simulate", "--n", "3", "--eps-app", "5", "--delta", "10", "--alpha", "0.05",
+            "--beta", "0.2", "--horizon", "400", "--seed", "7",
+        ],
+        (
+            "# n = 3\n# eps_app = 5\n# delta = 10\n# alpha = 0.05\n# beta = 0.2\n"
+            "# ell = 1\n# geom_p = \n# horizon = 400\n# seed = 7\n"
+            "# command = simulate\n# eps_check = 5.0\n# warmup = 20\n"
+            "n,eps_app,delta,alpha,beta,ell,geom_p,horizon,seed,warmup,eps_check,y,y_f,fpr,flags\n"
+            "3,5,10,0.05,0.2,1,,400,7,20,5,214,113,0.471963,\n"
+        ),
+    ),
+    "simulate-structured": (
+        [
+            "simulate", "--n", "3", "--eps-app", "5", "--delta", "10", "--alpha", "0.05",
+            "--beta", "0.2", "--horizon", "400", "--seed", "7", "--format", "structured",
+        ],
+        (
+            '{\n  "config": {\n    "n": 3,\n    "eps_app": 5,\n'
+            '    "delta": 10,\n    "alpha": 0.05,\n    "beta": 0.2,\n'
+            '    "ell": 1,\n    "geom_p": null,\n    "horizon": 400,\n'
+            '    "seed": 7,\n    "command": "simulate",\n'
+            '    "eps_check": 5.0,\n    "warmup": 20\n  },\n  "rows": [\n'
+            '    {\n      "n": 3,\n      "eps_app": 5,\n      "delta": 10,\n'
+            '      "alpha": 0.05,\n      "beta": 0.2,\n      "ell": 1,\n'
+            '      "geom_p": null,\n      "horizon": 400,\n      "seed": 7,\n'
+            '      "warmup": 20,\n      "eps_check": 5.0,\n      "y": 214,\n'
+            '      "y_f": 113,\n      "fpr": 0.4719626168224299,\n'
+            '      "flags": []\n    }\n  ]\n}\n'
+        ),
+    ),
+    "sweep": (
+        [
+            "sweep", "--preset", "fig-ad-independence", "--replicates", "1", "--horizon",
+            "300",
+        ],
+        (
+            "# n = 20\n# eps_app = 80\n# delta = 10\n# alpha = 0.05\n# beta = 0.1\n"
+            "# ell = 1\n# geom_p = \n# horizon = 300\n# seed = 0\n"
+            "# command = sweep\n# preset = fig-ad-independence\n# seeds = (0,)\n"
+            "# warmup = 50\n# jobs = 1\n# grid_alpha = (0.05, 0.1)\n"
+            "# grid_delta = (10, 100)\n"
+            "n,eps_app,delta,alpha,beta,ell,geom_p,horizon,seed,warmup,eps_check,y,y_f,fpr,flags\n"
+            "20,80,10,0.05,0.1,1,,300,0,50,80,292,292,0,\n"
+            "20,80,100,0.05,0.1,1,,300,0,50,80,379,379,0,\n"
+            "20,80,10,0.1,0.1,1,,300,0,50,80,214,214,0,\n"
+            "20,80,100,0.1,0.1,1,,300,0,50,80,379,379,0,\n"
+        ),
+    ),
+    "prdiagram": (
+        [
+            "prdiagram", "--mode", "simulated", "--n", "4", "--beta", "0.1", "--ell", "2",
+            "--eps-mon", "0,3,8,400", "--eps-app", "3,6", "--horizon", "600", "--replicates",
+            "2", "--seed", "3",
+        ],
+        (
+            "# n = 4\n# eps_app = 3\n# delta = 100\n# alpha = 0.001\n# beta = 0.1\n"
+            "# ell = 2\n# geom_p = \n# horizon = 600\n# seed = 3\n"
+            "# command = prdiagram\n# mode = simulated\n# replicates = 2\n"
+            "# eps_mon_values = (0, 3, 8, 400)\n# eps_app_values = (3, 6)\n"
+            "eps_mon,eps_app,precision,recall,flags\n"
+            "0,3,,0,low-confidence;undefined\n3,3,1,1,low-confidence\n"
+            "8,3,0.194479,1,\n400,3,0.0537865,1,\n0,6,,0,undefined\n"
+            "3,6,1,0.277778,\n8,6,0.700993,1,\n400,6,0.194633,1,\n"
+        ),
+    ),
+    "partial": (
+        [
+            "partial", "--n", "4", "--eps-app", "5", "--beta", "0.1", "--ell", "6", "--p",
+            "1,2,3,4", "--horizon", "800", "--replicates", "2", "--seed", "2",
+        ],
+        (
+            "# n = 4\n# eps_app = 5\n# delta = 100\n# alpha = 0.001\n# beta = 0.1\n"
+            "# ell = 6\n# geom_p = \n# horizon = 800\n# seed = 2\n"
+            "# command = partial\n# replicates = 2\n# p_values = (1, 2, 3, 4)\n"
+            "p,fraction,flags\n1,1,\n2,0.615479,\n3,0.335047,\n4,0.245,\n"
+        ),
+    ),
+    "hlc-curve": (
+        [
+            "hlc-curve", "--n", "3", "--eps-app", "5", "--beta", "0.1", "--ell", "4,8",
+            "--horizon", "800", "--replicates", "2", "--seed", "1",
+        ],
+        (
+            "# n = 3\n# eps_app = 5\n# delta = 100\n# alpha = 0.001\n# beta = 0.1\n"
+            "# ell = 1\n# geom_p = \n# horizon = 800\n# seed = 1\n"
+            "# command = hlc-curve\n# replicates = 2\n# ell_values = (4, 8)\n"
+            "ell,recall_sim,recall_analytic,flags\n4,0.218045,0.315166,\n"
+            "8,0.449275,0.583146,\n"
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _DATA_BYTES)
+def test_data_output_bytes(name, capsys):
+    from psml import cli
+
+    argv, expected = _DATA_BYTES[name]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_partial_generates_each_replicate_once(monkeypatch, capsys):
+    """One trace per replicate serves every p."""
+    from psml import cli, metrics
+
+    made = []
+    real = metrics.generate
+
+    def counted(config):
+        made.append(config.seed)
+        return real(config)
+
+    monkeypatch.setattr(metrics, "generate", counted)
+    assert cli.main(_DATA_BYTES["partial"][0]) == 0
+    assert capsys.readouterr().out == _DATA_BYTES["partial"][1]
+    assert made == [2, 3]
 
 
 _SIM_FLAGS = "--n --eps-app --delta --alpha --beta --ell --horizon --seed"

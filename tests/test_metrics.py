@@ -16,6 +16,7 @@ from psml.metrics import (
     fpr_experiment,
     fpr_row,
     hlc_recall_curve,
+    partial_fractions,
     partial_predicate_experiment,
     pr_diagram,
     pr_experiment,
@@ -23,7 +24,13 @@ from psml.metrics import (
 )
 from psml.analytic import hlc_recall, precision, recall
 from psml.cli import _render_rows, render_csv
-from psml.monitors import cut_length, detect_async, detect_partialsync, is_eps_consistent
+from psml.monitors import (
+    cut_length,
+    detect_async,
+    detect_partialsync,
+    detect_quasi,
+    is_eps_consistent,
+)
 from psml.simkernel import FixedLength, GeometricLength, PointLength, SimConfig, generate
 
 
@@ -127,17 +134,22 @@ def test_fpr_row_flattens_experiment():
     res = fpr_experiment(CFG, CFG.epsilon_app)
     assert (row.y, row.y_f, row.fpr) == (res.y, res.y_f, res.fpr)
     # the trace rides along for the caller but is not a column
-    assert row.trace == res.trace and "trace" not in row.as_dict()
-    assert row.eps_check == CFG.epsilon_app
-    assert row.ell == 1 and row.geom_p is None
-    grow = fpr_row(config_with(CFG, geom_p=0.5))
-    assert grow.ell is None and grow.geom_p == 0.5
+    cols = row.as_dict()
+    assert row.trace == res.trace and "trace" not in cols
+    assert list(cols) == [
+        "n", "eps_app", "delta", "alpha", "beta", "ell", "geom_p", "horizon", "seed",
+        "warmup", "eps_check", "y", "y_f", "fpr", "flags",
+    ]
+    assert cols["eps_check"] == CFG.epsilon_app
+    assert cols["ell"] == 1 and cols["geom_p"] is None
+    gcols = fpr_row(config_with(CFG, geom_p=0.5)).as_dict()
+    assert gcols["ell"] is None and gcols["geom_p"] == 0.5
 
 
 def test_sweep_rows_in_grid_order_with_seeds_innermost():
     rows = sweep(CFG, {"beta": [0.1, 0.2], "epsilon_app": [3, 6]}, seeds=[0, 1])
     assert len(rows) == 8
-    key = [(r.beta, r.eps_app, r.seed) for r in rows]
+    key = [(r.config.beta, r.config.epsilon_app, r.config.seed) for r in rows]
     assert key == [
         (0.1, 3, 0),
         (0.1, 3, 1),
@@ -200,6 +212,84 @@ def test_pr_diagram_simulated_shape():
     # the monitor window equal to the system window is exact
     exact = [r for r in rows if r["eps_mon"] == 3]
     assert exact[0]["recall"] == 1.0
+
+
+def _nan_as_none(rows):
+    return [
+        {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in row.items()}
+        for row in rows
+    ]
+
+
+@pytest.mark.parametrize(
+    "overrides, warmup",
+    [
+        ({"ell": 1, "horizon": 500}, None),
+        ({"ell": 3, "horizon": 500}, 0),
+        # sparse enough for no-cuts, low-confidence and undefined cells
+        ({"ell": 1, "beta": 0.03, "horizon": 300}, None),
+    ],
+)
+def test_pr_diagram_equals_independent_pr_experiments(overrides, warmup):
+    """One trace per (eps_app, replicate) gives every cell exactly what
+    independent per-cell runs, each enumerating at its own width, give;
+    the grid holds eps_mon = 0 and a window wider than every cut."""
+    base = config_with(CFG, **overrides)
+    eps_mons, eps_apps, reps = [0, 2, 5, 9, 10_000], [2, 5], 3
+    rows = pr_diagram(base, eps_mons, eps_apps, mode="simulated", replicates=reps, warmup=warmup)
+    expected = []
+    for eps_app in eps_apps:
+        for eps_mon in eps_mons:
+            results = [
+                pr_experiment(config_with(base, seed=base.seed + i, epsilon_app=eps_app), eps_mon, warmup)
+                for i in range(reps)
+            ]
+            precs = [r.precision_est for r in results if not math.isnan(r.precision_est)]
+            recs = [r.recall_est for r in results if not math.isnan(r.recall_est)]
+            prec = sum(precs) / len(precs) if precs else float("nan")
+            rec = sum(recs) / len(recs) if recs else float("nan")
+            ys = sum(max(r.detected, r.true_set) for r in results)
+            flags = [FLAG_NO_CUTS] if ys == 0 else []
+            flags += [FLAG_LOW_CONFIDENCE] if ys < 30 else []
+            flags += [FLAG_UNDEFINED] if math.isnan(prec) or math.isnan(rec) else []
+            expected.append(
+                {"eps_mon": eps_mon, "eps_app": eps_app, "precision": prec, "recall": rec,
+                 "flags": tuple(flags)}
+            )
+    assert _nan_as_none(rows) == _nan_as_none(expected)
+    # a window wider than every cut misses no true cut
+    widest = [r["recall"] for r in rows if r["eps_mon"] == 10_000]
+    assert all(math.isnan(rec) or rec == 1.0 for rec in widest)
+
+
+def test_pr_diagram_generates_each_trace_once(monkeypatch):
+    from psml import metrics
+
+    made = []
+    real = metrics.generate
+
+    def counted(config):
+        made.append((config.epsilon_app, config.seed))
+        return real(config)
+
+    monkeypatch.setattr(metrics, "generate", counted)
+    pr_diagram(config_with(CFG, horizon=300), [0, 3, 6], [3, 6], mode="simulated", replicates=2)
+    assert made == [(3, 31), (3, 32), (6, 31), (6, 32)]
+
+
+def test_partial_fractions_equal_direct_enumeration():
+    cfg = config_with(CFG, n=4, ell=5, beta=0.1, horizon=800)
+    fractions = partial_fractions(cfg, [1, 2, 3, 4], replicates=3)
+    for p, frac in zip([1, 2, 3, 4], fractions):
+        ratios = []
+        for i in range(3):
+            trace = generate(config_with(cfg, seed=cfg.seed + i))
+            denom = len(detect_partialsync(trace, cfg.epsilon_app, range(p)))
+            if denom:
+                ratios.append(len(detect_quasi(trace, range(p))) / denom)
+        assert ratios  # a zero denominator everywhere would test nothing
+        assert frac == sum(ratios) / len(ratios)
+        assert partial_predicate_experiment(cfg, p, replicates=3) == frac
 
 
 def test_pr_diagram_rejects_bad_mode_and_interval():
