@@ -159,11 +159,14 @@ class _Settings:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         text = _parse_config_file(args.config) if args.config else {}
-        # a file may set what this command has a flag for, nothing else
-        unknown = set(text) - (set(vars(args)) & set(_FLAG_SPECS)) - {"config", "out"}
+        # a file may set what this command has a flag for, nothing else;
+        # where to read settings from and where to write are flag-only
+        allowed = set(vars(args)) & set(_FLAG_SPECS) - {"config", "out"}
+        unknown = set(text) - allowed
         if unknown:
             raise ValueError(
-                f"config file keys without a flag in this command: {', '.join(sorted(unknown))}"
+                f"config file keys not settable from a file in this command: "
+                f"{', '.join(sorted(unknown))}"
             )
         self.file = {key: _from_file(key, value) for key, value in text.items()}
 

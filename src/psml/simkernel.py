@@ -26,7 +26,11 @@ the process's vector clock after its final tick (ends are not events).
 Work is paid per event, not per advance: an advance below the
 process's watch tick (its next clock value with causal work) only
 moves the clock, and the scheduler coins come in blocks of steps, one
-``(steps, n)`` draw giving the same values as one draw per step.
+``(steps, n)`` draw giving the same values as one draw per step.  For
+small ``n`` a step is one lookup: events never change a clock, so until
+the minimum clock comes within ``epsilon_app`` of the horizon a step
+depends only on the clocks' offsets from the minimum and the coin row,
+and a table over (offsets, row) memoises it.
 
 Randomness is split into independent per-process streams keyed by
 purpose, and every decision is indexed by clock value rather than by
@@ -363,6 +367,28 @@ def predicate_intervals(config: SimConfig) -> list[list[tuple[int, int]]]:
 
 # scheduler steps per coin draw; a (B, n) draw equals B successive draws of n
 _SCHED_BLOCK = 512
+# largest offset table, in (state, coin row) entries, that generate builds
+_TABLE_ENTRIES = 1 << 17
+
+
+def _transition(offsets: tuple[int, ...], row: int, eps: int) -> tuple[tuple[int, ...], int, int]:
+    """One scheduler step below the horizon tail, on clock offsets.
+
+    ``offsets[p]`` is p's clock minus the minimum clock, in 0..eps, and
+    bit p of ``row`` is p's advance coin.  Returns the offsets after the
+    step, the rise of the minimum clock and the bitmask of the processes
+    that moved: the coin winners below the drift cap or, if there are
+    none, the first process at offset 0.
+    """
+    moved = 0
+    for p, o in enumerate(offsets):
+        if row >> p & 1 and o < eps:
+            moved |= 1 << p
+    if not moved:
+        moved = 1 << offsets.index(0)
+    after = [o + (moved >> p & 1) for p, o in enumerate(offsets)]
+    rise = min(after)
+    return tuple(o - rise for o in after), rise, moved
 
 
 def generate(config: SimConfig) -> Trace:
@@ -379,6 +405,14 @@ def generate(config: SimConfig) -> Trace:
     advance that reaches the watch runs the event body (receive, start,
     send, end) and recomputes the watch; a send lowers the receiver's
     watch to ``send_pt + delta``.
+
+    When ``0 < epsilon_app`` and the offset table has at most
+    ``_TABLE_ENTRIES`` entries (``(eps+1)**n - eps**n`` offset states
+    times ``2**n`` coin rows: n=3 at eps 10 has 2,648, n=20 never fits),
+    the steps before the horizon tail run on it.  A step costs a lookup;
+    the movers are walked only when one of them may have reached
+    ``min(watch)``.  The horizon tail, lockstep and larger tables run the
+    per-process step loop, which continues the same coin block.
     """
     config.validate()
     n, horizon, delta = config.n, config.horizon, config.delta
@@ -453,6 +487,52 @@ def generate(config: SimConfig) -> Trace:
     sched_rng = _stream(config.seed, _S_SCHED)
     rows: list[list[bool]] = []  # scheduler coins, row r is the next step's
     r, procs = 0, range(n)
+
+    if 0 < eps < horizon and ((eps + 1) ** n - eps ** n) << n <= _TABLE_ENTRIES:
+        # offset table: while lo + eps < horizon no clock is near the
+        # horizon, so a step depends only on the clock offsets from lo and
+        # the coin row.  Entry k = state << n | row holds the next state
+        # (as state << n; -1 until the entry is first used), the rise of
+        # lo, the movers in ascending order and their largest offset
+        # after the step.
+        width, weights = 1 << n, 1 << np.arange(n)
+        bits = [[p for p in procs if m >> p & 1] for m in range(width)]  # mask -> processes
+        offs = [(0,) * n]  # state -> offsets, numbered in order of appearance
+        states = {offs[0]: 0}
+        nxt, rise, movers, reach = [-1] * width, [0] * width, [[]] * width, [0] * width
+        lo = base = 0  # base: the current state << n
+        stop, low = horizon - eps, min(watch)
+        while lo < stop:
+            block = sched_rng.random((_SCHED_BLOCK, n)) < advance_prob
+            for r, row in enumerate((block @ weights).tolist(), 1):
+                k = base | row
+                base = nxt[k]
+                if base < 0:
+                    after, rise[k], moved = _transition(offs[k >> n], row, eps)
+                    movers[k] = bits[moved]
+                    reach[k] = max(after[p] for p in movers[k])
+                    if after not in states:
+                        states[after] = len(offs)
+                        offs.append(after)
+                        nxt += [-1] * width
+                        rise += [0] * width
+                        movers += [[]] * width
+                        reach += [0] * width
+                    base = nxt[k] = states[after] << n
+                lo += rise[k]
+                # no mover's clock is past lo + reach[k], and watches change
+                # only in events, so low is min(watch) and a step below it
+                # has no event
+                if lo + reach[k] >= low:
+                    o = offs[base >> n]
+                    for p in movers[k]:  # ascending, as in the loop below
+                        if lo + o[p] >= watch[p]:
+                            events(p, lo + o[p])
+                    low = min(watch)
+                if lo >= stop:
+                    break
+        clocks = [lo + o for o in offs[base >> n]]
+        rows = block.tolist()  # the horizon tail goes on from row r
 
     while (lo := min(clocks)) < horizon:
         if eps == 0:

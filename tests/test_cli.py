@@ -130,6 +130,23 @@ def test_config_key_without_flag_exits_two(argv, setting, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["out", "config"])
+def test_config_file_cannot_set_out_or_config(key, tmp_path, capsys):
+    """Where settings come from and where output goes are flag-only: a
+    file that sets either is refused, not silently ignored."""
+    from psml import cli
+
+    target = tmp_path / "target.txt"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {target}\n")
+    argv = ["analytic", "phi", "--eps", "200", "--n", "20", "--beta", "0.01"]
+    assert cli.main([*argv, "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert key in captured.err
+    assert captured.out == ""
+    assert not target.exists()
+
+
 def test_config_file_list_setting_matches_flag(tmp_path, capsys):
     from psml import cli
 

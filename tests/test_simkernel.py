@@ -2,6 +2,7 @@
 schedule-independence of predicate placement."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -269,6 +270,96 @@ def test_block_coin_draws_equal_per_step_draws():
 @given(EDGE_CONFIGS)
 def test_generate_equals_reference_generator(cfg):
     assert generate(cfg) == reference_generate(cfg)
+
+
+class _Coins:
+    """A scheduler stream whose next n draws are a fixed row: 0.0 for a
+    won coin, 1.0 for a lost one."""
+
+    def __init__(self, won: list[bool]):
+        self.row = np.array([0.0 if w else 1.0 for w in won])
+
+    def random(self, n: int) -> np.ndarray:
+        assert n == len(self.row)
+        return self.row
+
+
+@pytest.mark.parametrize("n, eps", [(2, 1), (2, 3), (3, 2), (4, 1)])
+def test_table_transition_matches_reference_step(n, eps):
+    """Every offset state and every coin row: the step the offset table
+    memoises moves the processes the reference scheduler moves."""
+    horizon = 1000  # far from every clock, as in the table's region
+    states = [s for s in itertools.product(range(eps + 1), repeat=n) if min(s) == 0]
+    assert len(states) == (eps + 1) ** n - eps ** n
+    for offsets in states:
+        for row in range(1 << n):
+            won = [bool(row >> p & 1) for p in range(n)]
+            after, rise, moved = simkernel._transition(offsets, row, eps)
+            for lo in (0, 37):
+                clocks = [lo + o for o in offsets]
+                expect = reference_step_schedule(clocks, eps, 0.5, horizon, _Coins(won))
+                assert [p for p in range(n) if moved >> p & 1] == expect, (offsets, row)
+            stepped = [o + (p in expect) for p, o in enumerate(offsets)]
+            assert rise == min(stepped)
+            assert after == tuple(o - rise for o in stepped)
+            assert max(after) <= eps
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        # the few-long shape, where every table entry is used many times
+        SimConfig(n=3, epsilon_app=10, delta=100, alpha=0.001, beta=0.005,
+                  interval=FixedLength(30), horizon=20_000, seed=3),
+        # a message on every tick, delivered in the step it is due
+        SimConfig(n=3, epsilon_app=4, delta=0, alpha=1.0, beta=0.2,
+                  interval=FixedLength(3), horizon=2_000, advance_prob=1.0, seed=4),
+        SimConfig(n=3, epsilon_app=4, delta=0, alpha=1.0, beta=0.2,
+                  horizon=2_000, seed=5),
+        SimConfig(n=2, epsilon_app=200, delta=7, alpha=0.05, beta=0.02,
+                  interval=GeometricLength(0.1), horizon=8_000, seed=6),
+        # the run is all horizon tail, or leaves the table after one tick
+        SimConfig(n=3, epsilon_app=10, delta=1, alpha=0.3, beta=0.3, horizon=10, seed=7),
+        SimConfig(n=3, epsilon_app=10, delta=1, alpha=0.3, beta=0.3, horizon=11, seed=7),
+        SimConfig(n=4, epsilon_app=6, delta=0, alpha=0.5, beta=0.3, horizon=7, seed=8),
+    ],
+    ids=["few-long-20k", "dense-lockstep", "dense-drift", "n2-eps200",
+         "horizon-eps", "horizon-eps+1", "n4-horizon-eps+1"],
+)
+def test_generate_equals_reference_at_long_horizons(cfg):
+    assert generate(cfg) == reference_generate(cfg)
+
+
+def _generate_lines(cfg: SimConfig) -> int:
+    """Lines ``generate`` runs in its own frame (not in the event bodies)."""
+    code, count = simkernel.generate.__code__, 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        generate(cfg)
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def test_table_path_walks_movers_only_near_a_watch():
+    """Events cost Python per process only at steps that can reach a
+    watch tick: a sparse-event run executes about as many lines of the
+    step loop as the same schedule with no events at all."""
+    shape = dict(n=3, epsilon_app=10, delta=100, interval=FixedLength(30),
+                 horizon=20_000, seed=3)
+    quiet = _generate_lines(SimConfig(**shape, alpha=0.0, beta=1e-12))
+    busy = _generate_lines(SimConfig(**shape, alpha=0.001, beta=0.005))
+    assert busy < 1.25 * quiet, (busy, quiet)
 
 
 def test_generate_is_deterministic():
