@@ -25,7 +25,7 @@ from .analytic import (
     uncertainty_ratio,
 )
 from .cli import main as cli_main, render_csv
-from .clocks import HLCTimestamp, Ordering, VectorClock
+from .clocks import HLCTimestamp, VectorClock
 from .metrics import (
     PRESETS,
     FprResult,

@@ -7,7 +7,10 @@ bare number.  The data family (``simulate``, ``sweep``, ``prdiagram``,
 ``partial``, ``hlc-curve``) runs seeded experiments and emits rows as
 CSV (default) or a structured JSON document via ``--format``; both
 forms carry the full effective configuration, as ``# key = value``
-header lines in CSV and as a ``config`` object in JSON.
+header lines in CSV and as a ``config`` object in JSON.  Each family
+is one table: ``_FORMS`` maps a form to its settings and closed form,
+``_DATA`` maps a data command to its preset kind, settings, list flags
+and run function, and one handler per table does the rest.
 
 Settings resolve as flag > config file (``--config``, flat
 ``key = value`` lines) > built-in default; the ``PSML_SEED``
@@ -42,6 +45,7 @@ from .analytic import (
     uncertainty_ratio,
 )
 from .metrics import (
+    FLAG_UNDEFINED,
     PRESETS,
     config_columns,
     config_with,
@@ -133,6 +137,10 @@ _FLAG_SPECS: dict[str, tuple[str, dict[str, Any]]] = {
     "mode": ("--mode", {"choices": ("analytic", "simulated")}),
     "config": ("--config", {"help": "flat key = value settings file"}),
     "out": ("--out", {"help": "write output to this file atomically"}),
+    "trace_out": (
+        "--trace-out",
+        {"metavar": "FILE", "help": "also write the generated trace as line records to FILE"},
+    ),
     "format": ("--format", {"choices": ("csv", "structured"), "help": "output format (default csv)"}),
 }
 
@@ -161,7 +169,7 @@ class _Settings:
         text = _parse_config_file(args.config) if args.config else {}
         # a file may set what this command has a flag for, nothing else;
         # where to read settings from and where to write are flag-only
-        allowed = set(vars(args)) & set(_FLAG_SPECS) - {"config", "out"}
+        allowed = set(vars(args)) & set(_FLAG_SPECS) - {"config", "out", "trace_out"}
         unknown = set(text) - allowed
         if unknown:
             raise ValueError(
@@ -259,10 +267,6 @@ def render_csv(rows: Iterable[Mapping[str, Any]], columns: Sequence[str]) -> str
     for row in rows:
         lines.append(",".join(_cell(row.get(col)) for col in columns))
     return "\n".join(lines) + "\n"
-
-
-def _echo_config(cfg: SimConfig, **extra: Any) -> dict[str, Any]:
-    return {**config_columns(cfg), **extra}
 
 
 def _json_safe(value: Any) -> Any:
@@ -409,41 +413,26 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _preset_spec(name: str | None, kind: str, default: str | None = None) -> dict[str, Any] | None:
-    if name is None:
-        name = default
-    if name is None:
-        return None
-    spec = PRESETS.get(name)
-    if spec is None:
-        raise ValueError(f"unknown preset {name!r}; choices: {', '.join(sorted(PRESETS))}")
-    if spec["kind"] != kind:
-        raise ValueError(f"preset {name!r} does not apply to this command")
-    return spec
+# what a data command's run gives _cmd_data: (config, rows, columns,
+# echo extras)
+_Result = tuple[SimConfig, list[dict[str, Any]], list[str], dict[str, Any]]
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    s = _Settings(args)
+def _nan_flags(value: float) -> tuple[str, ...]:
+    return (FLAG_UNDEFINED,) if math.isnan(value) else ()
+
+
+def _simulate(s: _Settings, spec: None) -> _Result:
     cfg = _build_sim(s)
     eps_check = s.get("eps_check", float(cfg.epsilon_app))
-    warmup = s.get("warmup")
-    row = fpr_row(cfg, eps_check, warmup)
-    if args.trace_out is not None:
-        lines = "".join(line + "\n" for line in trace_records(row.trace))
-        _deliver(lines, args.trace_out)
-    echo = _echo_config(
-        cfg, command="simulate", eps_check=eps_check, warmup=row.warmup
-    )
-    text = _render_rows(s.get("format", "csv"), [row.as_dict()], list(row.as_dict()), echo)
-    _deliver(text, args.out)
-    return 0
+    row = fpr_row(cfg, eps_check, s.get("warmup"))
+    if s.args.trace_out is not None:
+        _deliver("".join(line + "\n" for line in trace_records(row.trace)), s.args.trace_out)
+    rows = [row.as_dict()]
+    return cfg, rows, list(rows[0]), {"eps_check": eps_check, "warmup": row.warmup}
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    s = _Settings(args)
-    spec = _preset_spec(args.preset, "sweep")
-    if spec is None:
-        raise ValueError("sweep requires --preset (fig-fpr-n20 or fig-ad-independence)")
+def _sweep(s: _Settings, spec: Mapping[str, Any]) -> _Result:
     defaults = dict(spec["base"])
     grid: dict[str, list[Any]] = {}
     for axis, values in spec["grid"].items():
@@ -454,92 +443,109 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         grid[axis] = [s.get(key)] if s.given(key) else list(values)
     base = _build_sim(s, defaults)
     seed0 = s.seed()
-    if s.given("replicates"):
-        seeds = [seed0 + i for i in range(s.get("replicates"))]
-    else:
-        seeds = [seed0 + i for i in spec["seeds"]]
+    offsets = range(s.get("replicates")) if s.given("replicates") else spec["seeds"]
+    seeds = [seed0 + i for i in offsets]
     warmup = s.get("warmup", spec.get("warmup"))
     jobs = s.get("jobs", 1)
-    rows = sweep(base, grid, seeds, warmup=warmup, jobs=jobs)
-    echo = _echo_config(
-        base,
-        command="sweep",
-        preset=args.preset,
-        seeds=tuple(seeds),
-        warmup=warmup if warmup is not None else default_warmup(base),
-        jobs=jobs,
-    )
-    for axis, values in grid.items():
-        echo[f"grid_{axis}"] = tuple(values)
-    dicts = [r.as_dict() for r in rows]
-    text = _render_rows(s.get("format", "csv"), dicts, list(dicts[0]), echo)
-    _deliver(text, args.out)
-    return 0
+    rows = [r.as_dict() for r in sweep(base, grid, seeds, warmup=warmup, jobs=jobs)]
+    echo = {
+        "preset": s.args.preset,
+        "seeds": tuple(seeds),
+        "warmup": warmup if warmup is not None else default_warmup(base),
+        "jobs": jobs,
+        **{f"grid_{axis}": tuple(values) for axis, values in grid.items()},
+    }
+    return base, rows, list(rows[0]), echo
 
 
-def _cmd_prdiagram(args: argparse.Namespace) -> int:
-    s = _Settings(args)
-    spec = _preset_spec(args.preset, "prdiagram", default="fig-pr-diagram")
-    eps_mon_values = args.eps_mon_list if args.eps_mon_list is not None else spec["eps_mon"]
-    eps_apps = args.eps_app_list if args.eps_app_list is not None else spec["eps_app"]
-    defaults = dict(spec["base"])
-    defaults.setdefault("epsilon_app", eps_apps[0])
-    base = _build_sim(s, defaults)
+def _prdiagram(s: _Settings, spec: Mapping[str, Any]) -> _Result:
+    eps_mon_values = s.args.eps_mon_list or spec["eps_mon"]
+    eps_apps = s.args.eps_app_list or spec["eps_app"]
+    base = _build_sim(s, {"epsilon_app": eps_apps[0], **spec["base"]})
     mode = s.get("mode", "analytic")
     replicates = s.get("replicates", spec["replicates"])
-    warmup = s.get("warmup")
-    rows = pr_diagram(base, eps_mon_values, eps_apps, mode, replicates, warmup)
-    echo = _echo_config(
-        base,
-        command="prdiagram",
-        mode=mode,
-        replicates=replicates,
-        eps_mon_values=tuple(eps_mon_values),
-        eps_app_values=tuple(eps_apps),
-    )
-    columns = ["eps_mon", "eps_app", "precision", "recall", "flags"]
-    text = _render_rows(s.get("format", "csv"), rows, columns, echo)
-    _deliver(text, args.out)
-    return 0
+    rows = pr_diagram(base, eps_mon_values, eps_apps, mode, replicates, s.get("warmup"))
+    echo = {
+        "mode": mode,
+        "replicates": replicates,
+        "eps_mon_values": tuple(eps_mon_values),
+        "eps_app_values": tuple(eps_apps),
+    }
+    return base, rows, ["eps_mon", "eps_app", "precision", "recall", "flags"], echo
 
 
-def _cmd_partial(args: argparse.Namespace) -> int:
-    s = _Settings(args)
-    spec = _preset_spec(args.preset, "partial", default="table-partial")
+def _partial(s: _Settings, spec: Mapping[str, Any]) -> _Result:
     base = _build_sim(s, spec["base"])
     p_values = s.get("p", spec["p"])
     replicates = s.get("replicates", spec["replicates"])
-    rows = []
-    for p, frac in zip(p_values, partial_fractions(base, p_values, replicates)):
-        flags = ("undefined",) if math.isnan(frac) else ()
-        rows.append({"p": p, "fraction": frac, "flags": flags})
-    echo = _echo_config(
-        base, command="partial", replicates=replicates, p_values=tuple(p_values)
-    )
-    text = _render_rows(s.get("format", "csv"), rows, ["p", "fraction", "flags"], echo)
-    _deliver(text, args.out)
-    return 0
+    fractions = partial_fractions(base, p_values, replicates)
+    rows = [{"p": p, "fraction": f, "flags": _nan_flags(f)} for p, f in zip(p_values, fractions)]
+    echo = {"replicates": replicates, "p_values": tuple(p_values)}
+    return base, rows, ["p", "fraction", "flags"], echo
 
 
-def _cmd_hlc_curve(args: argparse.Namespace) -> int:
-    s = _Settings(args)
-    spec = _preset_spec(args.preset, "hlc", default="fig-hlc")
+def _hlc_curve(s: _Settings, spec: Mapping[str, Any]) -> _Result:
     base = _build_sim(s, spec["base"])
-    ell_values = args.ell_list if args.ell_list is not None else spec["ell"]
+    ell_values = s.args.ell_list or spec["ell"]
     replicates = s.get("replicates", spec["replicates"])
-    curve = hlc_recall_curve(base, ell_values, replicates)
-    rows = []
-    for ell, sim, closed in curve:
-        flags = ("undefined",) if math.isnan(sim) else ()
-        rows.append(
-            {"ell": ell, "recall_sim": sim, "recall_analytic": closed, "flags": flags}
-        )
-    echo = _echo_config(
-        base, command="hlc-curve", replicates=replicates, ell_values=tuple(ell_values)
-    )
-    columns = ["ell", "recall_sim", "recall_analytic", "flags"]
-    text = _render_rows(s.get("format", "csv"), rows, columns, echo)
-    _deliver(text, args.out)
+    rows = [
+        {"ell": ell, "recall_sim": sim, "recall_analytic": closed, "flags": _nan_flags(sim)}
+        for ell, sim, closed in hlc_recall_curve(base, ell_values, replicates)
+    ]
+    echo = {"replicates": replicates, "ell_values": tuple(ell_values)}
+    return base, rows, ["ell", "recall_sim", "recall_analytic", "flags"], echo
+
+
+def _list_flag(flag: str, what: str) -> tuple[str, dict[str, Any]]:
+    """A flag-only comma-separated list, stored as ``<name>_list``."""
+    dest = flag[2:].replace("-", "_") + "_list"
+    return flag, {"type": _int_list, "dest": dest, "metavar": "LIST", "help": f"comma-separated {what}"}
+
+
+_IO = ("config", "out", "format")
+
+# command -> (preset kind, help, default preset, settings, list flags,
+# run).  _cmd_data resolves the preset, calls the run, then echoes,
+# renders and delivers what it returns.  Runs name the experiments
+# through this module's globals at call time, so a patched module
+# attribute is the one that runs.
+_DATA: dict[str, tuple[Any, ...]] = {
+    "simulate": (None, "one seeded false-positive experiment", None,
+                 ("n", "eps_app", "eps_check", "delta", "alpha", "beta", "ell", "geom_p",
+                  "horizon", "seed", "warmup", *_IO, "trace_out"),
+                 (), _simulate),
+    "sweep": ("sweep", "preset-driven false-positive sweeps", None,
+              ("n", "eps_app", "delta", "alpha", "beta", "ell", "geom_p", "horizon", "seed",
+               "replicates", "warmup", "jobs", *_IO),
+              (), _sweep),
+    "prdiagram": ("prdiagram", "precision/recall over a window grid", "fig-pr-diagram",
+                  ("mode", "n", "delta", "alpha", "beta", "ell", "horizon", "seed", "replicates",
+                   "warmup", *_IO),
+                  (_list_flag("--eps-mon", "monitor windows (ticks)"),
+                   _list_flag("--eps-app", "application windows (ticks)")), _prdiagram),
+    "partial": ("partial", "p-of-n detection fractions, quasi vs partial sync", "table-partial",
+                ("p", "n", "eps_app", "delta", "alpha", "beta", "ell", "geom_p", "horizon", "seed",
+                 "replicates", *_IO),
+                (), _partial),
+    "hlc-curve": ("hlc", "quasi-monitor recall vs interval length", "fig-hlc",
+                  ("n", "eps_app", "delta", "alpha", "beta", "horizon", "seed", "replicates", *_IO),
+                  (_list_flag("--ell", "interval lengths (ticks)"),), _hlc_curve),
+}
+
+
+def _presets(kind: str) -> list[str]:
+    return [name for name, spec in PRESETS.items() if spec["kind"] == kind]
+
+
+def _cmd_data(args: argparse.Namespace) -> int:
+    s = _Settings(args)
+    kind, _, default, _, _, run = _DATA[args.command]
+    name = getattr(args, "preset", None) or default
+    if kind is not None and name is None:
+        raise ValueError(f"{args.command} requires --preset ({' or '.join(_presets(kind))})")
+    cfg, rows, columns, extras = run(s, PRESETS[name] if name else None)
+    echo = {**config_columns(cfg), "command": args.command, **extras}
+    _deliver(_render_rows(s.get("format", "csv"), rows, columns, echo), args.out)
     return 0
 
 
@@ -576,57 +582,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(tune, "eps_app", "n", "beta", "ell", "eta", "config", "out")
     tune.set_defaults(func=_cmd_tune)
 
-    sim = sub.add_parser("simulate", help="one seeded false-positive experiment")
-    _add_flags(
-        sim, "n", "eps_app", "eps_check", "delta", "alpha", "beta", "ell",
-        "geom_p", "horizon", "seed", "warmup", "config", "out", "format",
-    )
-    sim.add_argument("--eps", type=int, dest="eps_app", help=argparse.SUPPRESS)
-    sim.add_argument(
-        "--trace-out",
-        dest="trace_out",
-        metavar="FILE",
-        help="also write the generated trace as line records to FILE",
-    )
-    sim.set_defaults(func=_cmd_simulate)
-
-    sw = sub.add_parser("sweep", help="preset-driven false-positive sweeps")
-    sw.add_argument("--preset", choices=[k for k, v in PRESETS.items() if v["kind"] == "sweep"])
-    _add_flags(
-        sw, "n", "eps_app", "delta", "alpha", "beta", "ell", "geom_p",
-        "horizon", "seed", "replicates", "warmup", "jobs", "config", "out", "format",
-    )
-    sw.set_defaults(func=_cmd_sweep)
-
-    prd = sub.add_parser("prdiagram", help="precision/recall over a window grid")
-    prd.add_argument("--preset", choices=[k for k, v in PRESETS.items() if v["kind"] == "prdiagram"])
-    prd.add_argument("--eps-mon", type=_int_list, dest="eps_mon_list", metavar="LIST",
-                     default=None, help="comma-separated monitor windows (ticks)")
-    prd.add_argument("--eps-app", type=_int_list, dest="eps_app_list", metavar="LIST",
-                     default=None, help="comma-separated application windows (ticks)")
-    _add_flags(
-        prd, "mode", "n", "delta", "alpha", "beta", "ell", "horizon", "seed",
-        "replicates", "warmup", "config", "out", "format",
-    )
-    prd.set_defaults(func=_cmd_prdiagram)
-
-    part = sub.add_parser("partial", help="p-of-n detection fractions, quasi vs partial sync")
-    part.add_argument("--preset", choices=[k for k, v in PRESETS.items() if v["kind"] == "partial"])
-    _add_flags(
-        part, "p", "n", "eps_app", "delta", "alpha", "beta", "ell", "geom_p",
-        "horizon", "seed", "replicates", "config", "out", "format",
-    )
-    part.set_defaults(func=_cmd_partial)
-
-    hlc = sub.add_parser("hlc-curve", help="quasi-monitor recall vs interval length")
-    hlc.add_argument("--preset", choices=[k for k, v in PRESETS.items() if v["kind"] == "hlc"])
-    hlc.add_argument("--ell", type=_int_list, dest="ell_list", metavar="LIST",
-                     default=None, help="comma-separated interval lengths (ticks)")
-    _add_flags(
-        hlc, "n", "eps_app", "delta", "alpha", "beta", "horizon", "seed",
-        "replicates", "config", "out", "format",
-    )
-    hlc.set_defaults(func=_cmd_hlc_curve)
+    for command, (kind, help_, _, names, lists, _) in _DATA.items():
+        cmd = sub.add_parser(command, help=help_)
+        if kind is not None:
+            cmd.add_argument("--preset", choices=_presets(kind))
+        for flag, kwargs in lists:
+            cmd.add_argument(flag, **kwargs)
+        _add_flags(cmd, *names)
+        cmd.set_defaults(func=_cmd_data)
 
     return parser
 

@@ -2,8 +2,9 @@
 
 Two clock families live here, both immutable:
 
-* :class:`VectorClock` tracks causality exactly.  Comparing two stamps
-  classifies the pair as ordered, equal, or concurrent.
+* :class:`VectorClock` tracks causality exactly: one event happened
+  before another iff its stamp is componentwise at most the other's
+  and the two differ.
 * :class:`HLCTimestamp` is a hybrid logical clock, a pair ``(l, c)``
   where ``l`` rides on the physical clock and ``c`` breaks ties among
   events sharing the same ``l``.  It is causally sound (an event that
@@ -16,16 +17,6 @@ Physical clocks are plain non-negative ``int`` ticks throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-
-
-class Ordering(Enum):
-    """Outcome of comparing two clock stamps."""
-
-    BEFORE = "before"
-    AFTER = "after"
-    CONCURRENT = "concurrent"
-    EQUAL = "equal"
 
 
 # ---------------------------------------------------------------------------
@@ -77,29 +68,6 @@ class VectorClock:
         merged = list(map(max, self.entries, msg.entries))
         merged[self.owner] += 1
         return VectorClock(tuple(merged), self.owner)
-
-    def compare(self, other: VectorClock) -> Ordering:
-        """Classify this stamp against ``other``.
-
-        BEFORE / AFTER for strict causal order, EQUAL for identical
-        entries, CONCURRENT when each side knows something the other
-        does not.
-        """
-        if len(other.entries) != len(self.entries):
-            raise ValueError("vector clock dimension mismatch")
-        le = ge = True
-        for a, b in zip(self.entries, other.entries):
-            if a < b:
-                ge = False
-            elif a > b:
-                le = False
-        if le and ge:
-            return Ordering.EQUAL
-        if le:
-            return Ordering.BEFORE
-        if ge:
-            return Ordering.AFTER
-        return Ordering.CONCURRENT
 
 
 # ---------------------------------------------------------------------------

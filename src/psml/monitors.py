@@ -36,10 +36,9 @@ one execution and takes constant time per pair.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .simkernel import PredicateInterval, Trace
 
@@ -82,12 +81,12 @@ def cut_length(cut: Cut) -> int:
 
 def is_hb_consistent(cut: Cut) -> bool:
     """True iff all candidate stamp pairs compare as concurrent."""
-    # componentwise dominance in one shot; dominated-or-equal in either
-    # direction means the pair is not concurrent
-    stamps = np.array([c.vc_start.entries for c in cut.candidates])
-    le = (stamps[:, None, :] <= stamps[None, :, :]).all(axis=-1)
-    np.fill_diagonal(le, False)
-    return not le.any()
+    # dominated-or-equal in either direction means the pair is not
+    # concurrent
+    stamps = [c.vc_start.entries for c in cut.candidates]
+    return not any(
+        all(x <= y for x, y in zip(a, b)) for a, b in itertools.permutations(stamps, 2)
+    )
 
 
 def is_eps_consistent(cut: Cut, eps: float) -> bool:

@@ -5,9 +5,10 @@ Generation proceeds in scheduler steps; in each step every process
 advances its clock by one with probability ``advance_prob`` unless it
 sits at the drift cap (its clock equals the minimum clock plus
 ``epsilon_app``), so the clock spread never exceeds ``epsilon_app``.
-If no process advances, the minimum-clock process is forced forward
-(all of them when ``epsilon_app`` is 0, which keeps lockstep the only
-legal schedule).  A run ends when every clock reaches ``horizon``.
+If no process advances, the first minimum-clock process is forced
+forward.  At ``epsilon_app`` 0 the cap is the minimum itself, so every
+step is forced and the clocks move in lockstep, one process at a time
+in ascending order.  A run ends when every clock reaches ``horizon``.
 
 On each clock advance a process, in this order: receives any message
 whose delivery point has arrived, opens a predicate interval if the
@@ -535,17 +536,13 @@ def generate(config: SimConfig) -> Trace:
         rows = block.tolist()  # the horizon tail goes on from row r
 
     while (lo := min(clocks)) < horizon:
-        if eps == 0:
-            # lockstep: every clock equals lo, so every process steps
-            chosen, lim = procs, horizon
-        else:
-            if r == len(rows):
-                rows = (sched_rng.random((_SCHED_BLOCK, n)) < advance_prob).tolist()
-                r = 0
-            # a won coin advances a process below the drift cap and the
-            # horizon; p's clock is still its value from the start of the step
-            chosen, lim = itertools.compress(procs, rows[r]), min(lo + eps, horizon)
-            r += 1
+        if r == len(rows):
+            rows = (sched_rng.random((_SCHED_BLOCK, n)) < advance_prob).tolist()
+            r = 0
+        # a won coin advances a process below the drift cap and the
+        # horizon; p's clock is still its value from the start of the step
+        chosen, lim = itertools.compress(procs, rows[r]), min(lo + eps, horizon)
+        r += 1
         moved = False
         for p in chosen:
             v = clocks[p]

@@ -15,13 +15,14 @@ import heapq
 import os
 import subprocess
 import sys
+from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
 from psml import simkernel
-from psml.clocks import HLCTimestamp, Ordering, VectorClock
+from psml.clocks import HLCTimestamp, VectorClock
 from psml.monitors import Cut
 from psml.simkernel import (
     HNMA,
@@ -49,6 +50,37 @@ def trace_queues(
     """Candidate queues read directly from the trace records."""
     chosen = list(procs) if procs is not None else list(range(trace.config.n))
     return [list(trace.intervals[p]) for p in chosen]
+
+
+class Ordering(Enum):
+    """Outcome of comparing two vector clock stamps."""
+
+    BEFORE = "before"
+    AFTER = "after"
+    CONCURRENT = "concurrent"
+    EQUAL = "equal"
+
+
+def compare(a: VectorClock, b: VectorClock) -> Ordering:
+    """Classify stamp ``a`` against ``b`` by full componentwise
+    comparison: BEFORE / AFTER for strict causal order, EQUAL for
+    identical entries, CONCURRENT when each side knows something the
+    other does not."""
+    if len(a.entries) != len(b.entries):
+        raise ValueError("vector clock dimension mismatch")
+    le = ge = True
+    for x, y in zip(a.entries, b.entries):
+        if x < y:
+            ge = False
+        elif x > y:
+            le = False
+    if le and ge:
+        return Ordering.EQUAL
+    if le:
+        return Ordering.BEFORE
+    if ge:
+        return Ordering.AFTER
+    return Ordering.CONCURRENT
 
 
 def _disjoint(a: PredicateInterval, b: PredicateInterval) -> bool:
@@ -84,7 +116,7 @@ def brute_detect(
                 for j in range(m):
                     if i == j:
                         continue
-                    rel = queues[i][heads[i]].vc_start.compare(queues[j][heads[j]].vc_start)
+                    rel = compare(queues[i][heads[i]].vc_start, queues[j][heads[j]].vc_start)
                     if rel is Ordering.BEFORE:
                         heads[i] += 1
                         if heads[i] >= len(queues[i]):

@@ -11,6 +11,7 @@ from psml.analytic import (
     phi_point,
     uncertainty_ratio,
 )
+from psml.metrics import PRESETS
 
 from helpers import run_cli
 
@@ -64,9 +65,12 @@ def test_nonpositive_counts_and_mixed_intervals_exit_two(argv, tmp_path):
 
 
 def test_missing_required_exits_two():
-    code, _, err = run_cli(["simulate", "--n", "3"])
-    assert code == 2
-    assert "eps-app" in err or "eps_app" in err
+    # --eps is no alias: it is an ambiguous prefix of --eps-app and
+    # --eps-check, so argparse names both and exits 2
+    for argv in (["simulate", "--n", "3"], ["simulate", "--n", "3", "--eps", "5"]):
+        code, _, err = run_cli(argv)
+        assert code == 2
+        assert "eps-app" in err or "eps_app" in err
 
 
 def test_bad_config_file_exits_two(tmp_path):
@@ -659,6 +663,21 @@ def test_help_states_units(command, options, words, capsys):
 # ---------------------------------------------------------------------------
 # the remaining subcommands run end to end
 # ---------------------------------------------------------------------------
+
+
+_PRESET_COMMAND = {"sweep": "sweep", "prdiagram": "prdiagram", "partial": "partial", "hlc": "hlc-curve"}
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_every_preset_runs_through_its_command(name, capsys):
+    """Each preset's kind routes it to a command that accepts it."""
+    from psml import cli
+
+    command = _PRESET_COMMAND[PRESETS[name]["kind"]]
+    mode = ["--mode", "simulated"] if command == "prdiagram" else []
+    argv = [command, "--preset", name, "--horizon", "400", "--replicates", "1", *mode]
+    assert cli.main(argv) == 0
+    assert f"# command = {command}\n" in capsys.readouterr().out
 
 
 def test_sweep_preset_with_overrides():

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psml.clocks import HLCTimestamp, Ordering, VectorClock
+from psml.clocks import HLCTimestamp, VectorClock
 from psml.metrics import default_warmup, fpr_experiment, pr_experiment
 from psml.monitors import (
     Cut,
@@ -21,9 +21,11 @@ from psml.simkernel import PredicateInterval, SimConfig, generate
 
 from helpers import (
     EDGE_CONFIGS,
+    Ordering,
     brute_async,
     brute_partialsync,
     brute_quasi,
+    compare,
     random_small_config,
 )
 
@@ -78,12 +80,12 @@ def test_is_eps_consistent_boundary():
 )
 @settings(max_examples=200)
 def test_hb_consistency_vector_path_matches_pairwise(tuples):
-    """The batched stamp comparison must agree with pairwise compare()
+    """The all-pairs stamp comparison must agree with pairwise compare()
     on cuts of every size."""
     cands = tuple(_cand(i, i, i, entries) for i, entries in enumerate(tuples))
     cut = Cut(cands)
     expected = all(
-        cands[i].vc_start.compare(cands[j].vc_start) is Ordering.CONCURRENT
+        compare(cands[i].vc_start, cands[j].vc_start) is Ordering.CONCURRENT
         for i in range(len(cands))
         for j in range(i + 1, len(cands))
     )

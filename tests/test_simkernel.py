@@ -322,9 +322,13 @@ def test_table_transition_matches_reference_step(n, eps):
         SimConfig(n=3, epsilon_app=10, delta=1, alpha=0.3, beta=0.3, horizon=10, seed=7),
         SimConfig(n=3, epsilon_app=10, delta=1, alpha=0.3, beta=0.3, horizon=11, seed=7),
         SimConfig(n=4, epsilon_app=6, delta=0, alpha=0.5, beta=0.3, horizon=7, seed=8),
+        # eps_app 0: every step is forced, so the processes move one at a
+        # time; messages due in the step they are sent
+        SimConfig(n=20, epsilon_app=0, delta=0, alpha=0.1, beta=0.05,
+                  interval=FixedLength(3), horizon=2_000, seed=9),
     ],
     ids=["few-long-20k", "dense-lockstep", "dense-drift", "n2-eps200",
-         "horizon-eps", "horizon-eps+1", "n4-horizon-eps+1"],
+         "horizon-eps", "horizon-eps+1", "n4-horizon-eps+1", "n20-eps0"],
 )
 def test_generate_equals_reference_at_long_horizons(cfg):
     assert generate(cfg) == reference_generate(cfg)
