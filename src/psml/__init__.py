@@ -43,7 +43,6 @@ from .metrics import (
     sweep,
 )
 from .monitors import (
-    Cut,
     cut_length,
     detect_async,
     detect_partialsync,

@@ -80,10 +80,8 @@ def _check_n(n: int) -> None:
 
 
 def _check_beta(beta: float, *, allow_one: bool = True) -> None:
-    hi_ok = beta <= 1.0 if allow_one else beta < 1.0
-    if not (0.0 < beta and hi_ok):
-        top = "1" if allow_one else "1 (exclusive)"
-        raise ValueError(f"beta must be in (0, {top}]")
+    if not (0.0 < beta < 1.0 or (allow_one and beta == 1.0)):
+        raise ValueError("beta must be in (0, 1]" if allow_one else "beta must be in (0, 1)")
 
 
 def _check_eps(eps: float, name: str = "eps") -> None:
@@ -109,10 +107,7 @@ def phi_point(eps: float, n: int, beta: float) -> float:
 
         phi(eps) = (1 - (1-beta)**eps) ** (n-1)
     """
-    _check_n(n)
-    _check_beta(beta)
-    _check_eps(eps)
-    return _one_minus_q_pow(beta, eps) ** (n - 1)
+    return phi_interval(eps, n, beta, 1)
 
 
 def phi_interval(eps: float, n: int, beta: float, ell: float) -> float:
@@ -180,6 +175,20 @@ def uncertainty_ratio(n: int, beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _window_ratio(num: float, den: float, n: int, beta: float, ell: float) -> float:
+    """phi_interval(num) / phi_interval(den): exactly 1 when num >= den,
+    NaN when the denominator is 0.  n, beta and ell are checked first,
+    so the shortcut never hides an invalid model."""
+    _check_n(n)
+    _check_beta(beta)
+    _check_ell(ell)
+    if num >= den:
+        return 1.0
+    top = phi_interval(num, n, beta, ell)
+    bottom = phi_interval(den, n, beta, ell)
+    return top / bottom if bottom else math.nan
+
+
 def precision(eps_mon: float, eps_app: float, n: int, beta: float, ell: float = 1) -> float:
     """Fraction of cuts the monitor accepts that the system also admits.
 
@@ -192,13 +201,7 @@ def precision(eps_mon: float, eps_app: float, n: int, beta: float, ell: float = 
     """
     _check_eps(eps_mon, "eps_mon")
     _check_eps(eps_app, "eps_app")
-    if eps_mon <= eps_app:
-        return 1.0
-    num = phi_interval(eps_app, n, beta, ell)
-    den = phi_interval(eps_mon, n, beta, ell)
-    if den == 0.0:
-        return math.nan
-    return num / den
+    return _window_ratio(eps_app, eps_mon, n, beta, ell)
 
 
 def recall(eps_mon: float, eps_app: float, n: int, beta: float, ell: float = 1) -> float:
@@ -210,13 +213,7 @@ def recall(eps_mon: float, eps_app: float, n: int, beta: float, ell: float = 1) 
     """
     _check_eps(eps_mon, "eps_mon")
     _check_eps(eps_app, "eps_app")
-    if eps_mon >= eps_app:
-        return 1.0
-    num = phi_interval(eps_mon, n, beta, ell)
-    den = phi_interval(eps_app, n, beta, ell)
-    if den == 0.0:
-        return math.nan
-    return num / den
+    return _window_ratio(eps_mon, eps_app, n, beta, ell)
 
 
 @dataclass(frozen=True, slots=True)

@@ -38,7 +38,6 @@ import numpy as np
 
 from .analytic import hlc_recall, precision, recall
 from .monitors import (
-    Cut,
     cut_length,
     detect_async,
     detect_partialsync,
@@ -50,6 +49,7 @@ from .simkernel import (
     GeometricLength,
     IntervalSpec,
     PointLength,
+    PredicateInterval,
     SimConfig,
     Trace,
     generate,
@@ -97,8 +97,8 @@ def _resolve_warmup(config: SimConfig, warmup: int | None) -> int:
     return warmup
 
 
-def _past_warmup(cut: Cut, warmup: int) -> bool:
-    return min(c.start for c in cut.candidates) >= warmup
+def _past_warmup(cut: Sequence[PredicateInterval], warmup: int) -> bool:
+    return min(c.start for c in cut) >= warmup
 
 
 def config_with(base: SimConfig, **overrides: Any) -> SimConfig:
@@ -200,13 +200,18 @@ class PrResult:
     flags: tuple[str, ...]
 
 
-def _count_flags(y: int) -> list[str]:
+def _flags(count: int | None, *estimates: float) -> tuple[str, ...]:
+    """A row's flags: no-cuts and low-confidence from its cut count
+    (None for a closed form, which counts no cuts), undefined when
+    any estimate is NaN."""
     flags = []
-    if y == 0:
+    if count == 0:
         flags.append(FLAG_NO_CUTS)
-    if y < _LOW_CONFIDENCE_Y:
+    if count is not None and count < _LOW_CONFIDENCE_Y:
         flags.append(FLAG_LOW_CONFIDENCE)
-    return flags
+    if any(math.isnan(e) for e in estimates):
+        flags.append(FLAG_UNDEFINED)
+    return tuple(flags)
 
 
 def fpr_experiment(
@@ -221,17 +226,11 @@ def fpr_experiment(
         raise ValueError("eps_check must be non-negative")
     warmup = _resolve_warmup(config, warmup)
     trace = generate(config)
-    y = y_f = 0
-    for cut in detect_async(trace):
-        if not _past_warmup(cut, warmup):
-            continue
-        y += 1
-        y_f += cut_length(cut) <= eps_check
-    flags = _count_flags(y)
+    lengths = [cut_length(cut) for cut in detect_async(trace) if _past_warmup(cut, warmup)]
+    y = len(lengths)
+    y_f = sum(length <= eps_check for length in lengths)
     fpr = 1.0 - y_f / y if y else float("nan")
-    if y == 0:
-        flags.append(FLAG_UNDEFINED)
-    return FprResult(config, eps_check, warmup, y, y_f, fpr, tuple(flags), trace)
+    return FprResult(config, eps_check, warmup, y, y_f, fpr, _flags(y, fpr), trace)
 
 
 def fpr_row(
@@ -266,13 +265,11 @@ def _pr_results(
     for eps_mon in eps_mon_values:
         detected = bisect_right(lengths, eps_mon)
         hits = bisect_right(lengths, min(eps_mon, eps_app))
-        flags = _count_flags(max(detected, true_set))
         prec = hits / detected if detected else float("nan")
         rec = hits / true_set if true_set else float("nan")
-        if not detected or not true_set:
-            flags.append(FLAG_UNDEFINED)
+        flags = _flags(max(detected, true_set), prec, rec)
         results.append(
-            PrResult(config, eps_mon, warmup, detected, true_set, hits, prec, rec, tuple(flags))
+            PrResult(config, eps_mon, warmup, detected, true_set, hits, prec, rec, flags)
         )
     return results
 
@@ -372,25 +369,22 @@ def pr_diagram(
         if mode == "simulated":
             runs = [_pr_results(rep, eps_mon_values, warmup) for rep in reps]
         for j, eps_mon in enumerate(eps_mon_values):
-            flags: list[str] = []
             if mode == "analytic":
                 prec = precision(eps_mon, eps_app, base.n, base.beta, ell)
                 rec = recall(eps_mon, eps_app, base.n, base.beta, ell)
+                count = None
             else:
                 results = [run[j] for run in runs]
                 prec = _mean_defined([r.precision_est for r in results])
                 rec = _mean_defined([r.recall_est for r in results])
-                ys = sum(max(r.detected, r.true_set) for r in results)
-                flags = _count_flags(ys)
-                if math.isnan(prec) or math.isnan(rec):
-                    flags.append(FLAG_UNDEFINED)
+                count = sum(max(r.detected, r.true_set) for r in results)
             rows.append(
                 {
                     "eps_mon": eps_mon,
                     "eps_app": eps_app,
                     "precision": prec,
                     "recall": rec,
-                    "flags": tuple(flags),
+                    "flags": _flags(count, prec, rec),
                 }
             )
     return rows

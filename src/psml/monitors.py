@@ -1,13 +1,13 @@
 """Conjunctive-predicate detection monitors.
 
 A monitor consumes one queue of candidate intervals per monitored
-process and enumerates cuts: one candidate per process, pairwise
-causally concurrent.  The candidates are the trace's own
-:class:`~psml.simkernel.PredicateInterval` records, read in place: a
-process's predicate-true intervals, stamped with the vector clock
-(``vc_start``) and hybrid logical clock (``hlc_start``) of their
-truthification.  One engine enumerates the concurrent cuts and the
-three monitors filter what it yields:
+process and enumerates cuts.  A cut is a tuple of the trace's own
+:class:`~psml.simkernel.PredicateInterval` records, read in place,
+one per monitored process in ascending process order and pairwise
+causally concurrent: each is a process's predicate-true interval,
+stamped with the vector clock (``vc_start``) and hybrid logical clock
+(``hlc_start``) of its truthification.  One engine enumerates the
+concurrent cuts and the three monitors filter what it yields:
 
 * asynchronous: keep every concurrent cut;
 * partially synchronous: keep only cuts whose length fits a window
@@ -37,13 +37,11 @@ one execution and takes constant time per pair.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .simkernel import PredicateInterval, Trace
 
 __all__ = [
-    "Cut",
     "cut_length",
     "is_hb_consistent",
     "is_eps_consistent",
@@ -54,42 +52,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class Cut:
-    """One candidate per monitored process, in ascending process order."""
-
-    candidates: tuple[PredicateInterval, ...]
-
-    def __post_init__(self) -> None:
-        if not self.candidates:
-            raise ValueError("cut needs at least one candidate")
-        if len({c.proc for c in self.candidates}) != len(self.candidates):
-            raise ValueError("cut has duplicate process indices")
-
-
-def _length(cands: Sequence[PredicateInterval]) -> int:
+def cut_length(cut: Sequence[PredicateInterval]) -> int:
     """max(max_i start_i - min_i end_i, 0): the smallest window the
-    candidates fit in; 0 when the intervals share a common tick."""
-    return max(max(c.start for c in cands) - min(c.end for c in cands), 0)
+    cut's intervals fit in; 0 when they share a common tick."""
+    return max(max(c.start for c in cut) - min(c.end for c in cut), 0)
 
 
-def cut_length(cut: Cut) -> int:
-    """The smallest window the cut fits in; 0 when its intervals share
-    a common tick."""
-    return _length(cut.candidates)
-
-
-def is_hb_consistent(cut: Cut) -> bool:
+def is_hb_consistent(cut: Sequence[PredicateInterval]) -> bool:
     """True iff all candidate stamp pairs compare as concurrent."""
     # dominated-or-equal in either direction means the pair is not
     # concurrent
-    stamps = [c.vc_start.entries for c in cut.candidates]
+    stamps = [c.vc_start.entries for c in cut]
     return not any(
         all(x <= y for x, y in zip(a, b)) for a, b in itertools.permutations(stamps, 2)
     )
 
 
-def is_eps_consistent(cut: Cut, eps: float) -> bool:
+def is_eps_consistent(cut: Sequence[PredicateInterval], eps: float) -> bool:
     """hb-consistent and fitting in a window of width ``eps``."""
     return cut_length(cut) <= eps and is_hb_consistent(cut)
 
@@ -169,19 +148,21 @@ def _detect(
         todo.append(k)
 
 
-def detect_async(trace: Trace, procs: Iterable[int] | None = None) -> list[Cut]:
+def detect_async(
+    trace: Trace, procs: Iterable[int] | None = None
+) -> list[tuple[PredicateInterval, ...]]:
     """All distinct pairwise-concurrent cuts, in emission order."""
-    return [Cut(h) for h in _detect(candidate_queues(trace, procs))]
+    return list(_detect(candidate_queues(trace, procs)))
 
 
 def detect_partialsync(
     trace: Trace, eps_mon: float, procs: Iterable[int] | None = None
-) -> list[Cut]:
+) -> list[tuple[PredicateInterval, ...]]:
     """Concurrent cuts fitting a monitoring window of width ``eps_mon``:
     exactly detect_async's length-filtered subsequence."""
     if not eps_mon >= 0:
         raise ValueError("eps_mon must be non-negative")
-    return [Cut(h) for h in _detect(candidate_queues(trace, procs)) if _length(h) <= eps_mon]
+    return [h for h in _detect(candidate_queues(trace, procs)) if cut_length(h) <= eps_mon]
 
 
 def _shares_tick(cands: Sequence[PredicateInterval]) -> bool:
@@ -192,10 +173,12 @@ def _shares_tick(cands: Sequence[PredicateInterval]) -> bool:
     return lo <= hi
 
 
-def detect_quasi(trace: Trace, procs: Iterable[int] | None = None) -> list[Cut]:
+def detect_quasi(
+    trace: Trace, procs: Iterable[int] | None = None
+) -> list[tuple[PredicateInterval, ...]]:
     """Concurrent cuts whose intervals share a common tick, decided
     from scalar clocks alone (:func:`_shares_tick`).  In a trace whose
     hybrid clocks ride the physical clock this coincides with
     max(start) <= min(end), so every kept cut has length zero.
     """
-    return [Cut(h) for h in _detect(candidate_queues(trace, procs)) if _shares_tick(h)]
+    return [h for h in _detect(candidate_queues(trace, procs)) if _shares_tick(h)]

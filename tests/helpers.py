@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from psml import simkernel
 from psml.clocks import HLCTimestamp, VectorClock
-from psml.monitors import Cut
 from psml.simkernel import (
     HNMA,
     PMA,
@@ -89,8 +88,8 @@ def _disjoint(a: PredicateInterval, b: PredicateInterval) -> bool:
 
 def brute_detect(
     queues: list[list[PredicateInterval]],
-    accept: Callable[[list[PredicateInterval]], bool],
-) -> list[Cut]:
+    accept: Callable[[Sequence[PredicateInterval]], bool],
+) -> list[tuple[PredicateInterval, ...]]:
     """Naive queue-based enumeration with full vector-clock compares.
 
     Repeatedly: discard any head that happened before another head
@@ -105,8 +104,8 @@ def brute_detect(
         return []
     m = len(queues)
     heads = [0] * m
-    out: list[Cut] = []
-    last: Cut | None = None
+    out: list[tuple[PredicateInterval, ...]] = []
+    last: tuple[PredicateInterval, ...] | None = None
     while True:
         # settle: throw away heads ordered before some other head
         changed = True
@@ -125,35 +124,36 @@ def brute_detect(
                         break
                 if changed:
                     break
-        cands = [queues[i][heads[i]] for i in range(m)]
+        cands = tuple(queues[i][heads[i]] for i in range(m))
         if accept(cands):
-            cut = Cut(tuple(cands))
-            if last is None or any(
-                _disjoint(a, b) for a, b in zip(cands, last.candidates)
-            ):
-                out.append(cut)
-                last = cut
+            if last is None or any(_disjoint(a, b) for a, b in zip(cands, last)):
+                out.append(cands)
+                last = cands
         k = min(range(m), key=lambda i: cands[i].end)
         heads[k] += 1
         if heads[k] >= len(queues[k]):
             return out
 
 
-def brute_async(trace: Trace, procs: Sequence[int] | None = None) -> list[Cut]:
+def brute_async(
+    trace: Trace, procs: Sequence[int] | None = None
+) -> list[tuple[PredicateInterval, ...]]:
     return brute_detect(trace_queues(trace, procs), lambda cands: True)
 
 
 def brute_partialsync(
     trace: Trace, eps_mon: float, procs: Sequence[int] | None = None
-) -> list[Cut]:
-    def accept(cands: list[PredicateInterval]) -> bool:
+) -> list[tuple[PredicateInterval, ...]]:
+    def accept(cands: Sequence[PredicateInterval]) -> bool:
         return max(c.start for c in cands) - min(c.end for c in cands) <= eps_mon
 
     return brute_detect(trace_queues(trace, procs), accept)
 
 
-def brute_quasi(trace: Trace, procs: Sequence[int] | None = None) -> list[Cut]:
-    def accept(cands: list[PredicateInterval]) -> bool:
+def brute_quasi(
+    trace: Trace, procs: Sequence[int] | None = None
+) -> list[tuple[PredicateInterval, ...]]:
+    def accept(cands: Sequence[PredicateInterval]) -> bool:
         lo = max(c.hlc_start.l for c in cands)
         hi = min(c.hlc_start.l + (c.end - c.start) for c in cands)
         return lo <= hi

@@ -148,6 +148,23 @@ def test_precision_recall_saturation():
     assert recall(80, 80, 10, 0.05) == 1.0
 
 
+@pytest.mark.parametrize(
+    "n,beta,ell,message",
+    [
+        (0, 2, 0, "n must be"),
+        (2, 0, 1, "beta must be"),
+        (2, 1.5, 1, "beta must be"),
+        (2, 0.1, 0, "ell must be"),
+    ],
+)
+def test_precision_recall_check_the_model_before_saturating(n, beta, ell, message):
+    for eps_mon, eps_app in ((0, 9), (9, 9), (9, 0)):
+        with pytest.raises(ValueError, match=message):
+            precision(eps_mon, eps_app, n, beta, ell)
+        with pytest.raises(ValueError, match=message):
+            recall(eps_mon, eps_app, n, beta, ell)
+
+
 _eps_values = st.integers(0, 500).map(float) | st.floats(1e-3, 500)
 
 

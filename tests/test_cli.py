@@ -43,6 +43,9 @@ def test_invalid_parameter_exits_two():
     code, _, err = run_cli(["simulate", "--n", "1", "--eps-app", "5"])
     assert code == 2
     assert "invalid parameters" in err
+    code, _, err = run_cli(["analytic", "hlc-minlen", "--eps-app", "5", "--n", "2", "--beta", "1"])
+    assert code == 2
+    assert err == "psml: invalid parameters: beta must be in (0, 1)\n"
 
 
 @pytest.mark.parametrize(
@@ -54,6 +57,8 @@ def test_invalid_parameter_exits_two():
         ["sweep", "--preset", "fig-ad-independence", "--jobs", "-3"],
         ["simulate", "--n", "3", "--eps-app", "5", "--ell", "5", "--interval-geom", "0.3"],
         ["simulate", "--n", "3", "--eps-app", "5", "--ell", "5", "--config", "GEOM_CFG"],
+        # saturated windows do not hide an invalid model
+        ["analytic", "pr", "--eps-mon", "5", "--eps-app", "5", "--n", "1", "--beta", "5", "--ell", "0"],
     ],
 )
 def test_nonpositive_counts_and_mixed_intervals_exit_two(argv, tmp_path):

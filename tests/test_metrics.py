@@ -72,7 +72,7 @@ def test_fpr_experiment_counts_match_direct_enumeration():
     cuts = [
         c
         for c in detect_async(trace)
-        if min(cand.start for cand in c.candidates) >= warm
+        if min(cand.start for cand in c) >= warm
     ]
     assert res.warmup == warm
     assert res.y == len(cuts)
@@ -105,7 +105,7 @@ def test_pr_experiment_matches_two_direct_runs():
     trace = generate(CFG)
 
     def past(c):
-        return min(cand.start for cand in c.candidates) >= warm
+        return min(cand.start for cand in c) >= warm
 
     got = [c for c in detect_partialsync(trace, eps_mon) if past(c)]
     real = [c for c in detect_partialsync(trace, CFG.epsilon_app) if past(c)]
@@ -201,6 +201,13 @@ def test_pr_diagram_analytic_matches_closed_forms():
     for row in rows:
         assert row["precision"] == precision(row["eps_mon"], row["eps_app"], CFG.n, CFG.beta, 1)
         assert row["recall"] == recall(row["eps_mon"], row["eps_app"], CFG.n, CFG.beta, 1)
+        assert row["flags"] == ()
+    # phi underflows to 0 at this beta: the NaN precision cells are flagged
+    tiny = config_with(CFG, n=100, beta=1e-9, ell=1)
+    rows = pr_diagram(tiny, [1, 2], [0, 1], mode="analytic")
+    assert sum(math.isnan(r["precision"]) for r in rows) == 3
+    for row in rows:
+        assert row["flags"] == ((FLAG_UNDEFINED,) if math.isnan(row["precision"]) else ())
 
 
 def test_pr_diagram_simulated_shape():

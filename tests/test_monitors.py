@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from psml.clocks import HLCTimestamp, VectorClock
 from psml.metrics import default_warmup, fpr_experiment, pr_experiment
 from psml.monitors import (
-    Cut,
     candidate_queues,
     cut_length,
     detect_async,
@@ -43,28 +42,16 @@ def _cand(proc, start, end, entries):
 def test_cut_length_cases():
     a = _cand(0, 5, 7, (1, 0))
     b = _cand(1, 9, 12, (0, 1))
-    assert cut_length(Cut((a, b))) == 2  # gap between end 7 and start 9
+    assert cut_length((a, b)) == 2  # gap between end 7 and start 9
     c = _cand(1, 6, 6, (0, 1))
-    assert cut_length(Cut((a, c))) == 0  # overlap clamps to zero
-    assert cut_length(Cut((a,))) == 0
-
-
-def test_cut_rejects_duplicate_processes():
-    a = _cand(0, 1, 1, (1, 0))
-    b = _cand(0, 3, 3, (2, 0))
-    with pytest.raises(ValueError):
-        Cut((a, b))
-
-
-def test_cut_rejects_empty_candidates():
-    with pytest.raises(ValueError, match="at least one candidate"):
-        Cut(())
+    assert cut_length((a, c)) == 0  # overlap clamps to zero
+    assert cut_length((a,)) == 0
 
 
 def test_is_eps_consistent_boundary():
     a = _cand(0, 0, 0, (1, 0))
     b = _cand(1, 4, 4, (0, 1))
-    cut = Cut((a, b))
+    cut = (a, b)
     assert cut_length(cut) == 4
     assert is_eps_consistent(cut, 4)
     assert not is_eps_consistent(cut, 3.999)
@@ -83,13 +70,12 @@ def test_hb_consistency_vector_path_matches_pairwise(tuples):
     """The all-pairs stamp comparison must agree with pairwise compare()
     on cuts of every size."""
     cands = tuple(_cand(i, i, i, entries) for i, entries in enumerate(tuples))
-    cut = Cut(cands)
     expected = all(
         compare(cands[i].vc_start, cands[j].vc_start) is Ordering.CONCURRENT
         for i in range(len(cands))
         for j in range(i + 1, len(cands))
     )
-    assert is_hb_consistent(cut) == expected
+    assert is_hb_consistent(cands) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +189,22 @@ def test_partialsync_rejects_bad_window():
 
 
 @settings(max_examples=200, deadline=None)
-@given(EDGE_CONFIGS, st.integers(0, 6))
-def test_monitors_and_counts_match_references_on_edge_configs(cfg, eps_mon):
+@given(EDGE_CONFIGS, st.integers(0, 6), st.data())
+def test_monitors_and_counts_match_references_on_edge_configs(cfg, eps_mon, data):
     res = fpr_experiment(cfg, cfg.epsilon_app)
     trace = res.trace
-    assert detect_async(trace) == brute_async(trace)
-    for eps in (0, cfg.epsilon_app, math.inf):
-        assert detect_partialsync(trace, eps) == brute_partialsync(trace, eps)
-    assert detect_quasi(trace) == brute_quasi(trace)
+    # every process, then a non-empty subset: the path of p-of-n conjunctions
+    subset = data.draw(st.lists(st.integers(0, cfg.n - 1), min_size=1, unique=True).map(sorted))
+    for procs in (None, subset):
+        assert detect_async(trace, procs) == brute_async(trace, procs)
+        for eps in (0, cfg.epsilon_app, math.inf):
+            assert detect_partialsync(trace, eps, procs) == brute_partialsync(trace, eps, procs)
+        assert detect_quasi(trace, procs) == brute_quasi(trace, procs)
 
     warm = default_warmup(cfg)
 
     def past(cuts):
-        return [c for c in cuts if min(cand.start for cand in c.candidates) >= warm]
+        return [c for c in cuts if min(cand.start for cand in c) >= warm]
 
     # fpr counts against the full happens-before check of the reference cuts
     counted = past(brute_async(trace))
