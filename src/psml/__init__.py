@@ -25,7 +25,6 @@ from .analytic import (
     uncertainty_ratio,
 )
 from .cli import main as cli_main, render_csv
-from .clocks import HLCTimestamp, VectorClock
 from .metrics import (
     PRESETS,
     FprResult,

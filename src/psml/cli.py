@@ -45,7 +45,6 @@ from .analytic import (
     uncertainty_ratio,
 )
 from .metrics import (
-    FLAG_UNDEFINED,
     PRESETS,
     config_columns,
     config_with,
@@ -54,6 +53,7 @@ from .metrics import (
     hlc_recall_curve,
     partial_fractions,
     pr_diagram,
+    row_flags,
     sweep,
 )
 from .simkernel import SimConfig, trace_records
@@ -418,10 +418,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 _Result = tuple[SimConfig, list[dict[str, Any]], list[str], dict[str, Any]]
 
 
-def _nan_flags(value: float) -> tuple[str, ...]:
-    return (FLAG_UNDEFINED,) if math.isnan(value) else ()
-
-
 def _simulate(s: _Settings, spec: None) -> _Result:
     cfg = _build_sim(s)
     eps_check = s.get("eps_check", float(cfg.epsilon_app))
@@ -479,7 +475,7 @@ def _partial(s: _Settings, spec: Mapping[str, Any]) -> _Result:
     p_values = s.get("p", spec["p"])
     replicates = s.get("replicates", spec["replicates"])
     fractions = partial_fractions(base, p_values, replicates)
-    rows = [{"p": p, "fraction": f, "flags": _nan_flags(f)} for p, f in zip(p_values, fractions)]
+    rows = [{"p": p, "fraction": f, "flags": row_flags(None, f)} for p, f in zip(p_values, fractions)]
     echo = {"replicates": replicates, "p_values": tuple(p_values)}
     return base, rows, ["p", "fraction", "flags"], echo
 
@@ -489,7 +485,7 @@ def _hlc_curve(s: _Settings, spec: Mapping[str, Any]) -> _Result:
     ell_values = s.args.ell_list or spec["ell"]
     replicates = s.get("replicates", spec["replicates"])
     rows = [
-        {"ell": ell, "recall_sim": sim, "recall_analytic": closed, "flags": _nan_flags(sim)}
+        {"ell": ell, "recall_sim": sim, "recall_analytic": closed, "flags": row_flags(None, sim)}
         for ell, sim, closed in hlc_recall_curve(base, ell_values, replicates)
     ]
     echo = {"replicates": replicates, "ell_values": tuple(ell_values)}

@@ -11,8 +11,10 @@ Counting conventions shared by every experiment here:
 * warmup: cuts whose earliest candidate starts before the warmup
   tick (default 5% of the horizon) are discarded, so estimates are
   taken from the stationary part of the run;
-* every estimate carries its sample count, and rows with fewer than
-  30 counted cuts are flagged low-confidence;
+* rows that carry a cut count (``fpr_experiment``, ``pr_experiment``
+  and simulated ``pr_diagram`` rows) are flagged low-confidence under
+  30 counted cuts; closed forms, ``partial_fractions`` and
+  ``hlc_recall_curve`` carry no count and get no such flag;
 * undefined estimates (zero denominator) are NaN plus a flag, never
   a silent zero;
 * replicated experiments derive their seeds as ``config.seed + i``,
@@ -59,6 +61,7 @@ __all__ = [
     "FLAG_NO_CUTS",
     "FLAG_LOW_CONFIDENCE",
     "FLAG_UNDEFINED",
+    "row_flags",
     "FprResult",
     "PrResult",
     "default_warmup",
@@ -200,10 +203,10 @@ class PrResult:
     flags: tuple[str, ...]
 
 
-def _flags(count: int | None, *estimates: float) -> tuple[str, ...]:
+def row_flags(count: int | None, *estimates: float) -> tuple[str, ...]:
     """A row's flags: no-cuts and low-confidence from its cut count
-    (None for a closed form, which counts no cuts), undefined when
-    any estimate is NaN."""
+    (None for a row that carries none, such as a closed form),
+    undefined when any estimate is NaN."""
     flags = []
     if count == 0:
         flags.append(FLAG_NO_CUTS)
@@ -230,7 +233,7 @@ def fpr_experiment(
     y = len(lengths)
     y_f = sum(length <= eps_check for length in lengths)
     fpr = 1.0 - y_f / y if y else float("nan")
-    return FprResult(config, eps_check, warmup, y, y_f, fpr, _flags(y, fpr), trace)
+    return FprResult(config, eps_check, warmup, y, y_f, fpr, row_flags(y, fpr), trace)
 
 
 def fpr_row(
@@ -267,7 +270,7 @@ def _pr_results(
         hits = bisect_right(lengths, min(eps_mon, eps_app))
         prec = hits / detected if detected else float("nan")
         rec = hits / true_set if true_set else float("nan")
-        flags = _flags(max(detected, true_set), prec, rec)
+        flags = row_flags(max(detected, true_set), prec, rec)
         results.append(
             PrResult(config, eps_mon, warmup, detected, true_set, hits, prec, rec, flags)
         )
@@ -384,7 +387,7 @@ def pr_diagram(
                     "eps_app": eps_app,
                     "precision": prec,
                     "recall": rec,
-                    "flags": _flags(count, prec, rec),
+                    "flags": row_flags(count, prec, rec),
                 }
             )
     return rows

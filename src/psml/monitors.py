@@ -62,7 +62,7 @@ def is_hb_consistent(cut: Sequence[PredicateInterval]) -> bool:
     """True iff all candidate stamp pairs compare as concurrent."""
     # dominated-or-equal in either direction means the pair is not
     # concurrent
-    stamps = [c.vc_start.entries for c in cut]
+    stamps = [c.vc_start for c in cut]
     return not any(
         all(x <= y for x, y in zip(a, b)) for a, b in itertools.permutations(stamps, 2)
     )
@@ -103,7 +103,7 @@ def _detect(
     heads = [q[0] for q in queues]
     procs = [c.proc for c in heads]
     ends = [c.end for c in heads]
-    stamps = [c.vc_start.entries for c in heads]
+    stamps = [c.vc_start for c in heads]
     owns = [s[p] for s, p in zip(stamps, procs)]
 
     def advance(i: int) -> bool:
@@ -113,7 +113,7 @@ def _detect(
             return False
         c = heads[i] = queues[i][pos[i]]
         ends[i] = c.end
-        s = stamps[i] = c.vc_start.entries
+        s = stamps[i] = c.vc_start
         owns[i] = s[procs[i]]
         return True
 
@@ -167,9 +167,10 @@ def detect_partialsync(
 
 def _shares_tick(cands: Sequence[PredicateInterval]) -> bool:
     """Some logical value falls in every candidate's window
-    [hlc.l, hlc.l + (end - start)]: max of lows <= min of highs."""
-    lo = max(c.hlc_start.l for c in cands)
-    hi = min(c.hlc_start.l + (c.end - c.start) for c in cands)
+    [l, l + (end - start)], l being ``hlc_start[0]``: max of lows <=
+    min of highs."""
+    lo = max(c.hlc_start[0] for c in cands)
+    hi = min(c.hlc_start[0] + (c.end - c.start) for c in cands)
     return lo <= hi
 
 

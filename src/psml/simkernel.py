@@ -49,7 +49,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .clocks import HLCTimestamp, VectorClock
+from .clocks import HLC, VC, hlc_merge, hlc_tick, vc_merge, vc_tick
 
 __all__ = [
     "PointLength",
@@ -207,9 +207,9 @@ class PredicateInterval:
     proc: int
     start: int
     end: int
-    vc_start: VectorClock
-    vc_end: VectorClock
-    hlc_start: HLCTimestamp
+    vc_start: VC
+    vc_end: VC
+    hlc_start: HLC
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,10 +220,10 @@ class MessageRecord:
     send_pt: int
     receiver: int
     receive_pt: int
-    vc_send: VectorClock
-    hlc_send: HLCTimestamp
-    vc_receive: VectorClock
-    hlc_receive: HLCTimestamp
+    vc_send: VC
+    hlc_send: HLC
+    vc_receive: VC
+    hlc_receive: HLC
 
 
 @dataclass(frozen=True, slots=True)
@@ -432,12 +432,12 @@ def generate(config: SimConfig) -> Trace:
         send_to.append([int(r) + 1 if r >= p else int(r) for r in raw])
 
     clocks = [0] * n
-    vcs = [VectorClock.zero(n, p) for p in range(n)]
-    hlcs = [HLCTimestamp.zero()] * n
+    vcs: list[VC] = [(0,) * n] * n
+    hlcs: list[HLC] = [(0, 0)] * n
     # in flight: per-receiver heap of (delivery threshold, send seq, sender,
     # send_pt, vc_send, hlc_send)
     pending: list[list[tuple]] = [[] for _ in range(n)]
-    open_iv: list[tuple[int, int, VectorClock, HLCTimestamp] | None] = [None] * n
+    open_iv: list[tuple[int, int, VC, HLC] | None] = [None] * n
     iptr = [0] * n
     sptr = [0] * n
     done: list[list[PredicateInterval]] = [[] for _ in range(n)]
@@ -453,8 +453,8 @@ def generate(config: SimConfig) -> Trace:
         inbox = pending[p]
         while inbox and inbox[0][0] <= v:
             _, mseq, sender, send_pt, vc_s, hlc_s = heapq.heappop(inbox)
-            vcs[p] = vcs[p].receive(vc_s)
-            hlcs[p] = hlcs[p].receive(hlc_s, v)
+            vcs[p] = vc_merge(vcs[p], vc_s, p)
+            hlcs[p] = hlc_merge(hlcs[p], hlc_s, v)
             delivered.append(
                 (mseq, MessageRecord(sender, send_pt, p, v, vc_s, hlc_s, vcs[p], hlcs[p]))
             )
@@ -462,15 +462,15 @@ def generate(config: SimConfig) -> Trace:
         start, end = plans[p][iptr[p]]
         if start == v:
             iptr[p] += 1
-            vcs[p] = vcs[p].local_event()
-            hlcs[p] = hlcs[p].advance(v)
+            vcs[p] = vc_tick(vcs[p], p)
+            hlcs[p] = hlc_tick(hlcs[p], v)
             open_iv[p] = (start, end, vcs[p], hlcs[p])
 
         sp = sptr[p]
         if send_ticks[p][sp] == v:
             sptr[p] = sp + 1
-            vcs[p] = vcs[p].local_event()
-            hlcs[p] = hlcs[p].advance(v)
+            vcs[p] = vc_tick(vcs[p], p)
+            hlcs[p] = hlc_tick(hlcs[p], v)
             q = send_to[p][sp]
             heapq.heappush(pending[q], (v + delta, next(seq), p, v, vcs[p], hlcs[p]))
             # a receiver already past the threshold takes the message on its
@@ -576,12 +576,8 @@ def generate(config: SimConfig) -> Trace:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_vc(vc: VectorClock) -> str:
-    return ",".join(str(e) for e in vc.entries)
-
-
-def _fmt_hlc(ts: HLCTimestamp) -> str:
-    return f"{ts.l},{ts.c}"
+def _fmt(stamp: tuple[int, ...]) -> str:
+    return ",".join(map(str, stamp))
 
 
 def trace_records(trace: Trace) -> Iterator[str]:
@@ -591,12 +587,12 @@ def trace_records(trace: Trace) -> Iterator[str]:
         for iv in ivs:
             yield (
                 f"kind=interval proc={iv.proc} start={iv.start} end={iv.end} "
-                f"vc={_fmt_vc(iv.vc_start)} hlc={_fmt_hlc(iv.hlc_start)}"
+                f"vc={_fmt(iv.vc_start)} hlc={_fmt(iv.hlc_start)}"
             )
     for m in trace.messages:
         yield (
             f"kind=message sender={m.sender} send_pt={m.send_pt} "
             f"receiver={m.receiver} receive_pt={m.receive_pt} "
-            f"vc={_fmt_vc(m.vc_send)} hlc={_fmt_hlc(m.hlc_send)}"
+            f"vc={_fmt(m.vc_send)} hlc={_fmt(m.hlc_send)}"
         )
 

@@ -22,7 +22,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from psml import simkernel
-from psml.clocks import HLCTimestamp, VectorClock
+from psml.clocks import HLC, VC, hlc_merge, hlc_tick, vc_merge, vc_tick
 from psml.simkernel import (
     HNMA,
     PMA,
@@ -60,15 +60,15 @@ class Ordering(Enum):
     EQUAL = "equal"
 
 
-def compare(a: VectorClock, b: VectorClock) -> Ordering:
+def compare(a: VC, b: VC) -> Ordering:
     """Classify stamp ``a`` against ``b`` by full componentwise
     comparison: BEFORE / AFTER for strict causal order, EQUAL for
     identical entries, CONCURRENT when each side knows something the
     other does not."""
-    if len(a.entries) != len(b.entries):
+    if len(a) != len(b):
         raise ValueError("vector clock dimension mismatch")
     le = ge = True
-    for x, y in zip(a.entries, b.entries):
+    for x, y in zip(a, b):
         if x < y:
             ge = False
         elif x > y:
@@ -154,8 +154,8 @@ def brute_quasi(
     trace: Trace, procs: Sequence[int] | None = None
 ) -> list[tuple[PredicateInterval, ...]]:
     def accept(cands: Sequence[PredicateInterval]) -> bool:
-        lo = max(c.hlc_start.l for c in cands)
-        hi = min(c.hlc_start.l + (c.end - c.start) for c in cands)
+        lo = max(c.hlc_start[0] for c in cands)
+        hi = min(c.hlc_start[0] + (c.end - c.start) for c in cands)
         return lo <= hi
 
     return brute_detect(trace_queues(trace, procs), accept)
@@ -240,14 +240,12 @@ def reference_generate(config: SimConfig) -> Trace:
     sched_rng = simkernel._stream(config.seed, simkernel._S_SCHED)
 
     clocks = [0] * n
-    vcs = [VectorClock.zero(n, p) for p in range(n)]
-    hlcs = [HLCTimestamp.zero()] * n
+    vcs: list[VC] = [(0,) * n] * n
+    hlcs: list[HLC] = [(0, 0)] * n
     # in flight: per-receiver heap of (delivery threshold, send seq, sender,
     # send_pt, vc_send, hlc_send)
-    pending: list[list[tuple[int, int, int, int, VectorClock, HLCTimestamp]]] = [
-        [] for _ in range(n)
-    ]
-    open_iv: list[tuple[int, int, VectorClock, HLCTimestamp] | None] = [None] * n
+    pending: list[list[tuple[int, int, int, int, VC, HLC]]] = [[] for _ in range(n)]
+    open_iv: list[tuple[int, int, VC, HLC] | None] = [None] * n
     iptr = [0] * n
     sptr = [0] * n
     done: list[list[PredicateInterval]] = [[] for _ in range(n)]
@@ -265,8 +263,8 @@ def reference_generate(config: SimConfig) -> Trace:
             inbox = pending[p]
             while inbox and inbox[0][0] <= v:
                 _, mseq, sender, send_pt, vc_s, hlc_s = heapq.heappop(inbox)
-                vcs[p] = vcs[p].receive(vc_s)
-                hlcs[p] = hlcs[p].receive(hlc_s, v)
+                vcs[p] = vc_merge(vcs[p], vc_s, p)
+                hlcs[p] = hlc_merge(hlcs[p], hlc_s, v)
                 delivered.append(
                     (mseq, MessageRecord(sender, send_pt, p, v, vc_s, hlc_s, vcs[p], hlcs[p]))
                 )
@@ -275,15 +273,15 @@ def reference_generate(config: SimConfig) -> Trace:
             k = iptr[p]
             if k < len(plan) and plan[k][0] == v:
                 iptr[p] = k + 1
-                vcs[p] = vcs[p].local_event()
-                hlcs[p] = hlcs[p].advance(v)
+                vcs[p] = vc_tick(vcs[p], p)
+                hlcs[p] = hlc_tick(hlcs[p], v)
                 open_iv[p] = (plan[k][0], plan[k][1], vcs[p], hlcs[p])
 
             sp = sptr[p]
             if sp < len(send_ticks[p]) and send_ticks[p][sp] == v:
                 sptr[p] = sp + 1
-                vcs[p] = vcs[p].local_event()
-                hlcs[p] = hlcs[p].advance(v)
+                vcs[p] = vc_tick(vcs[p], p)
+                hlcs[p] = hlc_tick(hlcs[p], v)
                 heapq.heappush(pending[send_to[p][sp]], (v + delta, seq, p, v, vcs[p], hlcs[p]))
                 seq += 1
 
@@ -373,14 +371,14 @@ class TinyExecution:
     def __init__(self, n: int, steps: int, seed: int):
         rng = np.random.default_rng(seed)
         self.n = n
-        self.vcs: list[VectorClock] = []
-        self.hlcs: list[HLCTimestamp] = []
+        self.vcs: list[VC] = []
+        self.hlcs: list[HLC] = []
         self.pts: list[int] = []
         self.procs: list[int] = []
         edges: list[tuple[int, int]] = []
 
-        cur_vc = [VectorClock.zero(n, p) for p in range(n)]
-        cur_hlc = [HLCTimestamp.zero() for _ in range(n)]
+        cur_vc: list[VC] = [(0,) * n] * n
+        cur_hlc: list[HLC] = [(0, 0)] * n
         clock = [0] * n
         last_event: list[int | None] = [None] * n
         unread: list[tuple[int, int]] = []  # (event id, sender)
@@ -393,12 +391,12 @@ class TinyExecution:
             if kind < 0.4 and readable:
                 e_src, _ = readable[int(rng.integers(0, len(readable)))]
                 unread.remove((e_src, self.procs[e_src]))
-                cur_vc[p] = cur_vc[p].receive(self.vcs[e_src])
-                cur_hlc[p] = cur_hlc[p].receive(self.hlcs[e_src], clock[p])
+                cur_vc[p] = vc_merge(cur_vc[p], self.vcs[e_src], p)
+                cur_hlc[p] = hlc_merge(cur_hlc[p], self.hlcs[e_src], clock[p])
                 extra = [e_src]
             else:
-                cur_vc[p] = cur_vc[p].local_event()
-                cur_hlc[p] = cur_hlc[p].advance(clock[p])
+                cur_vc[p] = vc_tick(cur_vc[p], p)
+                cur_hlc[p] = hlc_tick(cur_hlc[p], clock[p])
                 extra = []
             eid = len(self.vcs)
             self.vcs.append(cur_vc[p])

@@ -5,7 +5,6 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psml.clocks import HLCTimestamp, VectorClock
 from psml.metrics import default_warmup, fpr_experiment, pr_experiment
 from psml.monitors import (
     candidate_queues,
@@ -30,8 +29,8 @@ from helpers import (
 
 
 def _cand(proc, start, end, entries):
-    vc = VectorClock(tuple(entries), proc)
-    return PredicateInterval(proc, start, end, vc, vc, HLCTimestamp(start, 0))
+    vc = tuple(entries)
+    return PredicateInterval(proc, start, end, vc, vc, (start, 0))
 
 
 # ---------------------------------------------------------------------------

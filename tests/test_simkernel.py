@@ -1,6 +1,7 @@
 """Trace generator: determinism, synchrony invariants, and the
 schedule-independence of predicate placement."""
 
+import hashlib
 import itertools
 import sys
 
@@ -396,9 +397,7 @@ def test_messages_respect_delivery_rule():
         assert m.sender != m.receiver
         assert m.receive_pt >= m.send_pt + BASE.delta
         # the receive stamp knows the send stamp
-        assert all(
-            r >= s for r, s in zip(m.vc_receive.entries, m.vc_send.entries)
-        )
+        assert all(r >= s for r, s in zip(m.vc_receive, m.vc_send))
         assert m.hlc_receive > m.hlc_send
 
 
@@ -413,13 +412,11 @@ def test_interval_stamps_are_causal_events():
         for prev, cur in zip(plan, plan[1:]):
             assert prev.end < cur.start
             # later interval's start stamp dominates the earlier one's
-            assert cur.vc_start.entries[cur.proc] > prev.vc_start.entries[prev.proc]
+            assert cur.vc_start[cur.proc] > prev.vc_start[prev.proc]
         for iv in plan:
             assert iv.start <= iv.end
             # end snapshot incorporates everything the start knew
-            assert all(
-                e >= s for e, s in zip(iv.vc_end.entries, iv.vc_start.entries)
-            )
+            assert all(e >= s for e, s in zip(iv.vc_end, iv.vc_start))
 
 
 def test_placement_ignores_traffic_and_scheduling():
@@ -460,3 +457,43 @@ def test_write_trace_round_trip_fields():
         assert fields["kind"] in ("interval", "message")
         if fields["kind"] == "interval":
             assert int(fields["end"]) >= int(fields["start"])
+
+
+# sha256 of the trace_records export, and of every record's fields with
+# stamps as tuples (the export leaves out vc_end and the receive stamps);
+# both taken from the generator before its stamps became tuples
+_PINNED_TRACES = [
+    (
+        SimConfig(n=5, epsilon_app=10, delta=5, alpha=0.2, beta=0.05, horizon=2000,
+                  correlation=PMAJ(), seed=3),
+        "710c6eef5ef04c6a1f85dca1ca4f8c1ab0ac2adfa5d02cdd5c6f16feb6a03d1d",
+        "8e7c6feac51d47ce4999ae94aed04d6c79d2fd4c9d70ffd72ff092ec83b71549",
+    ),
+    (
+        SimConfig(n=4, epsilon_app=3, delta=0, alpha=0.3, beta=0.05, horizon=1500, seed=7),
+        "a0257871079285aca33b376b7d6ad473ad020371ffa6cc1b4aaeccdd0ec58f92",
+        "a7a8a527c851dc81d46f77bc7e948aa362b92ea249f60dc90b5ffd6a1aaa5ee9",
+    ),
+    (
+        SimConfig(n=3, epsilon_app=8, delta=4, alpha=0.1, beta=0.02,
+                  interval=GeometricLength(0.2), horizon=3000, seed=11),
+        "23668487f6b4b8ce944c62e9d2c8974ad74c5c4c517a24511e71b3f1a7f9a79f",
+        "a822c3d71d3f3483206cf40aa870aa309bc671fee0040aaa2f1bc90abb0839af",
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg, records_sha, stamps_sha", _PINNED_TRACES, ids=["pmaj", "delta0", "geom"])
+def test_trace_bytes_are_pinned(cfg, records_sha, stamps_sha):
+    trace = generate(cfg)
+    text = "".join(line + "\n" for line in trace_records(trace))
+    assert hashlib.sha256(text.encode()).hexdigest() == records_sha
+    fields = [
+        (iv.proc, iv.start, iv.end, iv.vc_start, iv.vc_end, iv.hlc_start)
+        for ivs in trace.intervals
+        for iv in ivs
+    ] + [
+        (m.sender, m.send_pt, m.receiver, m.receive_pt, m.vc_send, m.hlc_send, m.vc_receive, m.hlc_receive)
+        for m in trace.messages
+    ]
+    assert hashlib.sha256(repr(fields).encode()).hexdigest() == stamps_sha
