@@ -28,7 +28,6 @@ from .cli import main as cli_main, render_csv
 from .metrics import (
     PRESETS,
     FprResult,
-    PrResult,
     clustered_ztest,
     config_with,
     default_warmup,
@@ -38,7 +37,6 @@ from .metrics import (
     partial_fractions,
     partial_predicate_experiment,
     pr_diagram,
-    pr_experiment,
     sweep,
 )
 from .monitors import (
@@ -57,7 +55,6 @@ from .simkernel import (
     GeometricLength,
     Independent,
     MessageRecord,
-    PointLength,
     PredicateInterval,
     SimConfig,
     Trace,

@@ -8,13 +8,16 @@ synchronous monitor, and their sweeps over parameter grids.
 
 Counting conventions shared by every experiment here:
 
-* warmup: cuts whose earliest candidate starts before the warmup
-  tick (default 5% of the horizon) are discarded, so estimates are
-  taken from the stationary part of the run;
-* rows that carry a cut count (``fpr_experiment``, ``pr_experiment``
-  and simulated ``pr_diagram`` rows) are flagged low-confidence under
-  30 counted cuts; closed forms, ``partial_fractions`` and
-  ``hlc_recall_curve`` carry no count and get no such flag;
+* warmup: ``fpr_experiment`` (so also ``fpr_row`` and ``sweep``) and
+  simulated ``pr_diagram`` discard cuts whose earliest candidate
+  starts before the warmup tick (default 5% of the horizon), so their
+  estimates are taken from the stationary part of the run;
+  ``partial_fractions`` and ``hlc_recall_curve`` count every cut, and
+  their commands take no ``--warmup``;
+* rows that carry a cut count (``fpr_experiment`` and simulated
+  ``pr_diagram`` rows) are flagged low-confidence under 30 counted
+  cuts; closed forms, ``partial_fractions`` and ``hlc_recall_curve``
+  carry no count and get no such flag;
 * undefined estimates (zero denominator) are NaN plus a flag, never
   a silent zero;
 * replicated experiments derive their seeds as ``config.seed + i``,
@@ -50,7 +53,6 @@ from .simkernel import (
     FixedLength,
     GeometricLength,
     IntervalSpec,
-    PointLength,
     PredicateInterval,
     SimConfig,
     Trace,
@@ -63,14 +65,12 @@ __all__ = [
     "FLAG_UNDEFINED",
     "row_flags",
     "FprResult",
-    "PrResult",
     "default_warmup",
     "config_with",
     "interval_params",
     "config_columns",
     "fpr_experiment",
     "fpr_row",
-    "pr_experiment",
     "sweep",
     "pr_diagram",
     "partial_fractions",
@@ -116,10 +116,9 @@ def config_with(base: SimConfig, **overrides: Any) -> SimConfig:
         raise ValueError("give either ell or geom_p, not both")
     if "ell" in overrides:
         ell = overrides.pop("ell")
-        if ell != int(ell) or ell < 1:
+        if not math.isfinite(ell) or ell != int(ell) or ell < 1:
             raise ValueError("ell must be a positive integer")
-        ell = int(ell)
-        overrides["interval"] = PointLength() if ell == 1 else FixedLength(ell)
+        overrides["interval"] = FixedLength(int(ell))
     elif "geom_p" in overrides:
         overrides["interval"] = GeometricLength(overrides.pop("geom_p"))
     cfg = dataclasses.replace(base, **overrides)
@@ -132,9 +131,7 @@ def interval_params(spec: IntervalSpec) -> tuple[int | None, float | None]:
     of :func:`config_with`'s mapping; exactly one of the pair is None."""
     if isinstance(spec, GeometricLength):
         return None, spec.p
-    if isinstance(spec, FixedLength):
-        return spec.length, None
-    return 1, None
+    return spec.length, None
 
 
 def config_columns(cfg: SimConfig) -> dict[str, Any]:
@@ -186,23 +183,6 @@ class FprResult:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class PrResult:
-    """Partially-synchronous-monitor counts for one trace: cuts the
-    monitor reports at ``eps_mon``, the eps_app-consistent ground
-    truth, and their intersection."""
-
-    config: SimConfig
-    eps_mon: float
-    warmup: int
-    detected: int
-    true_set: int
-    hits: int
-    precision_est: float
-    recall_est: float
-    flags: tuple[str, ...]
-
-
 def row_flags(count: int | None, *estimates: float) -> tuple[str, ...]:
     """A row's flags: no-cuts and low-confidence from its cut count
     (None for a row that carries none, such as a closed form),
@@ -245,12 +225,14 @@ def fpr_row(
     return fpr_experiment(config, check, warmup)
 
 
-def _pr_results(
+def _pr_counts(
     config: SimConfig, eps_mon_values: Sequence[float], warmup: int | None
-) -> list[PrResult]:
-    """Precision/recall counts of the partially synchronous monitor at
-    every window in ``eps_mon_values``, from one trace and one
-    enumeration.
+) -> list[tuple[int, int, int]]:
+    """Partially-synchronous-monitor counts at every window in
+    ``eps_mon_values``, from one trace and one enumeration: per window,
+    ``(detected, true_set, hits)``, the cuts the monitor reports at
+    ``eps_mon``, the eps_app-consistent ground truth and their
+    intersection.
 
     The enumeration runs at the widest of the windows and eps_app.  The
     engine's trajectory does not depend on the window, so that run
@@ -264,25 +246,10 @@ def _pr_results(
     cuts = detect_partialsync(generate(config), max([*eps_mon_values, eps_app]))
     lengths = sorted(cut_length(cut) for cut in cuts if _past_warmup(cut, warmup))
     true_set = bisect_right(lengths, eps_app)
-    results = []
-    for eps_mon in eps_mon_values:
-        detected = bisect_right(lengths, eps_mon)
-        hits = bisect_right(lengths, min(eps_mon, eps_app))
-        prec = hits / detected if detected else float("nan")
-        rec = hits / true_set if true_set else float("nan")
-        flags = row_flags(max(detected, true_set), prec, rec)
-        results.append(
-            PrResult(config, eps_mon, warmup, detected, true_set, hits, prec, rec, flags)
-        )
-    return results
-
-
-def pr_experiment(
-    config: SimConfig, eps_mon: float, warmup: int | None = None
-) -> PrResult:
-    """Precision/recall counts of the partially synchronous monitor at
-    one window ``eps_mon`` (see :func:`_pr_results`)."""
-    return _pr_results(config, [eps_mon], warmup)[0]
+    return [
+        (bisect_right(lengths, eps_mon), true_set, bisect_right(lengths, min(eps_mon, eps_app)))
+        for eps_mon in eps_mon_values
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +321,11 @@ def pr_diagram(
 ) -> list[dict[str, Any]]:
     """Precision/recall over an (eps_mon, eps_app) grid.
 
-    ``analytic`` evaluates the closed forms; ``simulated`` averages
-    ``pr_experiment`` estimates over ``replicates`` seeded runs per
-    cell, each run's trace generated and enumerated once for every
-    eps_mon.  Rows come out in eps_app-major order.
+    ``analytic`` evaluates the closed forms; ``simulated`` averages the
+    per-run estimates ``hits / detected`` and ``hits / true_set`` over
+    ``replicates`` seeded runs per cell, NaN runs left out, each run's
+    trace generated and enumerated once for every eps_mon (see
+    :func:`_pr_counts`).  Rows come out in eps_app-major order.
     """
     if mode not in ("analytic", "simulated"):
         raise ValueError("mode must be 'analytic' or 'simulated'")
@@ -370,17 +338,17 @@ def pr_diagram(
     rows = []
     for eps_app, reps in zip(eps_apps, grid):
         if mode == "simulated":
-            runs = [_pr_results(rep, eps_mon_values, warmup) for rep in reps]
+            runs = [_pr_counts(rep, eps_mon_values, warmup) for rep in reps]
         for j, eps_mon in enumerate(eps_mon_values):
             if mode == "analytic":
                 prec = precision(eps_mon, eps_app, base.n, base.beta, ell)
                 rec = recall(eps_mon, eps_app, base.n, base.beta, ell)
                 count = None
             else:
-                results = [run[j] for run in runs]
-                prec = _mean_defined([r.precision_est for r in results])
-                rec = _mean_defined([r.recall_est for r in results])
-                count = sum(max(r.detected, r.true_set) for r in results)
+                counts = [run[j] for run in runs]
+                prec = _mean_defined([h / d if d else float("nan") for d, _, h in counts])
+                rec = _mean_defined([h / t if t else float("nan") for _, t, h in counts])
+                count = sum(max(d, t) for d, t, _ in counts)
             rows.append(
                 {
                     "eps_mon": eps_mon,

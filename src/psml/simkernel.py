@@ -52,7 +52,6 @@ import numpy as np
 from .clocks import HLC, VC, hlc_merge, hlc_tick, vc_merge, vc_tick
 
 __all__ = [
-    "PointLength",
     "GeometricLength",
     "FixedLength",
     "Independent",
@@ -76,11 +75,6 @@ __all__ = [
 
 
 @dataclass(frozen=True, slots=True)
-class PointLength:
-    """Point predicates: every true interval lasts a single tick."""
-
-
-@dataclass(frozen=True, slots=True)
 class GeometricLength:
     """Lengths drawn geometrically: P(k) = (1-p)**(k-1) * p for k >= 1."""
 
@@ -89,12 +83,13 @@ class GeometricLength:
 
 @dataclass(frozen=True, slots=True)
 class FixedLength:
-    """Every interval lasts exactly ``length`` ticks."""
+    """Every interval lasts exactly ``length`` ticks; ``FixedLength(1)``
+    gives point predicates."""
 
     length: int
 
 
-IntervalSpec = PointLength | GeometricLength | FixedLength
+IntervalSpec = GeometricLength | FixedLength
 
 
 @dataclass(frozen=True, slots=True)
@@ -148,7 +143,7 @@ class SimConfig:
     delta: int = 100
     alpha: float = 0.01
     beta: float = 0.01
-    interval: IntervalSpec = PointLength()
+    interval: IntervalSpec = FixedLength(1)
     horizon: int = 100_000
     correlation: CorrelationSpec = Independent()
     seed: int = 0
@@ -178,7 +173,7 @@ class SimConfig:
         elif isinstance(iv, FixedLength):
             if iv.length < 1:
                 raise ValueError("fixed interval length must be at least 1")
-        elif not isinstance(iv, PointLength):
+        else:
             raise ValueError(f"unknown interval spec: {iv!r}")
         corr = self.correlation
         if isinstance(corr, PMA):
@@ -257,17 +252,8 @@ def _stream(seed: int, purpose: int, proc: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(purpose, proc)))
 
 
-def _truth_coins(config: SimConfig, proc: int) -> np.ndarray:
-    """Independent per-tick truth coins for one process (index = clock value)."""
-    coins = _stream(config.seed, _S_PRED, proc).random(config.horizon + 1) < config.beta
-    coins[0] = False
-    return coins
-
-
 def _length_iter(config: SimConfig, proc: int) -> Iterator[int]:
     iv = config.interval
-    if isinstance(iv, PointLength):
-        return itertools.repeat(1)
     if isinstance(iv, FixedLength):
         return itertools.repeat(iv.length)
     rng = _stream(config.seed, _S_LEN, proc)
@@ -304,61 +290,54 @@ def truthify(decisions: np.ndarray, lengths: Iterator[int], horizon: int) -> lis
     return out
 
 
-def _coverage(intervals: list[tuple[int, int]], horizon: int) -> np.ndarray:
-    cov = np.zeros(horizon + 1, dtype=bool)
-    for a, b in intervals:
-        cov[a : b + 1] = True
-    return cov
-
-
 def predicate_intervals(config: SimConfig) -> list[list[tuple[int, int]]]:
     """Interval placement for every process, independent of scheduling.
 
-    Follower processes consult the predicate COVERAGE of their
-    reference group (an interval keeps a predicate true past its
-    opening tick), with strict majority/minority and ties read as
-    false.
+    Processes settle in index order, each from its own truth coins.  The
+    first ``lead`` keep them; at each tick a later process (a follower)
+    takes, with probability ``p_dep``, the strict majority (under HNMA
+    the strict minority) of the predicate COVERAGE of the first
+    ``min(p, group)`` processes instead, ties read as false.  Coverage
+    counts ticks inside an interval, not only its opening tick.
+
+    ===========  ========  ===================  =========
+    model        lead      group                p_dep
+    ===========  ========  ===================  =========
+    Independent  n         none                 -
+    PMA          group1    the first group1     ``p_dep``
+    HNMA         n // 2    the first n // 2     0.5
+    PMAJ         1         every earlier one    0.5
+    ===========  ========  ===================  =========
     """
     config.validate()
-    n, horizon = config.n, config.horizon
-    base = [_truth_coins(config, p) for p in range(n)]
-    corr = config.correlation
-
-    intervals: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    cov_sum = np.zeros(horizon + 1, dtype=np.int32)
-
-    def settle(p: int, dec: np.ndarray) -> None:
-        intervals[p] = truthify(dec, _length_iter(config, p), horizon)
-
-    def settle_follower(p: int, followed: np.ndarray, p_dep: float) -> None:
-        dep = _stream(config.seed, _S_DEP, p).random(horizon + 1) < p_dep
-        dep[0] = False
-        settle(p, np.where(dep, followed, base[p]))
-
-    if isinstance(corr, Independent):
-        for p in range(n):
-            settle(p, base[p])
-    elif isinstance(corr, (PMA, HNMA)):
-        g1 = corr.group1 if isinstance(corr, PMA) else n // 2
-        p_dep = corr.p_dep if isinstance(corr, PMA) else 0.5
-        for p in range(g1):
-            settle(p, base[p])
-            cov_sum += _coverage(intervals[p], horizon)
-        if isinstance(corr, PMA):
-            followed = 2 * cov_sum > g1  # strict majority, ties false
-        else:
-            followed = 2 * cov_sum < g1  # strict minority, ties false
-        for p in range(g1, n):
-            settle_follower(p, followed, p_dep)
-    elif isinstance(corr, PMAJ):
-        settle(0, base[0])
-        cov_sum += _coverage(intervals[0], horizon)
-        for p in range(1, n):
-            settle_follower(p, 2 * cov_sum > p, 0.5)
-            cov_sum += _coverage(intervals[p], horizon)
-    else:  # pragma: no cover - validate() rejects this earlier
-        raise ValueError(f"unknown correlation spec: {corr!r}")
-
+    n, horizon, seed = config.n, config.horizon, config.seed
+    match config.correlation:
+        case PMA(group1=lead, p_dep=p_dep):
+            group = lead
+        case HNMA():
+            lead = group = n // 2
+            p_dep = 0.5
+        case PMAJ():
+            lead, group, p_dep = 1, n - 1, 0.5
+        case _:  # Independent; validate() rejects every other spec
+            lead, group, p_dep = n, 0, 0.0
+    minority = isinstance(config.correlation, HNMA)
+    cov_sum = np.zeros(horizon + 1, dtype=np.int32)  # over the group settled so far
+    intervals = []
+    for p in range(n):
+        # a decision at tick 0 is never read: truthify starts at tick 1
+        dec = _stream(seed, _S_PRED, p).random(horizon + 1) < config.beta
+        if p >= lead:
+            size = min(p, group)
+            followed = 2 * cov_sum < size if minority else 2 * cov_sum > size
+            dec = np.where(_stream(seed, _S_DEP, p).random(horizon + 1) < p_dep, followed, dec)
+        intervals.append(truthify(dec, _length_iter(config, p), horizon))
+        if p < group:  # the intervals are disjoint: +1 at each start, -1 past each end
+            spans = np.array(intervals[p], dtype=np.int64).reshape(-1, 2)
+            edges = np.zeros(horizon + 2, dtype=np.int32)
+            edges[spans[:, 0]] += 1
+            edges[spans[:, 1] + 1] -= 1
+            cov_sum += edges[:-1].cumsum(dtype=np.int32)
     return intervals
 
 

@@ -31,7 +31,6 @@ from psml.simkernel import (
     GeometricLength,
     Independent,
     MessageRecord,
-    PointLength,
     PredicateInterval,
     SimConfig,
     Trace,
@@ -318,7 +317,7 @@ EDGE_CONFIGS = st.builds(
     alpha=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
     beta=st.sampled_from([0.05, 0.3, 1.0]),
     interval=st.one_of(
-        st.just(PointLength()),
+        st.just(FixedLength(1)),
         st.builds(FixedLength, st.integers(1, 6)),
         st.builds(GeometricLength, st.sampled_from([0.2, 0.6, 1.0])),
     ),
@@ -338,7 +337,7 @@ def random_small_config(index: int) -> SimConfig:
     """A deterministic pseudo-random small-trace configuration."""
     rng = np.random.default_rng(10_000 + index)
     interval_choices = [
-        PointLength(),
+        FixedLength(1),
         FixedLength(int(rng.integers(2, 6))),
         GeometricLength(float(rng.uniform(0.25, 0.8))),
     ]

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from psml.metrics import (
+    _pr_counts,
     FLAG_LOW_CONFIDENCE,
     FLAG_NO_CUTS,
     FLAG_UNDEFINED,
@@ -19,7 +20,6 @@ from psml.metrics import (
     partial_fractions,
     partial_predicate_experiment,
     pr_diagram,
-    pr_experiment,
     sweep,
 )
 from psml.analytic import hlc_recall, precision, recall
@@ -31,7 +31,7 @@ from psml.monitors import (
     detect_quasi,
     is_eps_consistent,
 )
-from psml.simkernel import FixedLength, GeometricLength, PointLength, SimConfig, generate
+from psml.simkernel import FixedLength, GeometricLength, SimConfig, generate
 
 
 CFG = SimConfig(n=3, epsilon_app=5, delta=10, alpha=0.05, beta=0.15, horizon=600, seed=31)
@@ -43,13 +43,17 @@ CFG = SimConfig(n=3, epsilon_app=5, delta=10, alpha=0.05, beta=0.15, horizon=600
 
 
 def test_config_with_shorthands():
-    assert config_with(CFG, ell=1).interval == PointLength()
+    assert config_with(CFG, ell=1).interval == FixedLength(1)
+    assert config_with(CFG, ell=2.0).interval == FixedLength(2)
     assert config_with(CFG, ell=6).interval == FixedLength(6)
     assert config_with(CFG, geom_p=0.3).interval == GeometricLength(0.3)
     assert config_with(CFG, seed=9).seed == 9
     assert config_with(CFG).beta == CFG.beta
     with pytest.raises(ValueError):
         config_with(CFG, ell=3, geom_p=0.5)
+    for ell in (0, 2.5, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="ell must be a positive integer"):
+            config_with(CFG, ell=ell)
     with pytest.raises(TypeError):
         config_with(CFG, bogus=1)
 
@@ -99,8 +103,11 @@ def test_fpr_experiment_rejects_bad_window():
 
 
 def test_pr_experiment_matches_two_direct_runs():
+    """One trace's counts (``_pr_counts``) against two direct runs, and
+    the one-replicate ``pr_diagram`` cell against their ratios."""
     eps_mon = 9
-    res = pr_experiment(CFG, eps_mon)
+    detected, true_set, hits_n = _pr_counts(CFG, [eps_mon], None)[0]
+    (row,) = pr_diagram(CFG, [eps_mon], [CFG.epsilon_app], mode="simulated", replicates=1)
     warm = default_warmup(CFG)
     trace = generate(CFG)
 
@@ -110,18 +117,19 @@ def test_pr_experiment_matches_two_direct_runs():
     got = [c for c in detect_partialsync(trace, eps_mon) if past(c)]
     real = [c for c in detect_partialsync(trace, CFG.epsilon_app) if past(c)]
     hits = [c for c in got if cut_length(c) <= CFG.epsilon_app]
-    assert res.detected == len(got)
-    assert res.true_set == len(real)
-    assert res.hits == len(hits)
-    assert res.precision_est == pytest.approx(len(hits) / len(got))
-    assert res.recall_est == pytest.approx(len(hits) / len(real))
+    assert detected == len(got)
+    assert true_set == len(real)
+    assert hits_n == len(hits)
+    assert row["precision"] == pytest.approx(len(hits) / len(got))
+    assert row["recall"] == pytest.approx(len(hits) / len(real))
 
 
 def test_pr_experiment_symmetric_window_is_exact():
-    res = pr_experiment(CFG, CFG.epsilon_app)
-    assert res.precision_est == 1.0
-    assert res.recall_est == 1.0
-    assert res.detected == res.true_set == res.hits
+    (row,) = pr_diagram(CFG, [CFG.epsilon_app], [CFG.epsilon_app], mode="simulated", replicates=1)
+    assert row["precision"] == 1.0
+    assert row["recall"] == 1.0
+    detected, true_set, hits = _pr_counts(CFG, [CFG.epsilon_app], None)[0]
+    assert detected == true_set == hits
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +256,14 @@ def test_pr_diagram_equals_independent_pr_experiments(overrides, warmup):
     for eps_app in eps_apps:
         for eps_mon in eps_mons:
             results = [
-                pr_experiment(config_with(base, seed=base.seed + i, epsilon_app=eps_app), eps_mon, warmup)
+                _pr_counts(config_with(base, seed=base.seed + i, epsilon_app=eps_app), [eps_mon], warmup)[0]
                 for i in range(reps)
             ]
-            precs = [r.precision_est for r in results if not math.isnan(r.precision_est)]
-            recs = [r.recall_est for r in results if not math.isnan(r.recall_est)]
+            precs = [hits / detected for detected, _, hits in results if detected]
+            recs = [hits / true_set for _, true_set, hits in results if true_set]
             prec = sum(precs) / len(precs) if precs else float("nan")
             rec = sum(recs) / len(recs) if recs else float("nan")
-            ys = sum(max(r.detected, r.true_set) for r in results)
+            ys = sum(max(detected, true_set) for detected, true_set, _ in results)
             flags = [FLAG_NO_CUTS] if ys == 0 else []
             flags += [FLAG_LOW_CONFIDENCE] if ys < 30 else []
             flags += [FLAG_UNDEFINED] if math.isnan(prec) or math.isnan(rec) else []

@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psml.metrics import default_warmup, fpr_experiment, pr_experiment
+from psml.metrics import _pr_counts, default_warmup, fpr_experiment
 from psml.monitors import (
     candidate_queues,
     cut_length,
@@ -211,9 +211,9 @@ def test_monitors_and_counts_match_references_on_edge_configs(cfg, eps_mon, data
     assert res.y_f == sum(is_eps_consistent(c, cfg.epsilon_app) for c in counted)
 
     # precision/recall counts against two reference runs classified by length
-    pr = pr_experiment(cfg, eps_mon)
+    detected, true_set, hits = _pr_counts(cfg, [eps_mon], None)[0]
     got = past(brute_partialsync(trace, eps_mon))
     real = past(brute_partialsync(trace, cfg.epsilon_app))
-    assert pr.detected == len(got)
-    assert pr.true_set == len(real)
-    assert pr.hits == sum(cut_length(c) <= cfg.epsilon_app for c in got)
+    assert detected == len(got)
+    assert true_set == len(real)
+    assert hits == sum(cut_length(c) <= cfg.epsilon_app for c in got)

@@ -17,7 +17,6 @@ from psml.simkernel import (
     FixedLength,
     GeometricLength,
     Independent,
-    PointLength,
     SimConfig,
     generate,
     predicate_intervals,
@@ -51,6 +50,8 @@ BASE = SimConfig(n=4, epsilon_app=5, delta=8, alpha=0.1, beta=0.1, horizon=300, 
         {"interval": GeometricLength(0.0)},
         {"correlation": PMA(group1=4)},
         {"correlation": PMA(group1=2, p_dep=1.2)},
+        {"interval": "point"},
+        {"correlation": "pma"},
     ],
 )
 def test_validate_rejects(kwargs):
@@ -89,7 +90,7 @@ def test_truthify_back_to_back_intervals_stay_disjoint():
 def _point_decisions(cfg: SimConfig) -> np.ndarray:
     """Per-tick truth decisions, read off the interval starts: under
     point lengths every decision opens its own interval."""
-    assert cfg.interval == PointLength()
+    assert cfg.interval == FixedLength(1)
     dec = np.zeros((cfg.n, cfg.horizon + 1), dtype=bool)
     for p, plan in enumerate(predicate_intervals(cfg)):
         dec[p, [a for a, _ in plan]] = True
@@ -480,10 +481,22 @@ _PINNED_TRACES = [
         "23668487f6b4b8ce944c62e9d2c8974ad74c5c4c517a24511e71b3f1a7f9a79f",
         "a822c3d71d3f3483206cf40aa870aa309bc671fee0040aaa2f1bc90abb0839af",
     ),
+    (
+        SimConfig(n=5, epsilon_app=6, delta=3, alpha=0.2, beta=0.08, interval=FixedLength(3),
+                  horizon=2000, correlation=PMA(2, 0.7), seed=5),
+        "dd4e03d556e2a65714290ac5d2b12505abd2cac3778da33df5b7112d5bce9813",
+        "688520311ab344d5e25673c20e0bb27c5ee9e871c7ed182c0a12cc2e441ba851",
+    ),
+    (
+        SimConfig(n=6, epsilon_app=5, delta=2, alpha=0.15, beta=0.1, horizon=2000,
+                  correlation=HNMA(), seed=9),
+        "e538e4070996757271c045c4cc3b70e1be74699ca55e5913283d0de13bf79a2f",
+        "3e95a71f178a84e77cb1bd9be851f52a36c66d3d8161aa92d2b731478a20d05f",
+    ),
 ]
 
 
-@pytest.mark.parametrize("cfg, records_sha, stamps_sha", _PINNED_TRACES, ids=["pmaj", "delta0", "geom"])
+@pytest.mark.parametrize("cfg, records_sha, stamps_sha", _PINNED_TRACES, ids=["pmaj", "delta0", "geom", "pma", "hnma"])
 def test_trace_bytes_are_pinned(cfg, records_sha, stamps_sha):
     trace = generate(cfg)
     text = "".join(line + "\n" for line in trace_records(trace))
