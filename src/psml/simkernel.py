@@ -27,11 +27,21 @@ the process's vector clock after its final tick (ends are not events).
 Work is paid per event, not per advance: an advance below the
 process's watch tick (its next clock value with causal work) only
 moves the clock, and the scheduler coins come in blocks of steps, one
-``(steps, n)`` draw giving the same values as one draw per step.  For
-small ``n`` a step is one lookup: events never change a clock, so until
-the minimum clock comes within ``epsilon_app`` of the horizon a step
-depends only on the clocks' offsets from the minimum and the coin row,
-and a table over (offsets, row) memoises it.
+``(steps, n)`` draw giving the same values as one draw per step.
+Events never change a clock, so the schedule runs on one of three
+paths, each giving the same steps:
+
+* the offset table, for small ``n``: until the minimum clock comes
+  within ``epsilon_app`` of the horizon a step depends only on the
+  clocks' offsets from the minimum and the coin row, and a table over
+  (offsets, row) memoises it;
+* the reflection kernel, for large ``n`` and a wide drift cap: a coin
+  block is solved at once in numpy, each clock row a cumulative sum of
+  its coins held below the cap, and Python runs only at the advances
+  that reach a watch tick;
+* the per-process step loop, for the rest: lockstep, the horizon tail
+  after the table, and the schedules in which the kernel would stop at
+  many forced steps.
 
 Randomness is split into independent per-process streams keyed by
 purpose, and every decision is indexed by clock value rather than by
@@ -44,6 +54,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -345,7 +356,8 @@ def predicate_intervals(config: SimConfig) -> list[list[tuple[int, int]]]:
 # generation
 # ---------------------------------------------------------------------------
 
-# scheduler steps per coin draw; a (B, n) draw equals B successive draws of n
+# scheduler steps per coin draw; a (B, n) draw equals B successive draws of n.
+# The reflection kernel solves one block of steps at a time.
 _SCHED_BLOCK = 512
 # largest offset table, in (state, coin row) entries, that generate builds
 _TABLE_ENTRIES = 1 << 17
@@ -371,6 +383,80 @@ def _transition(offsets: tuple[int, ...], row: int, eps: int) -> tuple[tuple[int
     return tuple(o - rise for o in after), rise, moved
 
 
+# the reflection kernel restarts its block at every forced step and needs
+# more passes to settle its caps the more often they bind, so it runs where
+# forced steps are rare and the cap is far from the minimum.  Measured on
+# the schedule alone at n in {10, 20, 50} (2 CPUs, Python 3.11, numpy 2.4),
+# it overtakes the step loop between eps 6 and 8 (1.8-2.8x faster at eps 10,
+# 0.06-0.12x at eps 2), and near 4 expected forced steps per block.
+_REFLECT_MIN_EPS = 10
+
+
+def _reflects(n: int, eps: int, advance_prob: float) -> bool:
+    """Whether ``generate`` runs the reflection kernel for a schedule that
+    the offset table does not cover."""
+    return eps >= _REFLECT_MIN_EPS and (1 - advance_prob) ** n * _SCHED_BLOCK < 1
+
+
+def _reflected_schedule(
+    clocks: list[int], eps: int, horizon: int, advance_prob: float, rng: np.random.Generator
+) -> Iterator[tuple[np.ndarray, int]]:
+    """The scheduler run from ``clocks`` to the horizon, one coin block at
+    a time, as segments ``(rows, forced)``.
+
+    ``rows[:, 0]`` holds the clocks before the segment and ``rows[:, s]``
+    the clocks after its step s, in which every coin winner below the
+    drift cap moved.  ``forced`` is the process that the step after the
+    last row moves because no coin winner could, or -1 if the segment
+    ends at the block end or the run end.
+
+    Within a block, step s caps every clock at ``b(s) = min(lo(s-1) +
+    eps, horizon)``, with ``lo(s-1)`` the minimum clock before the step.
+    No clock is above its next cap, so a clock is the capped cumulative
+    sum ``C(s) = min(C(s-1) + coin(s), b(s))`` of its coins, in closed
+    form ``S + min(c0, cummin(b - S))`` with ``S`` the coin count.  ``b``
+    depends on ``C``, so it is iterated from the uncapped clocks; each
+    pass fixes at least one more row and the sequence only falls, so it
+    stops at the schedule.  The first row in which no clock moves is a
+    forced step; the block goes on from the row after it.
+    """
+    n, c0 = len(clocks), np.array(clocks, dtype=np.int64)
+    while c0.min() < horizon:
+        coins = np.zeros((n, _SCHED_BLOCK + 1), dtype=np.int64)  # column 0: no step
+        coins[:, 1:] = (rng.random((_SCHED_BLOCK, n)) < advance_prob).T
+        while coins.shape[1] > 1:
+            ups = coins.cumsum(axis=1)
+            cap = np.full(coins.shape[1], horizon)
+            rows = np.minimum(c0[:, None] + ups, horizon)  # the clocks under that cap
+            while True:
+                lo = rows.min(axis=0)
+                below = np.minimum(lo[:-1] + eps, horizon)
+                if (below == cap[1:]).all():
+                    break
+                cap[1:] = below
+                rows = ups + np.minimum(c0[:, None], np.minimum.accumulate(cap - ups, axis=1))
+            # s: the first forced step, where the clock total does not rise;
+            # the run ends at the first row whose minimum is the horizon
+            total = rows.sum(axis=0)
+            stall = np.flatnonzero(total[1:] == total[:-1])
+            s = int(stall[0]) + 1 if stall.size else len(lo)
+            if lo[-1] == horizon and (end := int(np.searchsorted(lo, horizon))) < s:
+                yield rows[:, : end + 1], -1
+                return
+            if s == len(lo):
+                yield rows, -1
+                c0 = rows[:, -1]
+                break
+            c0 = rows[:, s - 1].copy()
+            forced = int(np.argmin(c0))
+            yield rows[:, :s], forced
+            c0[forced] += 1
+            if c0.min() == horizon:
+                return
+            coins = coins[:, s:]
+            coins[:, 0] = 0
+
+
 def generate(config: SimConfig) -> Trace:
     """Generate a complete trace; a pure function of ``config``.
 
@@ -386,13 +472,22 @@ def generate(config: SimConfig) -> Trace:
     send, end) and recomputes the watch; a send lowers the receiver's
     watch to ``send_pt + delta``.
 
-    When ``0 < epsilon_app`` and the offset table has at most
-    ``_TABLE_ENTRIES`` entries (``(eps+1)**n - eps**n`` offset states
-    times ``2**n`` coin rows: n=3 at eps 10 has 2,648, n=20 never fits),
-    the steps before the horizon tail run on it.  A step costs a lookup;
-    the movers are walked only when one of them may have reached
-    ``min(watch)``.  The horizon tail, lockstep and larger tables run the
-    per-process step loop, which continues the same coin block.
+    Three paths run the schedule, picked in this order:
+
+    * the offset table, when ``0 < epsilon_app < horizon`` and it has at
+      most ``_TABLE_ENTRIES`` entries (``(eps+1)**n - eps**n`` offset
+      states times ``2**n`` coin rows: n=3 at eps 10 has 2,648, n=20
+      never fits), for the steps before the horizon tail.  A step costs
+      a lookup; the movers are walked only when one of them may have
+      reached ``min(watch)``.
+    * the reflection kernel (``_reflected_schedule``), when
+      ``_reflects``: ``epsilon_app >= 10`` and fewer than one forced
+      step expected per coin block, ``(1 - advance_prob)**n *
+      _SCHED_BLOCK < 1``.  It covers the whole run, horizon tail
+      included, and runs an event body only at an advance that reaches
+      a watch.
+    * the per-process step loop, for the rest and for the table's
+      horizon tail, which it runs on from the same coin block.
     """
     config.validate()
     n, horizon, delta = config.n, config.horizon, config.delta
@@ -428,7 +523,7 @@ def generate(config: SimConfig) -> Trace:
         return min(plans[p][iptr[p]][0], send_ticks[p][sptr[p]],
                    iv[1] if iv else never, inbox[0][0] if inbox else never)
 
-    def events(p: int, v: int) -> None:
+    def events(p: int, v: int) -> int | None:
         inbox = pending[p]
         while inbox and inbox[0][0] <= v:
             _, mseq, sender, send_pt, vc_s, hlc_s = heapq.heappop(inbox)
@@ -455,6 +550,8 @@ def generate(config: SimConfig) -> Trace:
             # a receiver already past the threshold takes the message on its
             # next advance, which with delta = 0 may come later in this step
             watch[q] = min(watch[q], v + delta)
+        else:
+            q = None
 
         iv = open_iv[p]
         if iv is not None and iv[1] == v:
@@ -462,6 +559,7 @@ def generate(config: SimConfig) -> Trace:
             open_iv[p] = None
 
         watch[p] = next_watch(p)
+        return q
 
     watch = [next_watch(p) for p in range(n)]
     sched_rng = _stream(config.seed, _S_SCHED)
@@ -513,10 +611,51 @@ def generate(config: SimConfig) -> Trace:
                     break
         clocks = [lo + o for o in offs[base >> n]]
         rows = block.tolist()  # the horizon tail goes on from row r
+    elif _reflects(n, eps, advance_prob):
+        for seg, forced in _reflected_schedule(clocks, eps, horizon, advance_prob, sched_rng):
+            if (steps := seg.shape[1] - 1) > 0:
+                # p's k-th advance in the segment is flat[offs[p] + k - 1],
+                # as p * steps + its step, and takes p's clock to c0[p] + k.
+                # An event runs at the advance that reaches the watch, in
+                # (step, process) order as in the loop below, from a heap of
+                # (step, p, index) whose live entry for p is at[p].
+                flat = memoryview(np.flatnonzero(seg[:, 1:] != seg[:, :-1]))
+                c0 = seg[:, 0].tolist()
+                offs = [0, *itertools.accumulate((seg[:, -1] - seg[:, 0]).tolist())]
+                at, due = offs[1:], []
+                for p in np.flatnonzero(seg[:, -1] >= watch).tolist():
+                    i = offs[p] + max(watch[p] - c0[p], 1) - 1
+                    if i < at[p]:
+                        at[p] = i
+                        due.append((flat[i] - p * steps, p, i))
+                heapq.heapify(due)
+                while due:
+                    s, p, i = heapq.heappop(due)
+                    if at[p] != i:
+                        continue
+                    q = events(p, c0[p] + i - offs[p] + 1)
+                    i = at[p] = min(offs[p] + watch[p] - c0[p] - 1, offs[p + 1])
+                    if i < offs[p + 1]:
+                        heapq.heappush(due, (flat[i] - p * steps, p, i))
+                    if q is not None:
+                        # q takes the message at its first advance that reaches
+                        # the new watch and comes after p's: in step s if q > p
+                        i = max(bisect_left(flat, q * steps + s + (q < p), offs[q], offs[q + 1]),
+                                offs[q] + watch[q] - c0[q] - 1)
+                        if i < at[q]:
+                            at[q] = i
+                            heapq.heappush(due, (flat[i] - q * steps, q, i))
+                clocks = seg[:, -1].tolist()
+            if forced >= 0:
+                v = clocks[forced] = clocks[forced] + 1
+                if v >= watch[forced]:
+                    events(forced, v)
 
     while (lo := min(clocks)) < horizon:
         if r == len(rows):
-            rows = (sched_rng.random((_SCHED_BLOCK, n)) < advance_prob).tolist()
+            # at eps 0 every step is forced, so no coin is ever read
+            rows = ([()] * _SCHED_BLOCK if eps == 0 else
+                    (sched_rng.random((_SCHED_BLOCK, n)) < advance_prob).tolist())
             r = 0
         # a won coin advances a process below the drift cap and the
         # horizon; p's clock is still its value from the start of the step

@@ -229,7 +229,8 @@ def test_generated_spread_never_exceeds_epsilon():
              {"n": 2}, {"horizon": 1}, {"advance_prob": 1.0},
              {"delta": 0, "alpha": 1.0, "epsilon_app": 0, "beta": 1.0},
              {"n": 6, "correlation": PMA(2), "interval": FixedLength(3)},
-             {"n": 5, "correlation": PMAJ(), "interval": GeometricLength(0.4)})
+             {"n": 5, "correlation": PMAJ(), "interval": GeometricLength(0.4)},
+             {"n": 20, "epsilon_app": 12, "horizon": 400})
     for overrides in edges:
         cfg = SimConfig(**{**kw, **overrides})
         steps, final = replay_schedule(cfg)
@@ -307,6 +308,66 @@ def test_table_transition_matches_reference_step(n, eps):
             assert max(after) <= eps
 
 
+def _kernel_run(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reflection kernel's run from zero clocks, one row per step:
+    the clocks before the step, the processes it moves and whether it
+    was forced."""
+    rng = simkernel._stream(cfg.seed, simkernel._S_SCHED)
+    before, moved, forced = [], [], []
+    segments = simkernel._reflected_schedule(
+        [0] * cfg.n, cfg.epsilon_app, cfg.horizon, cfg.advance_prob, rng
+    )
+    for seg, p in segments:
+        before.append(seg[:, :-1].T)
+        moved.append((seg[:, 1:] != seg[:, :-1]).T)
+        forced.append(np.zeros(seg.shape[1] - 1, dtype=bool))
+        if p >= 0:
+            before.append(seg[:, -1:].T)
+            moved.append(np.arange(cfg.n)[None, :] == p)
+            forced.append(np.ones(1, dtype=bool))
+    return np.vstack(before), np.vstack(moved), np.concatenate(forced)
+
+
+# a cut of the grid n in {2, 4, 20, 50}, eps in {1, 3, 50, 200}, advance
+# prob in {0.3, 0.5, 1}, horizon in {300, 2500}, seeds 0 and 7, which passed
+# in full when the kernel was written.  The full grid costs about 70 s: at
+# eps 1 the caps bind on most steps, so a block takes about as many passes
+# as it has rows (5 s a config at n=50, horizon 2500; the switch rule never
+# picks the kernel there).  Kept: horizon 300 (about one coin block, mostly
+# horizon tail) at both seeds for eps >= 3 and at seed 0 for eps 1 and
+# n <= 20, and several blocks at horizon 2500 where the rule picks it.
+_KERNEL_GRID = [
+    (n, eps, prob, horizon, seed)
+    for n, eps, prob, horizon, seed in itertools.product(
+        (2, 4, 20, 50), (1, 3, 50, 200), (0.3, 0.5, 1.0), (300, 2_500), (0, 7)
+    )
+    if (horizon == 300 and (eps > 1 or (seed == 0 and n <= 20)))
+    or (horizon == 2_500 and seed == 0 and n >= 20 and eps >= 50)
+]
+
+
+@pytest.mark.parametrize("n", [2, 4, 20, 50])
+def test_reflection_kernel_matches_reference_schedule(n):
+    """The kernel alone, whatever the rule that picks it: every step's
+    clocks, movers and forced flag equal the reference scheduler's."""
+    for _, eps, prob, horizon, seed in (g for g in _KERNEL_GRID if g[0] == n):
+        cfg = SimConfig(n=n, epsilon_app=eps, advance_prob=prob, horizon=horizon, seed=seed)
+        steps, final = replay_schedule(cfg)
+        clocks = np.array([c for c, _ in steps])
+        moved = np.zeros(clocks.shape, dtype=bool)
+        for s, (_, advancing) in enumerate(steps):
+            moved[s, list(advancing)] = True
+        # a step is forced when no coin winner is below the cap
+        coins = simkernel._stream(seed, simkernel._S_SCHED).random(clocks.shape) < prob
+        cap = np.minimum(clocks.min(axis=1) + eps, horizon)[:, None]
+        forced = ~(coins & (clocks < cap)).any(axis=1)
+        got = _kernel_run(cfg)
+        assert np.array_equal(got[0], clocks), cfg
+        assert np.array_equal(got[1], moved), cfg
+        assert np.array_equal(got[2], forced), cfg
+        assert tuple(got[0][-1] + got[1][-1]) == final
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -328,11 +389,31 @@ def test_table_transition_matches_reference_step(n, eps):
         # time; messages due in the step they are sent
         SimConfig(n=20, epsilon_app=0, delta=0, alpha=0.1, beta=0.05,
                   interval=FixedLength(3), horizon=2_000, seed=9),
+        # reflection kernel: a message on every tick, taken in the step it is
+        # sent by receivers above and below the sender
+        SimConfig(n=20, epsilon_app=12, delta=0, alpha=1.0, beta=0.05, horizon=800, seed=10),
+        SimConfig(n=50, epsilon_app=10, delta=0, alpha=1.0, beta=0.05, horizon=200, seed=11),
+        # all horizon tail
+        SimConfig(n=20, epsilon_app=30, delta=1, alpha=0.3, beta=0.3, horizon=30, seed=12),
+        SimConfig(n=50, epsilon_app=40, delta=0, alpha=0.3, beta=0.3, horizon=25, seed=13),
+        # every coin won: the clocks never spread
+        SimConfig(n=20, epsilon_app=20, delta=0, alpha=0.5, beta=0.3, horizon=700,
+                  advance_prob=1.0, seed=14),
+        SimConfig(n=50, epsilon_app=10, delta=2, alpha=0.2, beta=0.2, horizon=300,
+                  advance_prob=1.0, seed=15),
+        SimConfig(n=20, epsilon_app=50, delta=5, alpha=0.1, beta=0.1, interval=GeometricLength(0.3),
+                  horizon=3_000, correlation=PMAJ(), seed=16),
+        SimConfig(n=50, epsilon_app=15, delta=3, alpha=0.05, beta=0.1, interval=GeometricLength(0.5),
+                  horizon=600, correlation=PMAJ(), advance_prob=0.3, seed=17),
     ],
     ids=["few-long-20k", "dense-lockstep", "dense-drift", "n2-eps200",
-         "horizon-eps", "horizon-eps+1", "n4-horizon-eps+1", "n20-eps0"],
+         "horizon-eps", "horizon-eps+1", "n4-horizon-eps+1", "n20-eps0",
+         "n20-delta0-alpha1", "n50-delta0-alpha1", "n20-horizon-eps", "n50-horizon-eps",
+         "n20-prob1", "n50-prob1", "n20-pmaj-geom", "n50-pmaj-geom"],
 )
 def test_generate_equals_reference_at_long_horizons(cfg):
+    if cfg.n >= 20 and cfg.epsilon_app:  # these cases are there for the kernel
+        assert simkernel._reflects(cfg.n, cfg.epsilon_app, cfg.advance_prob)
     assert generate(cfg) == reference_generate(cfg)
 
 
@@ -366,6 +447,24 @@ def test_table_path_walks_movers_only_near_a_watch():
     quiet = _generate_lines(SimConfig(**shape, alpha=0.0, beta=1e-12))
     busy = _generate_lines(SimConfig(**shape, alpha=0.001, beta=0.005))
     assert busy < 1.25 * quiet, (busy, quiet)
+
+
+def test_reflection_kernel_pays_per_event_not_per_advance():
+    """At n=20 the kernel runs Python per segment and per event body: a
+    run with almost no events executes far fewer lines of ``generate``
+    than it takes scheduler steps, and events add a few lines each."""
+    shape = dict(n=20, epsilon_app=200, delta=100, horizon=20_000, seed=3)
+    quiet_cfg = SimConfig(**shape, alpha=0.0, beta=1e-12)
+    busy_cfg = SimConfig(**shape, alpha=0.001, beta=0.005)
+    assert simkernel._reflects(20, 200, quiet_cfg.advance_prob)
+    quiet, busy = _generate_lines(quiet_cfg), _generate_lines(busy_cfg)
+    # every step moves a clock by at most one, so there are at least
+    # horizon steps
+    assert quiet < shape["horizon"] / 10, quiet
+    trace = generate(busy_cfg)
+    events = sum(map(len, trace.intervals)) + len(trace.messages)
+    assert events > 1_000
+    assert busy - quiet < 20 * events, (busy, quiet, events)
 
 
 def test_generate_is_deterministic():
@@ -493,10 +592,17 @@ _PINNED_TRACES = [
         "e538e4070996757271c045c4cc3b70e1be74699ca55e5913283d0de13bf79a2f",
         "3e95a71f178a84e77cb1bd9be851f52a36c66d3d8161aa92d2b731478a20d05f",
     ),
+    # taken from the per-process step loop, before n=20 ran the kernel
+    (
+        SimConfig(n=20, epsilon_app=30, delta=3, alpha=0.05, beta=0.03,
+                  interval=FixedLength(2), horizon=1500, seed=17),
+        "b3880c296f5a15ca08e0b5400bdd0c347fef5b8a0cffcc9a4da7ef48f5c0bb46",
+        "0219df8cfcba91a2d8435691f118857356ba08092150422fe0eaaa355cfd3206",
+    ),
 ]
 
 
-@pytest.mark.parametrize("cfg, records_sha, stamps_sha", _PINNED_TRACES, ids=["pmaj", "delta0", "geom", "pma", "hnma"])
+@pytest.mark.parametrize("cfg, records_sha, stamps_sha", _PINNED_TRACES, ids=["pmaj", "delta0", "geom", "pma", "hnma", "n20"])
 def test_trace_bytes_are_pinned(cfg, records_sha, stamps_sha):
     trace = generate(cfg)
     text = "".join(line + "\n" for line in trace_records(trace))
