@@ -33,9 +33,10 @@ def vc_merge(vc: VC, msg: VC, owner: int) -> VC:
     """Stamp a receive of ``msg`` at ``owner``: componentwise max, then
     tick, so the owner entry becomes ``max(vc[owner], msg[owner]) + 1``.
     """
-    if len(msg) != len(vc):  # map(max, ...) would silently truncate
+    if len(msg) != len(vc):  # zip would silently truncate
         raise ValueError("vector clock dimension mismatch")
-    merged = list(map(max, vc, msg))
+    # one comparison per entry: the builtin max costs a call each
+    merged = [b if b > a else a for a, b in zip(vc, msg)]
     merged[owner] += 1
     return tuple(merged)
 

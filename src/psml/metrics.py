@@ -34,10 +34,10 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -100,8 +100,15 @@ def _resolve_warmup(config: SimConfig, warmup: int | None) -> int:
     return warmup
 
 
-def _past_warmup(cut: Sequence[PredicateInterval], warmup: int) -> bool:
-    return min(c.start for c in cut) >= warmup
+def _counted_cuts(
+    cuts: list[tuple[PredicateInterval, ...]], warmup: int
+) -> Iterator[tuple[PredicateInterval, ...]]:
+    """The enumerated cuts whose earliest candidate starts at or after
+    ``warmup``.  The engine's heads only advance, so a cut's minimum
+    start never falls along the enumeration: these cuts are a suffix of
+    it, found by one bisection."""
+    first = bisect_left(cuts, warmup, key=lambda cut: min(c.start for c in cut))
+    return itertools.islice(cuts, first, None)
 
 
 def config_with(base: SimConfig, **overrides: Any) -> SimConfig:
@@ -204,12 +211,15 @@ def fpr_experiment(
     and classify each counted cut via eps-consistency at ``eps_check``.
 
     The monitor reports only pairwise-concurrent cuts, so a cut is
-    eps-consistent exactly when its length fits ``eps_check``."""
+    eps-consistent exactly when its length fits ``eps_check``.  The
+    cuts warmup discards are a prefix of the enumeration (a cut's
+    minimum start never falls along it), so only the cuts after that
+    prefix are classified."""
     if not eps_check >= 0:
         raise ValueError("eps_check must be non-negative")
     warmup = _resolve_warmup(config, warmup)
     trace = generate(config)
-    lengths = [cut_length(cut) for cut in detect_async(trace) if _past_warmup(cut, warmup)]
+    lengths = list(map(cut_length, _counted_cuts(detect_async(trace), warmup)))
     y = len(lengths)
     y_f = sum(length <= eps_check for length in lengths)
     fpr = 1.0 - y_f / y if y else float("nan")
@@ -237,14 +247,16 @@ def _pr_counts(
     The enumeration runs at the widest of the windows and eps_app.  The
     engine's trajectory does not depend on the window, so that run
     reports every window's cuts and the ground truth, and counting its
-    cuts by length recovers each count exactly.
+    cuts by length recovers each count exactly.  As in
+    :func:`fpr_experiment`, warmup drops a prefix of the enumeration and
+    only the cuts after it are measured.
     """
     if not all(eps_mon >= 0 for eps_mon in eps_mon_values):
         raise ValueError("eps_mon must be non-negative")
     warmup = _resolve_warmup(config, warmup)
     eps_app = config.epsilon_app
     cuts = detect_partialsync(generate(config), max([*eps_mon_values, eps_app]))
-    lengths = sorted(cut_length(cut) for cut in cuts if _past_warmup(cut, warmup))
+    lengths = sorted(map(cut_length, _counted_cuts(cuts, warmup)))
     true_set = bisect_right(lengths, eps_app)
     return [
         (bisect_right(lengths, eps_mon), true_set, bisect_right(lengths, min(eps_mon, eps_app)))

@@ -37,6 +37,7 @@ one execution and takes constant time per pair.
 from __future__ import annotations
 
 import itertools
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .simkernel import PredicateInterval, Trace
@@ -52,10 +53,14 @@ __all__ = [
 ]
 
 
+_START = attrgetter("start")
+_END = attrgetter("end")
+
+
 def cut_length(cut: Sequence[PredicateInterval]) -> int:
     """max(max_i start_i - min_i end_i, 0): the smallest window the
     cut's intervals fit in; 0 when they share a common tick."""
-    return max(max(c.start for c in cut) - min(c.end for c in cut), 0)
+    return max(max(map(_START, cut)) - min(map(_END, cut)), 0)
 
 
 def is_hb_consistent(cut: Sequence[PredicateInterval]) -> bool:

@@ -472,6 +472,12 @@ def generate(config: SimConfig) -> Trace:
     send, end) and recomputes the watch; a send lowers the receiver's
     watch to ``send_pt + delta``.
 
+    Each send appends an empty slot to a list indexed by its send seq,
+    and the delivery fills it with the message's record, so the
+    delivered messages come out in send order with no sort.  A message
+    still in flight when its receiver stops is dropped: its slot stays
+    empty and is left out of ``Trace.messages``.
+
     Three paths run the schedule, picked in this order:
 
     * the offset table, when ``0 < epsilon_app < horizon`` and it has at
@@ -515,8 +521,7 @@ def generate(config: SimConfig) -> Trace:
     iptr = [0] * n
     sptr = [0] * n
     done: list[list[PredicateInterval]] = [[] for _ in range(n)]
-    delivered: list[tuple[int, MessageRecord]] = []
-    seq = itertools.count()
+    sent: list[MessageRecord | None] = []  # by send seq; None until delivered
 
     def next_watch(p: int) -> int:
         iv, inbox = open_iv[p], pending[p]
@@ -529,9 +534,7 @@ def generate(config: SimConfig) -> Trace:
             _, mseq, sender, send_pt, vc_s, hlc_s = heapq.heappop(inbox)
             vcs[p] = vc_merge(vcs[p], vc_s, p)
             hlcs[p] = hlc_merge(hlcs[p], hlc_s, v)
-            delivered.append(
-                (mseq, MessageRecord(sender, send_pt, p, v, vc_s, hlc_s, vcs[p], hlcs[p]))
-            )
+            sent[mseq] = MessageRecord(sender, send_pt, p, v, vc_s, hlc_s, vcs[p], hlcs[p])
 
         start, end = plans[p][iptr[p]]
         if start == v:
@@ -546,7 +549,8 @@ def generate(config: SimConfig) -> Trace:
             vcs[p] = vc_tick(vcs[p], p)
             hlcs[p] = hlc_tick(hlcs[p], v)
             q = send_to[p][sp]
-            heapq.heappush(pending[q], (v + delta, next(seq), p, v, vcs[p], hlcs[p]))
+            heapq.heappush(pending[q], (v + delta, len(sent), p, v, vcs[p], hlcs[p]))
+            sent.append(None)
             # a receiver already past the threshold takes the message on its
             # next advance, which with delta = 0 may come later in this step
             watch[q] = min(watch[q], v + delta)
@@ -680,11 +684,10 @@ def generate(config: SimConfig) -> Trace:
     # point intervals that open and close on the same tick are finalized in
     # the loop above because the end check runs after the start check
     assert all(iv is None for iv in open_iv)
-    delivered.sort(key=lambda t: t[0])
     return Trace(
         config=config,
         intervals=tuple(tuple(ivs) for ivs in done),
-        messages=tuple(m for _, m in delivered),
+        messages=tuple(m for m in sent if m is not None),
         final_clocks=tuple(clocks),
     )
 

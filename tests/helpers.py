@@ -5,8 +5,8 @@ production monitor takes: it compares full vector clocks instead of
 owner components, keeps no incremental work queue, and re-scans all
 head pairs from scratch after any advance.  Slow and obviously
 correct.  The generator reference likewise runs the full event body
-on every process advance and draws the scheduler coins one step at a
-time.
+on every process advance, draws the scheduler coins one step at a
+time and stamps receives with its own copy of the merge rule.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from psml import simkernel
-from psml.clocks import HLC, VC, hlc_merge, hlc_tick, vc_merge, vc_tick
+from psml.clocks import HLC, VC, hlc_merge, hlc_tick, vc_tick
 from psml.simkernel import (
     HNMA,
     PMA,
@@ -79,6 +79,12 @@ def compare(a: VC, b: VC) -> Ordering:
     if ge:
         return Ordering.AFTER
     return Ordering.CONCURRENT
+
+
+def past_warmup(cut: Sequence[PredicateInterval], warmup: int) -> bool:
+    """The per-cut warmup rule: the cut's earliest candidate starts at
+    or after ``warmup``."""
+    return min(c.start for c in cut) >= warmup
 
 
 def _disjoint(a: PredicateInterval, b: PredicateInterval) -> bool:
@@ -163,6 +169,13 @@ def brute_quasi(
 # ---------------------------------------------------------------------------
 # reference schedule and generator
 # ---------------------------------------------------------------------------
+
+
+def reference_vc_merge(vc: VC, msg: VC, owner: int) -> VC:
+    """The receive stamp by the plain rule: the componentwise max of
+    the two stamps, then a tick of the owner entry."""
+    assert len(vc) == len(msg)
+    return vc_tick(tuple(map(max, vc, msg)), owner)
 
 
 def replay_schedule(
@@ -262,7 +275,7 @@ def reference_generate(config: SimConfig) -> Trace:
             inbox = pending[p]
             while inbox and inbox[0][0] <= v:
                 _, mseq, sender, send_pt, vc_s, hlc_s = heapq.heappop(inbox)
-                vcs[p] = vc_merge(vcs[p], vc_s, p)
+                vcs[p] = reference_vc_merge(vcs[p], vc_s, p)
                 hlcs[p] = hlc_merge(hlcs[p], hlc_s, v)
                 delivered.append(
                     (mseq, MessageRecord(sender, send_pt, p, v, vc_s, hlc_s, vcs[p], hlcs[p]))
@@ -390,7 +403,7 @@ class TinyExecution:
             if kind < 0.4 and readable:
                 e_src, _ = readable[int(rng.integers(0, len(readable)))]
                 unread.remove((e_src, self.procs[e_src]))
-                cur_vc[p] = vc_merge(cur_vc[p], self.vcs[e_src], p)
+                cur_vc[p] = reference_vc_merge(cur_vc[p], self.vcs[e_src], p)
                 cur_hlc[p] = hlc_merge(cur_hlc[p], self.hlcs[e_src], clock[p])
                 extra = [e_src]
             else:

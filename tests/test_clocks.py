@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from psml.clocks import hlc_merge, hlc_tick, vc_merge, vc_tick
 
-from helpers import Ordering, TinyExecution, compare
+from helpers import Ordering, TinyExecution, compare, reference_vc_merge
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +42,36 @@ def test_vc_validation():
         vc_merge((1, 0, 0), (1, 0), 0)
     with pytest.raises(ValueError):
         compare((1, 0), (1, 0, 0))
+
+
+@st.composite
+def _merge_pairs(draw):
+    """A stamp and a message stamp of one dimension in 1..30, the message
+    equal to, dominated by, dominating or mixed with the stamp; entries
+    reach past 256, beyond CPython's cached small ints."""
+    dim = draw(st.integers(1, 30))
+    vc = draw(st.lists(st.integers(0, 5_000), min_size=dim, max_size=dim))
+    shifts = st.lists(st.integers(0, 600), min_size=dim, max_size=dim)
+    kind = draw(st.sampled_from(["equal", "below", "above", "mixed"]))
+    if kind == "equal":
+        msg = list(vc)
+    elif kind == "below":
+        msg = [max(x - d, 0) for x, d in zip(vc, draw(shifts))]
+    elif kind == "above":
+        msg = [x + d for x, d in zip(vc, draw(shifts))]
+    else:
+        msg = draw(st.lists(st.integers(0, 5_000), min_size=dim, max_size=dim))
+    return tuple(vc), tuple(msg)
+
+
+@given(_merge_pairs())
+def test_vc_merge_matches_reference_rule(pair):
+    vc, msg = pair
+    for owner in range(len(vc)):
+        merged = vc_merge(vc, msg, owner)
+        assert type(merged) is tuple
+        assert merged == reference_vc_merge(vc, msg, owner)
+        assert vc_merge(msg, vc, owner) == merged  # the max is symmetric
 
 
 @given(

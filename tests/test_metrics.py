@@ -33,6 +33,8 @@ from psml.monitors import (
 )
 from psml.simkernel import FixedLength, GeometricLength, SimConfig, generate
 
+from helpers import past_warmup
+
 
 CFG = SimConfig(n=3, epsilon_app=5, delta=10, alpha=0.05, beta=0.15, horizon=600, seed=31)
 
@@ -73,11 +75,7 @@ def test_fpr_experiment_counts_match_direct_enumeration():
     warm = default_warmup(CFG)
     trace = generate(CFG)
     assert res.trace == trace
-    cuts = [
-        c
-        for c in detect_async(trace)
-        if min(cand.start for cand in c) >= warm
-    ]
+    cuts = [c for c in detect_async(trace) if past_warmup(c, warm)]
     assert res.warmup == warm
     assert res.y == len(cuts)
     assert res.y_f == sum(is_eps_consistent(c, 5) for c in cuts)
@@ -110,12 +108,8 @@ def test_pr_experiment_matches_two_direct_runs():
     (row,) = pr_diagram(CFG, [eps_mon], [CFG.epsilon_app], mode="simulated", replicates=1)
     warm = default_warmup(CFG)
     trace = generate(CFG)
-
-    def past(c):
-        return min(cand.start for cand in c) >= warm
-
-    got = [c for c in detect_partialsync(trace, eps_mon) if past(c)]
-    real = [c for c in detect_partialsync(trace, CFG.epsilon_app) if past(c)]
+    got = [c for c in detect_partialsync(trace, eps_mon) if past_warmup(c, warm)]
+    real = [c for c in detect_partialsync(trace, CFG.epsilon_app) if past_warmup(c, warm)]
     hits = [c for c in got if cut_length(c) <= CFG.epsilon_app]
     assert detected == len(got)
     assert true_set == len(real)

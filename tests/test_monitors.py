@@ -24,6 +24,7 @@ from helpers import (
     brute_partialsync,
     brute_quasi,
     compare,
+    past_warmup,
     random_small_config,
 )
 
@@ -190,8 +191,7 @@ def test_partialsync_rejects_bad_window():
 @settings(max_examples=200, deadline=None)
 @given(EDGE_CONFIGS, st.integers(0, 6), st.data())
 def test_monitors_and_counts_match_references_on_edge_configs(cfg, eps_mon, data):
-    res = fpr_experiment(cfg, cfg.epsilon_app)
-    trace = res.trace
+    trace = generate(cfg)
     # every process, then a non-empty subset: the path of p-of-n conjunctions
     subset = data.draw(st.lists(st.integers(0, cfg.n - 1), min_size=1, unique=True).map(sorted))
     for procs in (None, subset):
@@ -200,20 +200,35 @@ def test_monitors_and_counts_match_references_on_edge_configs(cfg, eps_mon, data
             assert detect_partialsync(trace, eps, procs) == brute_partialsync(trace, eps, procs)
         assert detect_quasi(trace, procs) == brute_quasi(trace, procs)
 
-    warm = default_warmup(cfg)
+    # the experiments skip the warmup prefix by bisection: at the default
+    # and at every edge of the horizon their counts equal the per-cut rule
+    every = brute_async(trace)
+    windowed = brute_partialsync(trace, eps_mon)
+    consistent = brute_partialsync(trace, cfg.epsilon_app)
+    h = cfg.horizon
+    for warmup in (None, 0, 1, h // 2, h, h + 1):
+        warm = default_warmup(cfg) if warmup is None else warmup
 
-    def past(cuts):
-        return [c for c in cuts if min(cand.start for cand in c) >= warm]
+        # fpr counts against the full happens-before check of the reference cuts
+        res = fpr_experiment(cfg, cfg.epsilon_app, warmup)
+        counted = [c for c in every if past_warmup(c, warm)]
+        assert res.y == len(counted)
+        assert res.y_f == sum(is_eps_consistent(c, cfg.epsilon_app) for c in counted)
 
-    # fpr counts against the full happens-before check of the reference cuts
-    counted = past(brute_async(trace))
-    assert res.y == len(counted)
-    assert res.y_f == sum(is_eps_consistent(c, cfg.epsilon_app) for c in counted)
+        # precision/recall counts against two reference runs classified by length
+        detected, true_set, hits = _pr_counts(cfg, [eps_mon], warmup)[0]
+        got = [c for c in windowed if past_warmup(c, warm)]
+        real = [c for c in consistent if past_warmup(c, warm)]
+        assert detected == len(got)
+        assert true_set == len(real)
+        assert hits == sum(cut_length(c) <= cfg.epsilon_app for c in got)
 
-    # precision/recall counts against two reference runs classified by length
-    detected, true_set, hits = _pr_counts(cfg, [eps_mon], None)[0]
-    got = past(brute_partialsync(trace, eps_mon))
-    real = past(brute_partialsync(trace, cfg.epsilon_app))
-    assert detected == len(got)
-    assert true_set == len(real)
-    assert hits == sum(cut_length(c) <= cfg.epsilon_app for c in got)
+
+@given(EDGE_CONFIGS, st.integers(0, 6))
+def test_earliest_start_never_falls_along_the_enumeration(cfg, eps_mon):
+    """The invariant the warmup bisection rests on: heads only advance,
+    so a cut's minimum start is nondecreasing in emission order."""
+    trace = generate(cfg)
+    for cuts in (detect_async(trace), detect_partialsync(trace, eps_mon)):
+        firsts = [min(c.start for c in cut) for cut in cuts]
+        assert firsts == sorted(firsts)

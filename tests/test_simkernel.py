@@ -501,6 +501,30 @@ def test_messages_respect_delivery_rule():
         assert m.hlc_receive > m.hlc_send
 
 
+@pytest.mark.parametrize("delta", [0, 6])
+@pytest.mark.parametrize("n", [3, 20])
+def test_messages_dropped_at_the_horizon(n, delta):
+    """Every tick sends (alpha=1), so some sends fall within ``delta`` of
+    the horizon or go to a receiver that has already stopped.  Those are
+    dropped; the delivered rest come out in send order."""
+    cfg = SimConfig(n=n, epsilon_app=10, delta=delta, alpha=1.0, beta=0.1, horizon=120, seed=5)
+    if n == 3:  # the offset table, then the step loop for the horizon tail
+        assert (11 ** n - 10 ** n) << n <= simkernel._TABLE_ENTRIES
+    else:
+        assert simkernel._reflects(n, cfg.epsilon_app, cfg.advance_prob)
+    trace = generate(cfg)
+    assert trace == reference_generate(cfg)
+    assert 0 < len(trace.messages) < n * cfg.horizon  # one send per process tick
+    assert all(m.receive_pt <= cfg.horizon for m in trace.messages)
+    # send order: no listed message's send happened before an earlier one's.
+    # Message j's send precedes message i's iff i's stamp learned j's count
+    # at j's sender.
+    vcs = np.array([m.vc_send for m in trace.messages])
+    senders = np.array([m.sender for m in trace.messages])
+    own = vcs[np.arange(len(vcs)), senders]
+    assert not np.triu(vcs[:, senders] >= own, 1).any()
+
+
 def test_alpha_zero_means_no_messages():
     cfg = SimConfig(n=3, epsilon_app=5, alpha=0.0, beta=0.1, horizon=200, seed=13)
     assert generate(cfg).messages == ()
