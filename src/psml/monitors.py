@@ -37,7 +37,7 @@ one execution and takes constant time per pair.
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter
+from operator import attrgetter, ge, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .simkernel import PredicateInterval, Trace
@@ -122,6 +122,11 @@ def _detect(
         owns[i] = s[procs[i]]
         return True
 
+    # each head meets its own owner count, so a count above 1 below means
+    # another head is involved; the counts run in C and most checks end
+    # there.  Head j's owner count is read against stamp entry procs[j].
+    full = procs == list(range(len(stamps[0])))
+
     # indices whose head changed and must be rechecked against the rest
     todo = list(range(m))
     while True:
@@ -130,21 +135,23 @@ def _detect(
             # head_i happened before any other head that learned its
             # owner count: no cut can use it
             p_i = procs[i]
-            learned = [s[p_i] for s in stamps]
-            learned[i] = -1  # its own stamp does not count
-            top = max(learned)
-            while owns[i] <= top:
-                if not advance(i):
-                    return
+            if sum(map(ge, map(itemgetter(p_i), stamps), itertools.repeat(owns[i]))) > 1:
+                learned = [s[p_i] for s in stamps]
+                learned[i] = -1  # its own stamp does not count
+                top = max(learned)
+                while owns[i] <= top:
+                    if not advance(i):
+                        return
             # heads whose owner count head_i learned happened before it:
             # they go, and are rechecked
             s_i = stamps[i]
-            for j, (p, own) in enumerate(zip(procs, owns)):
-                if s_i[p] >= own and j != i:
-                    if not advance(j):
-                        return
-                    if j not in todo:
-                        todo.append(j)
+            if sum(map(ge, s_i if full else map(s_i.__getitem__, procs), owns)) > 1:
+                for j, (p, own) in enumerate(zip(procs, owns)):
+                    if s_i[p] >= own and j != i:
+                        if not advance(j):
+                            return
+                        if j not in todo:
+                            todo.append(j)
         yield tuple(heads)
         # advance the earliest-ending head; ties fall to the lowest index
         k = ends.index(min(ends))

@@ -25,9 +25,13 @@ are recorded in the trace.  An interval's end stamp is a snapshot of
 the process's vector clock after its final tick (ends are not events).
 
 Work is paid per event, not per advance: an advance below the
-process's watch tick (its next clock value with causal work) only
-moves the clock, and the scheduler coins come in blocks of steps, one
-``(steps, n)`` draw giving the same values as one draw per step.
+process's watch tick only moves the clock, and the scheduler coins come
+in blocks of steps, one ``(steps, n)`` draw giving the same values as
+one draw per step.  The watch is the smaller of two heads: that of the
+process's local-work plan (its interval starts, interval ends and send
+ticks, merged into one ascending list before the schedule runs) and
+that of its inbox.  Point predicates are placed straight from their
+per-tick decisions.
 Events never change a clock, so the schedule runs on one of three
 paths, each giving the same steps:
 
@@ -56,7 +60,7 @@ import heapq
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -197,12 +201,12 @@ class SimConfig:
 
 
 # ---------------------------------------------------------------------------
-# trace records
+# trace records: named tuples, so immutable and hashable; a copy with a
+# field changed is ``record._replace(...)``, a dict ``record._asdict()``
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class PredicateInterval:
+class PredicateInterval(NamedTuple):
     """One maximal span [start, end] of local-predicate truth.
 
     ``vc_start``/``hlc_start`` stamp the truthification event;
@@ -218,8 +222,7 @@ class PredicateInterval:
     hlc_start: HLC
 
 
-@dataclass(frozen=True, slots=True)
-class MessageRecord:
+class MessageRecord(NamedTuple):
     """A delivered message with the clock stamps of both endpoints."""
 
     sender: int
@@ -301,6 +304,14 @@ def truthify(decisions: np.ndarray, lengths: Iterator[int], horizon: int) -> lis
     return out
 
 
+def _point_intervals(decisions: np.ndarray) -> list[tuple[int, int]]:
+    """``truthify(decisions, itertools.repeat(1), horizon)`` for point
+    predicates: every true decision after tick 0 is its own interval,
+    so no decision is swallowed and none needs clamping."""
+    ticks = (np.flatnonzero(decisions[1:]) + 1).tolist()
+    return list(zip(ticks, ticks))
+
+
 def predicate_intervals(config: SimConfig) -> list[list[tuple[int, int]]]:
     """Interval placement for every process, independent of scheduling.
 
@@ -319,6 +330,10 @@ def predicate_intervals(config: SimConfig) -> list[list[tuple[int, int]]]:
     HNMA         n // 2    the first n // 2     0.5
     PMAJ         1         every earlier one    0.5
     ===========  ========  ===================  =========
+
+    Point predicates (``FixedLength(1)``) are placed straight from their
+    decisions (:func:`_point_intervals`), every other length through
+    :func:`truthify`.
     """
     config.validate()
     n, horizon, seed = config.n, config.horizon, config.seed
@@ -333,6 +348,7 @@ def predicate_intervals(config: SimConfig) -> list[list[tuple[int, int]]]:
         case _:  # Independent; validate() rejects every other spec
             lead, group, p_dep = n, 0, 0.0
     minority = isinstance(config.correlation, HNMA)
+    point = config.interval == FixedLength(1)
     cov_sum = np.zeros(horizon + 1, dtype=np.int32)  # over the group settled so far
     intervals = []
     for p in range(n):
@@ -342,6 +358,11 @@ def predicate_intervals(config: SimConfig) -> list[list[tuple[int, int]]]:
             size = min(p, group)
             followed = 2 * cov_sum < size if minority else 2 * cov_sum > size
             dec = np.where(_stream(seed, _S_DEP, p).random(horizon + 1) < p_dep, followed, dec)
+        if point:
+            intervals.append(_point_intervals(dec))
+            if p < group:  # a point interval covers its own tick
+                cov_sum[1:] += dec[1:]
+            continue
         intervals.append(truthify(dec, _length_iter(config, p), horizon))
         if p < group:  # the intervals are disjoint: +1 at each start, -1 past each end
             spans = np.array(intervals[p], dtype=np.int64).reshape(-1, 2)
@@ -465,12 +486,18 @@ def generate(config: SimConfig) -> Trace:
     ``_SCHED_BLOCK`` rows per draw, so it depends only on (seed, n,
     epsilon_app, advance_prob, horizon).
 
-    ``watch[p]`` is the first clock value at which process p has causal
-    work: its next interval start, the end of its open interval, its
-    next send tick, or the delivery threshold of its inbox head.  An
-    advance that reaches the watch runs the event body (receive, start,
-    send, end) and recomputes the watch; a send lowers the receiver's
-    watch to ``send_pt + delta``.
+    Placement comes first (:func:`predicate_intervals`; point predicates
+    are placed straight from their decisions).  Each process's local
+    work is then merged once, in numpy, into one ascending plan of the
+    ticks that hold an interval start, a send or an interval end, each
+    tick marked with which of the three it holds; the interval lists
+    are not kept.  ``watch[p]``, the first clock value at which p has
+    causal work, is the smaller of its plan head and the delivery
+    threshold of its inbox head.  An advance that reaches the watch runs
+    the event body: it takes the due messages, then, only if the tick
+    is the plan head, runs the start, send and end the plan marks there,
+    in that order, and recomputes the watch; a send lowers the
+    receiver's watch to ``send_pt + delta``.
 
     Each send appends an empty slot to a list indexed by its send seq,
     and the delivery fills it with the message's record, so the
@@ -498,18 +525,31 @@ def generate(config: SimConfig) -> Trace:
     config.validate()
     n, horizon, delta = config.n, config.horizon, config.delta
     eps, advance_prob = config.epsilon_app, config.advance_prob
-    never = horizon + 1  # sentinel tick past every plan and send list
+    never = horizon + 1  # sentinel tick past every plan
 
-    plans = [plan + [(never, never)] for plan in predicate_intervals(config)]
-    send_ticks: list[list[int]] = []
+    # p's local-work plan: the ascending ticks work[p] at which p opens an
+    # interval (bit 1 of kinds[p]), sends (bit 2) or closes its interval
+    # (bit 4), with a sentinel at the end.  A send's receiver is send_to[p]
+    # in send order.
+    work: list[memoryview] = []
+    kinds: list[bytes] = []
     send_to: list[list[int]] = []
-    for p in range(n):
+    for p, plan in enumerate(predicate_intervals(config)):
         coins = _stream(config.seed, _S_SEND, p).random(horizon + 1) < config.alpha
         coins[0] = False
         ticks = np.flatnonzero(coins)
         raw = _stream(config.seed, _S_RECV, p).integers(0, n - 1, size=ticks.size)
-        send_ticks.append(ticks.tolist() + [never])
         send_to.append([int(r) + 1 if r >= p else int(r) for r in raw])
+        spans = np.fromiter(itertools.chain.from_iterable(plan), np.int64, 2 * len(plan))
+        # sorted and deduplicated without np.unique, whose first call
+        # imports numpy.ma (over 1 MB of resident memory at n=3)
+        at = np.sort(np.concatenate((spans, ticks, [never])))
+        at = at[np.diff(at, prepend=-1) > 0]
+        kind = np.zeros(at.size, dtype=np.uint8)
+        for bit, marks in ((1, spans[0::2]), (2, ticks), (4, spans[1::2])):
+            kind[np.searchsorted(at, marks)] |= bit
+        work.append(memoryview(at))
+        kinds.append(kind.tobytes())
 
     clocks = [0] * n
     vcs: list[VC] = [(0,) * n] * n
@@ -517,16 +557,11 @@ def generate(config: SimConfig) -> Trace:
     # in flight: per-receiver heap of (delivery threshold, send seq, sender,
     # send_pt, vc_send, hlc_send)
     pending: list[list[tuple]] = [[] for _ in range(n)]
-    open_iv: list[tuple[int, int, VC, HLC] | None] = [None] * n
-    iptr = [0] * n
+    open_iv: list[tuple[int, VC, HLC] | None] = [None] * n  # start and its stamps
+    wptr = [0] * n
     sptr = [0] * n
     done: list[list[PredicateInterval]] = [[] for _ in range(n)]
     sent: list[MessageRecord | None] = []  # by send seq; None until delivered
-
-    def next_watch(p: int) -> int:
-        iv, inbox = open_iv[p], pending[p]
-        return min(plans[p][iptr[p]][0], send_ticks[p][sptr[p]],
-                   iv[1] if iv else never, inbox[0][0] if inbox else never)
 
     def events(p: int, v: int) -> int | None:
         inbox = pending[p]
@@ -536,36 +571,43 @@ def generate(config: SimConfig) -> Trace:
             hlcs[p] = hlc_merge(hlcs[p], hlc_s, v)
             sent[mseq] = MessageRecord(sender, send_pt, p, v, vc_s, hlc_s, vcs[p], hlcs[p])
 
-        start, end = plans[p][iptr[p]]
-        if start == v:
-            iptr[p] += 1
-            vcs[p] = vc_tick(vcs[p], p)
-            hlcs[p] = hlc_tick(hlcs[p], v)
-            open_iv[p] = (start, end, vcs[p], hlcs[p])
+        q = None
+        k = wptr[p]
+        w = work[p][k]
+        if w == v:
+            kind = kinds[p][k]
+            if kind & 1:
+                vcs[p] = vc_tick(vcs[p], p)
+                hlcs[p] = hlc_tick(hlcs[p], v)
+                open_iv[p] = (v, vcs[p], hlcs[p])
 
-        sp = sptr[p]
-        if send_ticks[p][sp] == v:
-            sptr[p] = sp + 1
-            vcs[p] = vc_tick(vcs[p], p)
-            hlcs[p] = hlc_tick(hlcs[p], v)
-            q = send_to[p][sp]
-            heapq.heappush(pending[q], (v + delta, len(sent), p, v, vcs[p], hlcs[p]))
-            sent.append(None)
-            # a receiver already past the threshold takes the message on its
-            # next advance, which with delta = 0 may come later in this step
-            watch[q] = min(watch[q], v + delta)
-        else:
-            q = None
+            if kind & 2:
+                sp = sptr[p]
+                sptr[p] = sp + 1
+                vcs[p] = vc_tick(vcs[p], p)
+                hlcs[p] = hlc_tick(hlcs[p], v)
+                q = send_to[p][sp]
+                heapq.heappush(pending[q], (v + delta, len(sent), p, v, vcs[p], hlcs[p]))
+                sent.append(None)
+                # a receiver already past the threshold takes the message on
+                # its next advance, which with delta = 0 may come later in
+                # this step
+                if v + delta < watch[q]:
+                    watch[q] = v + delta
 
-        iv = open_iv[p]
-        if iv is not None and iv[1] == v:
-            done[p].append(PredicateInterval(p, iv[0], iv[1], iv[2], vcs[p], iv[3]))
-            open_iv[p] = None
+            if kind & 4:
+                start, vc_start, hlc_start = open_iv[p]
+                done[p].append(PredicateInterval(p, start, v, vc_start, vcs[p], hlc_start))
+                open_iv[p] = None
 
-        watch[p] = next_watch(p)
+            wptr[p] = k = k + 1
+            w = work[p][k]
+        if inbox and inbox[0][0] < w:
+            w = inbox[0][0]
+        watch[p] = w
         return q
 
-    watch = [next_watch(p) for p in range(n)]
+    watch = [at[0] for at in work]
     sched_rng = _stream(config.seed, _S_SCHED)
     rows: list[list[bool]] = []  # scheduler coins, row r is the next step's
     r, procs = 0, range(n)
@@ -619,33 +661,44 @@ def generate(config: SimConfig) -> Trace:
         for seg, forced in _reflected_schedule(clocks, eps, horizon, advance_prob, sched_rng):
             if (steps := seg.shape[1] - 1) > 0:
                 # p's k-th advance in the segment is flat[offs[p] + k - 1],
-                # as p * steps + its step, and takes p's clock to c0[p] + k.
-                # An event runs at the advance that reaches the watch, in
-                # (step, process) order as in the loop below, from a heap of
-                # (step, p, index) whose live entry for p is at[p].
+                # as p * steps + its step, and takes p's clock to
+                # c0[p] + k = index - base[p].  An event runs at the advance
+                # that reaches the watch, in (step, process) order as in the
+                # loop below, from a heap of (step, p, index) whose live
+                # entry for p is at[p]: the top entry is read, and replaced
+                # by p's next one after its event (or dropped if stale).
                 flat = memoryview(np.flatnonzero(seg[:, 1:] != seg[:, :-1]))
-                c0 = seg[:, 0].tolist()
-                offs = [0, *itertools.accumulate((seg[:, -1] - seg[:, 0]).tolist())]
+                c0, ups = seg[:, 0], seg[:, -1] - seg[:, 0]
+                offs = [0, *itertools.accumulate(ups.tolist())]
+                base = (np.cumsum(ups) - ups - c0 - 1).tolist()
                 at, due = offs[1:], []
                 for p in np.flatnonzero(seg[:, -1] >= watch).tolist():
-                    i = offs[p] + max(watch[p] - c0[p], 1) - 1
+                    i = base[p] + watch[p]
+                    if i < offs[p]:
+                        i = offs[p]
                     if i < at[p]:
                         at[p] = i
                         due.append((flat[i] - p * steps, p, i))
                 heapq.heapify(due)
                 while due:
-                    s, p, i = heapq.heappop(due)
+                    s, p, i = due[0]
                     if at[p] != i:
+                        heapq.heappop(due)
                         continue
-                    q = events(p, c0[p] + i - offs[p] + 1)
-                    i = at[p] = min(offs[p] + watch[p] - c0[p] - 1, offs[p + 1])
+                    q = events(p, i - base[p])
+                    i = base[p] + watch[p]
                     if i < offs[p + 1]:
-                        heapq.heappush(due, (flat[i] - p * steps, p, i))
+                        at[p] = i
+                        heapq.heapreplace(due, (flat[i] - p * steps, p, i))
+                    else:
+                        at[p] = offs[p + 1]
+                        heapq.heappop(due)
                     if q is not None:
                         # q takes the message at its first advance that reaches
                         # the new watch and comes after p's: in step s if q > p
-                        i = max(bisect_left(flat, q * steps + s + (q < p), offs[q], offs[q + 1]),
-                                offs[q] + watch[q] - c0[q] - 1)
+                        i = bisect_left(flat, q * steps + s + (q < p), offs[q], offs[q + 1])
+                        if i < base[q] + watch[q]:
+                            i = base[q] + watch[q]
                         if i < at[q]:
                             at[q] = i
                             heapq.heappush(due, (flat[i] - q * steps, q, i))

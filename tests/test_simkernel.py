@@ -17,6 +17,8 @@ from psml.simkernel import (
     FixedLength,
     GeometricLength,
     Independent,
+    MessageRecord,
+    PredicateInterval,
     SimConfig,
     generate,
     predicate_intervals,
@@ -85,6 +87,51 @@ def test_truthify_back_to_back_intervals_stay_disjoint():
     assert out == [(1, 2), (3, 4), (5, 6), (7, 7)]
     for (a, b), (c, d) in zip(out, out[1:]):
         assert c > b
+
+
+def _decision_cases() -> list[np.ndarray]:
+    """Decision arrays over ticks 0..horizon: the edge cases, then random
+    ones at low, middling and high rates."""
+    cases = [np.ones(40, dtype=bool), np.zeros(40, dtype=bool)]
+    for ticks in ([0], [39], [0, 39], [0, 1, 38, 39]):
+        dec = np.zeros(40, dtype=bool)
+        dec[ticks] = True
+        cases.append(dec)
+    # horizon 1: ticks 0 and 1
+    cases += [np.array(bits, dtype=bool) for bits in itertools.product((False, True), repeat=2)]
+    rng = np.random.default_rng(21)
+    for size, rate in itertools.product((2, 3, 17, 1_000), (0.01, 0.3, 0.9)):
+        cases.append(rng.random(size) < rate)
+    return cases
+
+
+def test_point_placement_equals_truthify():
+    """Point predicates are placed from their decisions without walking
+    them; ``truthify`` at length 1 is the reference rule."""
+    for dec in _decision_cases():
+        got = simkernel._point_intervals(dec)
+        assert got == truthify(dec, itertools.repeat(1), len(dec) - 1), dec
+        assert all(type(v) is int for iv in got for v in iv)
+
+
+def test_records_are_immutable_hashable_field_ordered_tuples():
+    """The record contract: fields in a fixed order, no assignment, and
+    usable as set and dict keys, with equal records hashing equal."""
+    assert PredicateInterval._fields == ("proc", "start", "end", "vc_start", "vc_end", "hlc_start")
+    assert MessageRecord._fields == ("sender", "send_pt", "receiver", "receive_pt",
+                                     "vc_send", "hlc_send", "vc_receive", "hlc_receive")
+    trace = generate(BASE)
+    records = [iv for ivs in trace.intervals for iv in ivs] + list(trace.messages)
+    assert trace.messages and len(records) > len(trace.messages)
+    for rec in (trace.intervals[0][0], trace.messages[0]):
+        for field in rec._fields:
+            with pytest.raises(AttributeError):
+                setattr(rec, field, 0)
+        assert rec._replace() == rec and hash(rec._replace()) == hash(rec)
+        assert tuple(rec._asdict().values()) == tuple(rec)
+    assert len(set(records)) == len(records)
+    index = {rec: k for k, rec in enumerate(records)}
+    assert all(index[rec] == k for k, rec in enumerate(records))
 
 
 def _point_decisions(cfg: SimConfig) -> np.ndarray:
@@ -368,6 +415,13 @@ def test_reflection_kernel_matches_reference_schedule(n):
         assert tuple(got[0][-1] + got[1][-1]) == final
 
 
+# a kernel-path case in which a process receives on the tick of one of its
+# interval ends or sends: its event body runs the inbox and its local-work
+# plan at one advance
+_COINCIDING = SimConfig(n=20, epsilon_app=50, delta=5, alpha=0.1, beta=0.1,
+                        interval=GeometricLength(0.3), horizon=3_000, correlation=PMAJ(), seed=16)
+
+
 @pytest.mark.parametrize(
     "cfg",
     [
@@ -401,8 +455,7 @@ def test_reflection_kernel_matches_reference_schedule(n):
                   advance_prob=1.0, seed=14),
         SimConfig(n=50, epsilon_app=10, delta=2, alpha=0.2, beta=0.2, horizon=300,
                   advance_prob=1.0, seed=15),
-        SimConfig(n=20, epsilon_app=50, delta=5, alpha=0.1, beta=0.1, interval=GeometricLength(0.3),
-                  horizon=3_000, correlation=PMAJ(), seed=16),
+        _COINCIDING,
         SimConfig(n=50, epsilon_app=15, delta=3, alpha=0.05, beta=0.1, interval=GeometricLength(0.5),
                   horizon=600, correlation=PMAJ(), advance_prob=0.3, seed=17),
     ],
@@ -414,7 +467,12 @@ def test_reflection_kernel_matches_reference_schedule(n):
 def test_generate_equals_reference_at_long_horizons(cfg):
     if cfg.n >= 20 and cfg.epsilon_app:  # these cases are there for the kernel
         assert simkernel._reflects(cfg.n, cfg.epsilon_app, cfg.advance_prob)
-    assert generate(cfg) == reference_generate(cfg)
+    trace = generate(cfg)
+    assert trace == reference_generate(cfg)
+    if cfg is _COINCIDING:
+        received = {(m.receiver, m.receive_pt) for m in trace.messages}
+        assert received & {(iv.proc, iv.end) for ivs in trace.intervals for iv in ivs}
+        assert received & {(m.sender, m.send_pt) for m in trace.messages}
 
 
 def _generate_lines(cfg: SimConfig) -> int:
