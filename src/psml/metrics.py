@@ -34,6 +34,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import numbers
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -270,8 +271,8 @@ def _pr_counts(
 
 
 def _sweep_row(args: tuple) -> FprResult:
-    base, overrides, seed, eps_check, warmup = args
-    res = fpr_row(config_with(base, seed=seed, **overrides), eps_check, warmup)
+    base, overrides, seed, warmup = args
+    res = fpr_row(config_with(base, seed=seed, **overrides), warmup=warmup)
     return dataclasses.replace(res, trace=None)
 
 
@@ -279,12 +280,12 @@ def sweep(
     base: SimConfig,
     grid: Mapping[str, Sequence[Any]],
     seeds: Sequence[int],
-    eps_check: float | None = None,
     warmup: int | None = None,
     jobs: int = 1,
 ) -> list[FprResult]:
     """FPR experiments over the Cartesian product of ``grid`` values
-    times ``seeds``, one row each, in grid order with seeds innermost.
+    times ``seeds``, one row each, in grid order with seeds innermost;
+    each row classifies its cuts at its own ``epsilon_app``.
 
     Grid keys are SimConfig field names plus the ``ell``/``geom_p``
     shorthands.  Rows are independent; ``jobs`` > 1 computes them in
@@ -301,7 +302,7 @@ def sweep(
         if not values:
             raise ValueError(f"empty grid axis {key!r}")
     specs = [
-        (base, dict(zip(keys, combo)), seed, eps_check, warmup)
+        (base, dict(zip(keys, combo)), seed, warmup)
         for combo in itertools.product(*(grid[k] for k in keys))
         for seed in seeds
     ]
@@ -379,8 +380,8 @@ def partial_fractions(
     """Per p: the mean over seeds of the quasi-to-partially-synchronous
     detection ratio for p-of-n conjunctions, NaN when no replicate has
     a nonzero denominator.  Each replicate's trace serves every p."""
-    if not all(1 <= p <= config.n for p in p_values):
-        raise ValueError("p must be in 1..n")
+    if not all(isinstance(p, numbers.Integral) and 1 <= p <= config.n for p in p_values):
+        raise ValueError("p must be an integer in 1..n")
     ratios: list[list[float]] = [[] for _ in p_values]
     for rep in _replicas(config, replicates):
         trace = generate(rep)

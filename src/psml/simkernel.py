@@ -2,7 +2,7 @@
 
 The system model: ``n`` processes hold integer clocks starting at 0.
 Generation proceeds in scheduler steps; in each step every process
-advances its clock by one with probability ``advance_prob`` unless it
+advances its clock by one with probability one half unless it
 sits at the drift cap (its clock equals the minimum clock plus
 ``epsilon_app``), so the clock spread never exceeds ``epsilon_app``.
 If no process advances, the first minimum-clock process is forced
@@ -33,19 +33,8 @@ ticks, merged into one ascending list before the schedule runs) and
 that of its inbox.  Point predicates are placed straight from their
 per-tick decisions.
 Events never change a clock, so the schedule runs on one of three
-paths, each giving the same steps:
-
-* the offset table, for small ``n``: until the minimum clock comes
-  within ``epsilon_app`` of the horizon a step depends only on the
-  clocks' offsets from the minimum and the coin row, and a table over
-  (offsets, row) memoises it;
-* the reflection kernel, for large ``n`` and a wide drift cap: a coin
-  block is solved at once in numpy, each clock row a cumulative sum of
-  its coins held below the cap, and Python runs only at the advances
-  that reach a watch tick;
-* the per-process step loop, for the rest: lockstep, the horizon tail
-  after the table, and the schedules in which the kernel would stop at
-  many forced steps.
+paths, each giving the same steps; :func:`_schedule_path` holds the rule
+that picks one.
 
 Randomness is split into independent per-process streams keyed by
 purpose, and every decision is indexed by clock value rather than by
@@ -58,6 +47,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
@@ -162,9 +152,11 @@ class SimConfig:
     horizon: int = 100_000
     correlation: CorrelationSpec = Independent()
     seed: int = 0
-    advance_prob: float = 0.5
 
     def validate(self) -> None:
+        for name in ("n", "epsilon_app", "delta", "horizon", "seed"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if self.epsilon_app < 0:
@@ -177,8 +169,6 @@ class SimConfig:
             raise ValueError("beta must be in (0, 1]")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if not 0.0 < self.advance_prob <= 1.0:
-            raise ValueError("advance_prob must be in (0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         iv = self.interval
@@ -186,14 +176,14 @@ class SimConfig:
             if not 0.0 < iv.p <= 1.0:
                 raise ValueError("geometric length parameter must be in (0, 1]")
         elif isinstance(iv, FixedLength):
-            if iv.length < 1:
-                raise ValueError("fixed interval length must be at least 1")
+            if not isinstance(iv.length, numbers.Integral) or iv.length < 1:
+                raise ValueError("fixed interval length must be an integer of at least 1")
         else:
             raise ValueError(f"unknown interval spec: {iv!r}")
         corr = self.correlation
         if isinstance(corr, PMA):
-            if not 1 <= corr.group1 <= self.n - 1:
-                raise ValueError("PMA group1 must leave at least one follower (1 <= group1 < n)")
+            if not isinstance(corr.group1, numbers.Integral) or not 1 <= corr.group1 < self.n:
+                raise ValueError("PMA group1 must be an integer with 1 <= group1 < n")
             if not 0.0 <= corr.p_dep <= 1.0:
                 raise ValueError("p_dep must be in [0, 1]")
         elif not isinstance(corr, (Independent, HNMA, PMAJ)):
@@ -384,6 +374,30 @@ _SCHED_BLOCK = 512
 _TABLE_ENTRIES = 1 << 17
 
 
+def _schedule_path(n: int, eps: int, horizon: int) -> str:
+    """The path ``generate`` runs the schedule on; all three give the
+    same steps.
+
+    * ``"table"``, the offset table, when ``0 < eps < horizon`` and it
+      has at most ``_TABLE_ENTRIES`` entries, ``(eps+1)**n - eps**n``
+      offset states times ``2**n`` coin rows (n=3 at eps 10 has 2,648).
+      Below the horizon tail a step depends only on the clocks' offsets
+      from the minimum and the coin row, so the table memoises it; the
+      step loop runs the tail on from the same coin block.
+    * ``"kernel"``, the reflection kernel (:func:`_reflected_schedule`),
+      when ``n >= 10`` and ``eps >= 10``.  It restarts its block at every
+      forced step, which takes all ``n`` coins lost, so it runs where
+      fewer than one is expected per block (``2**n > _SCHED_BLOCK``) and
+      where its caps rarely bind: on the schedule alone at n in {10, 20,
+      50} (2 CPUs) it overtakes the loop between eps 6 and 8, 1.8-2.8x
+      faster at eps 10 and 0.06-0.12x at eps 2.
+    * ``"loop"``, the per-process step loop, for the rest.
+    """
+    if 0 < eps < horizon and ((eps + 1) ** n - eps ** n) << n <= _TABLE_ENTRIES:
+        return "table"
+    return "kernel" if eps >= 10 and 1 << n > _SCHED_BLOCK else "loop"
+
+
 def _transition(offsets: tuple[int, ...], row: int, eps: int) -> tuple[tuple[int, ...], int, int]:
     """One scheduler step below the horizon tail, on clock offsets.
 
@@ -404,23 +418,8 @@ def _transition(offsets: tuple[int, ...], row: int, eps: int) -> tuple[tuple[int
     return tuple(o - rise for o in after), rise, moved
 
 
-# the reflection kernel restarts its block at every forced step and needs
-# more passes to settle its caps the more often they bind, so it runs where
-# forced steps are rare and the cap is far from the minimum.  Measured on
-# the schedule alone at n in {10, 20, 50} (2 CPUs, Python 3.11, numpy 2.4),
-# it overtakes the step loop between eps 6 and 8 (1.8-2.8x faster at eps 10,
-# 0.06-0.12x at eps 2), and near 4 expected forced steps per block.
-_REFLECT_MIN_EPS = 10
-
-
-def _reflects(n: int, eps: int, advance_prob: float) -> bool:
-    """Whether ``generate`` runs the reflection kernel for a schedule that
-    the offset table does not cover."""
-    return eps >= _REFLECT_MIN_EPS and (1 - advance_prob) ** n * _SCHED_BLOCK < 1
-
-
 def _reflected_schedule(
-    clocks: list[int], eps: int, horizon: int, advance_prob: float, rng: np.random.Generator
+    clocks: list[int], eps: int, horizon: int, rng: np.random.Generator
 ) -> Iterator[tuple[np.ndarray, int]]:
     """The scheduler run from ``clocks`` to the horizon, one coin block at
     a time, as segments ``(rows, forced)``.
@@ -444,7 +443,7 @@ def _reflected_schedule(
     n, c0 = len(clocks), np.array(clocks, dtype=np.int64)
     while c0.min() < horizon:
         coins = np.zeros((n, _SCHED_BLOCK + 1), dtype=np.int64)  # column 0: no step
-        coins[:, 1:] = (rng.random((_SCHED_BLOCK, n)) < advance_prob).T
+        coins[:, 1:] = (rng.random((_SCHED_BLOCK, n)) < 0.5).T
         while coins.shape[1] > 1:
             ups = coins.cumsum(axis=1)
             cap = np.full(coins.shape[1], horizon)
@@ -484,7 +483,7 @@ def generate(config: SimConfig) -> Trace:
     Equal configs give equal traces.  The schedule is drawn from its
     own stream, one row of ``n`` advance coins per step and
     ``_SCHED_BLOCK`` rows per draw, so it depends only on (seed, n,
-    epsilon_app, advance_prob, horizon).
+    epsilon_app, horizon).
 
     Placement comes first (:func:`predicate_intervals`; point predicates
     are placed straight from their decisions).  Each process's local
@@ -505,26 +504,13 @@ def generate(config: SimConfig) -> Trace:
     still in flight when its receiver stops is dropped: its slot stays
     empty and is left out of ``Trace.messages``.
 
-    Three paths run the schedule, picked in this order:
-
-    * the offset table, when ``0 < epsilon_app < horizon`` and it has at
-      most ``_TABLE_ENTRIES`` entries (``(eps+1)**n - eps**n`` offset
-      states times ``2**n`` coin rows: n=3 at eps 10 has 2,648, n=20
-      never fits), for the steps before the horizon tail.  A step costs
-      a lookup; the movers are walked only when one of them may have
-      reached ``min(watch)``.
-    * the reflection kernel (``_reflected_schedule``), when
-      ``_reflects``: ``epsilon_app >= 10`` and fewer than one forced
-      step expected per coin block, ``(1 - advance_prob)**n *
-      _SCHED_BLOCK < 1``.  It covers the whole run, horizon tail
-      included, and runs an event body only at an advance that reaches
-      a watch.
-    * the per-process step loop, for the rest and for the table's
-      horizon tail, which it runs on from the same coin block.
+    The schedule runs on the path :func:`_schedule_path` picks from (n,
+    epsilon_app, horizon).  On the offset table the movers are walked
+    only when one of them may have reached ``min(watch)``.
     """
     config.validate()
-    n, horizon, delta = config.n, config.horizon, config.delta
-    eps, advance_prob = config.epsilon_app, config.advance_prob
+    # as Python ints: a numpy integer n would overflow the table-size test
+    n, eps, horizon, delta = map(int, (config.n, config.epsilon_app, config.horizon, config.delta))
     never = horizon + 1  # sentinel tick past every plan
 
     # p's local-work plan: the ascending ticks work[p] at which p opens an
@@ -612,7 +598,8 @@ def generate(config: SimConfig) -> Trace:
     rows: list[list[bool]] = []  # scheduler coins, row r is the next step's
     r, procs = 0, range(n)
 
-    if 0 < eps < horizon and ((eps + 1) ** n - eps ** n) << n <= _TABLE_ENTRIES:
+    path = _schedule_path(n, eps, horizon)
+    if path == "table":
         # offset table: while lo + eps < horizon no clock is near the
         # horizon, so a step depends only on the clock offsets from lo and
         # the coin row.  Entry k = state << n | row holds the next state
@@ -627,7 +614,7 @@ def generate(config: SimConfig) -> Trace:
         lo = base = 0  # base: the current state << n
         stop, low = horizon - eps, min(watch)
         while lo < stop:
-            block = sched_rng.random((_SCHED_BLOCK, n)) < advance_prob
+            block = sched_rng.random((_SCHED_BLOCK, n)) < 0.5
             for r, row in enumerate((block @ weights).tolist(), 1):
                 k = base | row
                 base = nxt[k]
@@ -657,8 +644,8 @@ def generate(config: SimConfig) -> Trace:
                     break
         clocks = [lo + o for o in offs[base >> n]]
         rows = block.tolist()  # the horizon tail goes on from row r
-    elif _reflects(n, eps, advance_prob):
-        for seg, forced in _reflected_schedule(clocks, eps, horizon, advance_prob, sched_rng):
+    elif path == "kernel":
+        for seg, forced in _reflected_schedule(clocks, eps, horizon, sched_rng):
             if (steps := seg.shape[1] - 1) > 0:
                 # p's k-th advance in the segment is flat[offs[p] + k - 1],
                 # as p * steps + its step, and takes p's clock to
@@ -712,7 +699,7 @@ def generate(config: SimConfig) -> Trace:
         if r == len(rows):
             # at eps 0 every step is forced, so no coin is ever read
             rows = ([()] * _SCHED_BLOCK if eps == 0 else
-                    (sched_rng.random((_SCHED_BLOCK, n)) < advance_prob).tolist())
+                    (sched_rng.random((_SCHED_BLOCK, n)) < 0.5).tolist())
             r = 0
         # a won coin advances a process below the drift cap and the
         # horizon; p's clock is still its value from the start of the step

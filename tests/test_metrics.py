@@ -316,6 +316,8 @@ def test_partial_predicate_experiment_bounds():
         partial_predicate_experiment(cfg, p=0)
     with pytest.raises(ValueError):
         partial_predicate_experiment(cfg, p=9)
+    with pytest.raises(ValueError):
+        partial_fractions(cfg, [2, 2.5])
 
 
 def test_hlc_recall_curve_pools_counts():

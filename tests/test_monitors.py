@@ -150,7 +150,6 @@ def test_quasi_is_overlap_filtered_async_without_messages(index):
         interval=cfg.interval,
         horizon=cfg.horizon,
         seed=cfg.seed,
-        advance_prob=cfg.advance_prob,
     )
     trace = generate(cfg)
     full = detect_async(trace)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 
 from psml import simkernel
+from psml.metrics import PRESETS
 from psml.simkernel import (
     HNMA,
     PMA,
@@ -47,19 +48,38 @@ BASE = SimConfig(n=4, epsilon_app=5, delta=8, alpha=0.1, beta=0.1, horizon=300, 
         {"beta": 0.0},
         {"horizon": 0},
         {"seed": -1},
-        {"advance_prob": 0.0},
+        {"epsilon_app": 2.5},
         {"interval": FixedLength(0)},
         {"interval": GeometricLength(0.0)},
         {"correlation": PMA(group1=4)},
         {"correlation": PMA(group1=2, p_dep=1.2)},
         {"interval": "point"},
         {"correlation": "pma"},
+        # counts must be integers, numpy integers included
+        {"n": 4.0},
+        {"delta": 2.5},
+        {"horizon": 50.5},
+        {"seed": 1.5},
+        {"interval": FixedLength(2.5)},
+        {"correlation": PMA(group1=1.5)},
     ],
 )
 def test_validate_rejects(kwargs):
     cfg = SimConfig(**{"n": 4, "epsilon_app": 5, **kwargs})
     with pytest.raises(ValueError):
         cfg.validate()
+
+
+def test_numpy_integer_counts_are_accepted():
+    """A config of numpy integers generates the trace of the same config
+    in Python ints, on every schedule path."""
+    for n, eps in ((3, 10), (5, 10), (20, 50)):
+        plain = SimConfig(n=n, epsilon_app=eps, delta=4, alpha=0.1, beta=0.1,
+                          interval=FixedLength(2), horizon=300, correlation=PMA(1), seed=3)
+        wide = SimConfig(n=np.int64(n), epsilon_app=np.int64(eps), delta=np.int64(4), alpha=0.1,
+                         beta=0.1, interval=FixedLength(np.int64(2)), horizon=np.int64(300),
+                         correlation=PMA(np.int64(1)), seed=np.int64(3))
+        assert generate(wide) == generate(plain)
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +270,14 @@ def test_hnma_followers_lean_toward_minority():
 
 def test_step_schedule_lockstep_at_zero_spread():
     rng = np.random.default_rng(0)
-    assert reference_step_schedule([3, 3, 3], 0, 0.5, 10, rng) == [0, 1, 2]
-    assert reference_step_schedule([10, 3, 3], 0, 0.5, 10, rng) == [1, 2]
+    assert reference_step_schedule([3, 3, 3], 0, 10, rng) == [0, 1, 2]
+    assert reference_step_schedule([10, 3, 3], 0, 10, rng) == [1, 2]
 
 
 def test_step_schedule_always_progresses():
     rng = np.random.default_rng(0)
     for _ in range(200):
-        picked = reference_step_schedule([4, 2, 7], 5, 0.5, 10, rng)
+        picked = reference_step_schedule([4, 2, 7], 5, 10, rng)
         assert picked
         assert all(p in (0, 1, 2) for p in picked)
 
@@ -266,14 +286,14 @@ def test_step_schedule_respects_drift_cap():
     rng = np.random.default_rng(1)
     clocks = [5, 0, 3]
     for _ in range(500):
-        picked = reference_step_schedule(clocks, 5, 0.9, 100, rng)
+        picked = reference_step_schedule(clocks, 5, 100, rng)
         assert 0 not in picked or clocks[0] < min(clocks) + 5
 
 
 def test_generated_spread_never_exceeds_epsilon():
     kw = dict(n=3, epsilon_app=4, delta=5, alpha=0.2, beta=0.1, horizon=120, seed=11)
     edges = ({"epsilon_app": 0}, {"epsilon_app": 1}, {}, {"delta": 0}, {"alpha": 1.0},
-             {"n": 2}, {"horizon": 1}, {"advance_prob": 1.0},
+             {"n": 2}, {"horizon": 1},
              {"delta": 0, "alpha": 1.0, "epsilon_app": 0, "beta": 1.0},
              {"n": 6, "correlation": PMA(2), "interval": FixedLength(3)},
              {"n": 5, "correlation": PMAJ(), "interval": GeometricLength(0.4)},
@@ -347,12 +367,32 @@ def test_table_transition_matches_reference_step(n, eps):
             after, rise, moved = simkernel._transition(offsets, row, eps)
             for lo in (0, 37):
                 clocks = [lo + o for o in offsets]
-                expect = reference_step_schedule(clocks, eps, 0.5, horizon, _Coins(won))
+                expect = reference_step_schedule(clocks, eps, horizon, _Coins(won))
                 assert [p for p in range(n) if moved >> p & 1] == expect, (offsets, row)
             stepped = [o + (p in expect) for p, o in enumerate(offsets)]
             assert rise == min(stepped)
             assert after == tuple(o - rise for o in stepped)
             assert max(after) <= eps
+
+
+def test_schedule_path_serves_each_workload():
+    """The path each preset and benchmark shape runs its schedule on, at
+    every eps_app its grid lists."""
+    hlc, partial = PRESETS["fig-hlc"]["base"], PRESETS["table-partial"]["base"]
+    fpr, ad, pr = PRESETS["fig-fpr-n20"], PRESETS["fig-ad-independence"]["base"], PRESETS["fig-pr-diagram"]
+    cells = [
+        (hlc, [hlc["epsilon_app"]], "table"),
+        ({"n": 3, "horizon": 300_000}, [10], "table"),  # few-long
+        (partial, [partial["epsilon_app"]], "loop"),
+        (fpr["base"], fpr["grid"]["epsilon_app"], "kernel"),
+        (ad, [ad["epsilon_app"]], "kernel"),
+        (pr["base"], pr["eps_app"], "kernel"),
+        ({"n": 20, "horizon": 100_000}, [200], "kernel"),  # sparse-ref
+        ({"n": 20, "horizon": 20_000}, [50], "kernel"),  # dense-corr
+    ]
+    for base, eps_values, path in cells:
+        for eps in eps_values:
+            assert simkernel._schedule_path(base["n"], eps, base["horizon"]) == path, (base, eps)
 
 
 def _kernel_run(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -361,10 +401,7 @@ def _kernel_run(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     was forced."""
     rng = simkernel._stream(cfg.seed, simkernel._S_SCHED)
     before, moved, forced = [], [], []
-    segments = simkernel._reflected_schedule(
-        [0] * cfg.n, cfg.epsilon_app, cfg.horizon, cfg.advance_prob, rng
-    )
-    for seg, p in segments:
+    for seg, p in simkernel._reflected_schedule([0] * cfg.n, cfg.epsilon_app, cfg.horizon, rng):
         before.append(seg[:, :-1].T)
         moved.append((seg[:, 1:] != seg[:, :-1]).T)
         forced.append(np.zeros(seg.shape[1] - 1, dtype=bool))
@@ -375,19 +412,17 @@ def _kernel_run(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.vstack(before), np.vstack(moved), np.concatenate(forced)
 
 
-# a cut of the grid n in {2, 4, 20, 50}, eps in {1, 3, 50, 200}, advance
-# prob in {0.3, 0.5, 1}, horizon in {300, 2500}, seeds 0 and 7, which passed
-# in full when the kernel was written.  The full grid costs about 70 s: at
-# eps 1 the caps bind on most steps, so a block takes about as many passes
-# as it has rows (5 s a config at n=50, horizon 2500; the switch rule never
-# picks the kernel there).  Kept: horizon 300 (about one coin block, mostly
-# horizon tail) at both seeds for eps >= 3 and at seed 0 for eps 1 and
-# n <= 20, and several blocks at horizon 2500 where the rule picks it.
+# a cut of the grid n in {2, 4, 20, 50}, eps in {1, 3, 50, 200}, horizon in
+# {300, 2500}, seeds 0 and 7, which passed in full when the kernel was
+# written.  The full grid is slow: at eps 1 the caps bind on most steps, so
+# a block takes about as many passes as it has rows (5 s a config at n=50,
+# horizon 2500; the switch rule never picks the kernel there).  Kept:
+# horizon 300 (about one coin block, mostly horizon tail) at both seeds for
+# eps >= 3 and at seed 0 for eps 1 and n <= 20, and several blocks at
+# horizon 2500 where the rule picks it.
 _KERNEL_GRID = [
-    (n, eps, prob, horizon, seed)
-    for n, eps, prob, horizon, seed in itertools.product(
-        (2, 4, 20, 50), (1, 3, 50, 200), (0.3, 0.5, 1.0), (300, 2_500), (0, 7)
-    )
+    (n, eps, horizon, seed)
+    for n, eps, horizon, seed in itertools.product((2, 4, 20, 50), (1, 3, 50, 200), (300, 2_500), (0, 7))
     if (horizon == 300 and (eps > 1 or (seed == 0 and n <= 20)))
     or (horizon == 2_500 and seed == 0 and n >= 20 and eps >= 50)
 ]
@@ -397,15 +432,15 @@ _KERNEL_GRID = [
 def test_reflection_kernel_matches_reference_schedule(n):
     """The kernel alone, whatever the rule that picks it: every step's
     clocks, movers and forced flag equal the reference scheduler's."""
-    for _, eps, prob, horizon, seed in (g for g in _KERNEL_GRID if g[0] == n):
-        cfg = SimConfig(n=n, epsilon_app=eps, advance_prob=prob, horizon=horizon, seed=seed)
+    for _, eps, horizon, seed in (g for g in _KERNEL_GRID if g[0] == n):
+        cfg = SimConfig(n=n, epsilon_app=eps, horizon=horizon, seed=seed)
         steps, final = replay_schedule(cfg)
         clocks = np.array([c for c, _ in steps])
         moved = np.zeros(clocks.shape, dtype=bool)
         for s, (_, advancing) in enumerate(steps):
             moved[s, list(advancing)] = True
         # a step is forced when no coin winner is below the cap
-        coins = simkernel._stream(seed, simkernel._S_SCHED).random(clocks.shape) < prob
+        coins = simkernel._stream(seed, simkernel._S_SCHED).random(clocks.shape) < 0.5
         cap = np.minimum(clocks.min(axis=1) + eps, horizon)[:, None]
         forced = ~(coins & (clocks < cap)).any(axis=1)
         got = _kernel_run(cfg)
@@ -430,7 +465,7 @@ _COINCIDING = SimConfig(n=20, epsilon_app=50, delta=5, alpha=0.1, beta=0.1,
                   interval=FixedLength(30), horizon=20_000, seed=3),
         # a message on every tick, delivered in the step it is due
         SimConfig(n=3, epsilon_app=4, delta=0, alpha=1.0, beta=0.2,
-                  interval=FixedLength(3), horizon=2_000, advance_prob=1.0, seed=4),
+                  interval=FixedLength(3), horizon=2_000, seed=4),
         SimConfig(n=3, epsilon_app=4, delta=0, alpha=1.0, beta=0.2,
                   horizon=2_000, seed=5),
         SimConfig(n=2, epsilon_app=200, delta=7, alpha=0.05, beta=0.02,
@@ -450,23 +485,18 @@ _COINCIDING = SimConfig(n=20, epsilon_app=50, delta=5, alpha=0.1, beta=0.1,
         # all horizon tail
         SimConfig(n=20, epsilon_app=30, delta=1, alpha=0.3, beta=0.3, horizon=30, seed=12),
         SimConfig(n=50, epsilon_app=40, delta=0, alpha=0.3, beta=0.3, horizon=25, seed=13),
-        # every coin won: the clocks never spread
-        SimConfig(n=20, epsilon_app=20, delta=0, alpha=0.5, beta=0.3, horizon=700,
-                  advance_prob=1.0, seed=14),
-        SimConfig(n=50, epsilon_app=10, delta=2, alpha=0.2, beta=0.2, horizon=300,
-                  advance_prob=1.0, seed=15),
         _COINCIDING,
         SimConfig(n=50, epsilon_app=15, delta=3, alpha=0.05, beta=0.1, interval=GeometricLength(0.5),
-                  horizon=600, correlation=PMAJ(), advance_prob=0.3, seed=17),
+                  horizon=600, correlation=PMAJ(), seed=17),
     ],
-    ids=["few-long-20k", "dense-lockstep", "dense-drift", "n2-eps200",
+    ids=["few-long-20k", "dense-fixed3", "dense-drift", "n2-eps200",
          "horizon-eps", "horizon-eps+1", "n4-horizon-eps+1", "n20-eps0",
          "n20-delta0-alpha1", "n50-delta0-alpha1", "n20-horizon-eps", "n50-horizon-eps",
-         "n20-prob1", "n50-prob1", "n20-pmaj-geom", "n50-pmaj-geom"],
+         "n20-pmaj-geom", "n50-pmaj-geom"],
 )
 def test_generate_equals_reference_at_long_horizons(cfg):
     if cfg.n >= 20 and cfg.epsilon_app:  # these cases are there for the kernel
-        assert simkernel._reflects(cfg.n, cfg.epsilon_app, cfg.advance_prob)
+        assert simkernel._schedule_path(cfg.n, cfg.epsilon_app, cfg.horizon) == "kernel"
     trace = generate(cfg)
     assert trace == reference_generate(cfg)
     if cfg is _COINCIDING:
@@ -514,7 +544,7 @@ def test_reflection_kernel_pays_per_event_not_per_advance():
     shape = dict(n=20, epsilon_app=200, delta=100, horizon=20_000, seed=3)
     quiet_cfg = SimConfig(**shape, alpha=0.0, beta=1e-12)
     busy_cfg = SimConfig(**shape, alpha=0.001, beta=0.005)
-    assert simkernel._reflects(20, 200, quiet_cfg.advance_prob)
+    assert simkernel._schedule_path(20, 200, shape["horizon"]) == "kernel"
     quiet, busy = _generate_lines(quiet_cfg), _generate_lines(busy_cfg)
     # every step moves a clock by at most one, so there are at least
     # horizon steps
@@ -544,7 +574,6 @@ def _cfg_dict(cfg: SimConfig) -> dict:
         "horizon": cfg.horizon,
         "correlation": cfg.correlation,
         "seed": cfg.seed,
-        "advance_prob": cfg.advance_prob,
     }
 
 
@@ -566,10 +595,8 @@ def test_messages_dropped_at_the_horizon(n, delta):
     the horizon or go to a receiver that has already stopped.  Those are
     dropped; the delivered rest come out in send order."""
     cfg = SimConfig(n=n, epsilon_app=10, delta=delta, alpha=1.0, beta=0.1, horizon=120, seed=5)
-    if n == 3:  # the offset table, then the step loop for the horizon tail
-        assert (11 ** n - 10 ** n) << n <= simkernel._TABLE_ENTRIES
-    else:
-        assert simkernel._reflects(n, cfg.epsilon_app, cfg.advance_prob)
+    # n=3: the offset table, then the step loop for the horizon tail
+    assert simkernel._schedule_path(n, 10, cfg.horizon) == ("table" if n == 3 else "kernel")
     trace = generate(cfg)
     assert trace == reference_generate(cfg)
     assert 0 < len(trace.messages) < n * cfg.horizon  # one send per process tick
@@ -611,7 +638,6 @@ def test_placement_ignores_traffic_and_scheduling():
         {"delta": 40},
         {"alpha": 0.0},
         {"alpha": 0.9},
-        {"advance_prob": 0.2},
         {"epsilon_app": 0},
     ):
         assert predicate_intervals(SimConfig(**{**kw, **overrides})) == reference
