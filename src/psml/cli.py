@@ -8,9 +8,10 @@ bare number.  The data family (``simulate``, ``sweep``, ``prdiagram``,
 CSV (default) or a structured JSON document via ``--format``; both
 forms carry the full effective configuration, as ``# key = value``
 header lines in CSV and as a ``config`` object in JSON.  Each family
-is one table: ``_FORMS`` maps a form to its settings and closed form,
-``_DATA`` maps a data command to its preset kind, settings, list flags
-and run function, and one handler per table does the rest.
+is one table: ``_FORMS`` maps a form to its settings and closed form
+(``_TUNE`` is ``tune``'s entry of that kind), ``_DATA`` maps a data
+command to its preset kind, settings, list flags and run function, and
+one handler per table does the rest.
 
 Settings resolve as flag > config file (``--config``, flat
 ``key = value`` lines) > built-in default; the ``PSML_SEED``
@@ -314,10 +315,6 @@ def _deliver(text: str, out: str | None) -> None:
         raise
 
 
-def _emit_lines(pairs: Sequence[tuple[str, Any]], out: str | None) -> None:
-    _deliver("".join(f"{k} = {_fmt(v)}\n" for k, v in pairs), out)
-
-
 # ---------------------------------------------------------------------------
 # analytic commands
 # ---------------------------------------------------------------------------
@@ -360,30 +357,9 @@ _FORMS: dict[str, tuple[str, tuple[str, ...], Callable[..., Any]]] = {
 }
 
 
-def _cmd_analytic(args: argparse.Namespace) -> int:
-    s = _Settings(args)
-    _, names, form = _FORMS[args.form]
-    value = form(*(s.get(k, 1) if k == "ell" else s.require(k) for k in names))
-    if isinstance(value, list):
-        _emit_lines(value, args.out)
-    else:
-        _deliver(_fmt(value) + "\n", args.out)
-    return 0
-
-
-def _cmd_tune(args: argparse.Namespace) -> int:
-    s = _Settings(args)
-    eps_app = s.require("eps_app")
-    n, beta = s.require("n"), s.require("beta")
-    ell, eta = s.get("ell", 1), s.require("eta")
+def _tune(eps_app: int, n: int, beta: float, ell: float, eta: float) -> list[tuple[str, Any]]:
     interval = admissible_eps_mon(eps_app, n, beta, ell, eta)
-    pairs: list[tuple[str, Any]] = [
-        ("eps_app", eps_app),
-        ("n", n),
-        ("beta", beta),
-        ("ell", ell),
-        ("eta", eta),
-    ]
+    pairs: list[tuple[str, Any]] = [("eps_app", eps_app), ("n", n), ("beta", beta), ("ell", ell), ("eta", eta)]
     if eta < 1.0:
         # the threshold is only defined for targets strictly below 1; at
         # eta = 1 the interval below is the single point eps_app anyway
@@ -404,7 +380,19 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         hi = "inf" if interval.unbounded_hi else _fmt(interval.hi)
         closer = ")" if interval.unbounded_hi else "]"
         pairs.append(("admissible", f"[{_fmt(interval.lo)}, {hi}{closer}"))
-    _emit_lines(pairs, args.out)
+    return pairs
+
+
+# the tune command's settings in call order and its (name, value) pairs
+_TUNE = (("eps_app", "n", "beta", "ell", "eta"), _tune)
+
+
+def _cmd_analytic(args: argparse.Namespace) -> int:
+    s = _Settings(args)
+    names, form = args.closed_form
+    value = form(*(s.get(k, 1) if k == "ell" else s.require(k) for k in names))
+    text = "".join(f"{k} = {_fmt(v)}\n" for k, v in value) if isinstance(value, list) else _fmt(value) + "\n"
+    _deliver(text, args.out)
     return 0
 
 
@@ -563,10 +551,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     asub = analytic.add_subparsers(dest="form", required=True, metavar="form")
 
-    for name, (help_, names, _) in _FORMS.items():
+    for name, (help_, names, fn) in _FORMS.items():
         form = asub.add_parser(name, help=help_)
         _add_flags(form, *names, "config", "out")
-        form.set_defaults(func=_cmd_analytic)
+        form.set_defaults(func=_cmd_analytic, closed_form=(names, fn))
 
     tune = sub.add_parser(
         "tune",
@@ -575,8 +563,8 @@ def build_parser() -> argparse.ArgumentParser:
         "hypersensitivity verdict, and one-sided fallbacks when no window "
         "meets both targets.",
     )
-    _add_flags(tune, "eps_app", "n", "beta", "ell", "eta", "config", "out")
-    tune.set_defaults(func=_cmd_tune)
+    _add_flags(tune, *_TUNE[0], "config", "out")
+    tune.set_defaults(func=_cmd_analytic, closed_form=_TUNE)
 
     for command, (kind, help_, _, names, lists, _) in _DATA.items():
         cmd = sub.add_parser(command, help=help_)

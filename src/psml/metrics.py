@@ -38,7 +38,7 @@ import numbers
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -53,8 +53,6 @@ from .monitors import (
 from .simkernel import (
     FixedLength,
     GeometricLength,
-    IntervalSpec,
-    PredicateInterval,
     SimConfig,
     Trace,
     generate,
@@ -68,7 +66,6 @@ __all__ = [
     "FprResult",
     "default_warmup",
     "config_with",
-    "interval_params",
     "config_columns",
     "fpr_experiment",
     "fpr_row",
@@ -101,15 +98,15 @@ def _resolve_warmup(config: SimConfig, warmup: int | None) -> int:
     return warmup
 
 
-def _counted_cuts(
-    cuts: list[tuple[PredicateInterval, ...]], warmup: int
-) -> Iterator[tuple[PredicateInterval, ...]]:
-    """The enumerated cuts whose earliest candidate starts at or after
-    ``warmup``.  The engine's heads only advance, so a cut's minimum
-    start never falls along the enumeration: these cuts are a suffix of
-    it, found by one bisection."""
+def _counted_lengths(trace: Trace, warmup: int) -> list[int]:
+    """The lengths of the asynchronous monitor's cuts whose earliest
+    candidate starts at or after ``warmup``, in enumeration order.  The
+    engine's heads only advance, so a cut's minimum start never falls
+    along the enumeration: these cuts are a suffix of it, found by one
+    bisection."""
+    cuts = detect_async(trace)
     first = bisect_left(cuts, warmup, key=lambda cut: min(c.start for c in cut))
-    return itertools.islice(cuts, first, None)
+    return list(map(cut_length, itertools.islice(cuts, first, None)))
 
 
 def config_with(base: SimConfig, **overrides: Any) -> SimConfig:
@@ -134,25 +131,19 @@ def config_with(base: SimConfig, **overrides: Any) -> SimConfig:
     return cfg
 
 
-def interval_params(spec: IntervalSpec) -> tuple[int | None, float | None]:
-    """The ``(ell, geom_p)`` shorthands of an interval spec, the inverse
-    of :func:`config_with`'s mapping; exactly one of the pair is None."""
-    if isinstance(spec, GeometricLength):
-        return None, spec.p
-    return spec.length, None
-
-
 def config_columns(cfg: SimConfig) -> dict[str, Any]:
-    """The output columns of a config, ``n`` through ``seed``."""
-    ell, geom_p = interval_params(cfg.interval)
+    """The output columns of a config, ``n`` through ``seed``: the
+    inverse of :func:`config_with`, with the interval spec as its
+    ``ell`` and ``geom_p`` shorthands, exactly one of them None."""
+    geometric = isinstance(cfg.interval, GeometricLength)
     return {
         "n": cfg.n,
         "eps_app": cfg.epsilon_app,
         "delta": cfg.delta,
         "alpha": cfg.alpha,
         "beta": cfg.beta,
-        "ell": ell,
-        "geom_p": geom_p,
+        "ell": None if geometric else cfg.interval.length,
+        "geom_p": cfg.interval.p if geometric else None,
         "horizon": cfg.horizon,
         "seed": cfg.seed,
     }
@@ -212,15 +203,13 @@ def fpr_experiment(
     and classify each counted cut via eps-consistency at ``eps_check``.
 
     The monitor reports only pairwise-concurrent cuts, so a cut is
-    eps-consistent exactly when its length fits ``eps_check``.  The
-    cuts warmup discards are a prefix of the enumeration (a cut's
-    minimum start never falls along it), so only the cuts after that
-    prefix are classified."""
+    eps-consistent exactly when its length fits ``eps_check``; only the
+    counted cuts are measured (:func:`_counted_lengths`)."""
     if not eps_check >= 0:
         raise ValueError("eps_check must be non-negative")
     warmup = _resolve_warmup(config, warmup)
     trace = generate(config)
-    lengths = list(map(cut_length, _counted_cuts(detect_async(trace), warmup)))
+    lengths = _counted_lengths(trace, warmup)
     y = len(lengths)
     y_f = sum(length <= eps_check for length in lengths)
     fpr = 1.0 - y_f / y if y else float("nan")
@@ -245,19 +234,16 @@ def _pr_counts(
     ``eps_mon``, the eps_app-consistent ground truth and their
     intersection.
 
-    The enumeration runs at the widest of the windows and eps_app.  The
-    engine's trajectory does not depend on the window, so that run
-    reports every window's cuts and the ground truth, and counting its
-    cuts by length recovers each count exactly.  As in
-    :func:`fpr_experiment`, warmup drops a prefix of the enumeration and
-    only the cuts after it are measured.
+    The engine's trajectory does not depend on the window, and a
+    window's cuts are the concurrent cuts no longer than it, so the
+    lengths the asynchronous monitor counts (:func:`_counted_lengths`,
+    warmup applied as in :func:`fpr_experiment`) give every count.
     """
     if not all(eps_mon >= 0 for eps_mon in eps_mon_values):
         raise ValueError("eps_mon must be non-negative")
     warmup = _resolve_warmup(config, warmup)
     eps_app = config.epsilon_app
-    cuts = detect_partialsync(generate(config), max([*eps_mon_values, eps_app]))
-    lengths = sorted(map(cut_length, _counted_cuts(cuts, warmup)))
+    lengths = sorted(_counted_lengths(generate(config), warmup))
     true_set = bisect_right(lengths, eps_app)
     return [
         (bisect_right(lengths, eps_mon), true_set, bisect_right(lengths, min(eps_mon, eps_app)))
@@ -307,7 +293,8 @@ def sweep(
         for seed in seeds
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # fork starts every worker up front, so no more than there are rows
+        with ProcessPoolExecutor(max_workers=min(jobs, len(specs))) as pool:
             return list(pool.map(_sweep_row, specs))
     return [_sweep_row(s) for s in specs]
 
@@ -343,7 +330,7 @@ def pr_diagram(
     if mode not in ("analytic", "simulated"):
         raise ValueError("mode must be 'analytic' or 'simulated'")
     replicas = _replicas(base, replicates)
-    ell, _ = interval_params(base.interval)
+    ell = config_columns(base)["ell"]
     if ell is None:
         raise ValueError("pr_diagram needs a fixed interval length")
     # every eps_app is checked before the first trace is generated

@@ -32,9 +32,10 @@ process's local-work plan (its interval starts, interval ends and send
 ticks, merged into one ascending list before the schedule runs) and
 that of its inbox.  Point predicates are placed straight from their
 per-tick decisions.
-Events never change a clock, so the schedule runs on one of three
-paths, each giving the same steps; :func:`_schedule_path` holds the rule
-that picks one.
+Events never change a clock, so the schedule is kept apart from them:
+:func:`_event_state` owns the plans, inboxes, stamps and the trace, and
+one of three schedule drivers, each giving the same steps, calls its
+event body; :func:`_schedule_path` holds the rule that picks one.
 
 Randomness is split into independent per-process streams keyed by
 purpose, and every decision is indexed by clock value rather than by
@@ -50,7 +51,7 @@ import itertools
 import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -372,26 +373,31 @@ def predicate_intervals(config: SimConfig) -> list[list[tuple[int, int]]]:
 _SCHED_BLOCK = 512
 # largest offset table, in (state, coin row) entries, that generate builds
 _TABLE_ENTRIES = 1 << 17
+# A schedule driver runs the scheduler to the horizon and returns the final
+# clocks.  It sees only the watch ticks and events(p, v), which it calls at
+# each advance of p to v >= watch[p], in (step, process) order, and which
+# returns the receiver of the send it made, if any.
+_Events = Callable[[int, int], int | None]
 
 
 def _schedule_path(n: int, eps: int, horizon: int) -> str:
     """The path ``generate`` runs the schedule on; all three give the
     same steps.
 
-    * ``"table"``, the offset table, when ``0 < eps < horizon`` and it
-      has at most ``_TABLE_ENTRIES`` entries, ``(eps+1)**n - eps**n``
-      offset states times ``2**n`` coin rows (n=3 at eps 10 has 2,648).
-      Below the horizon tail a step depends only on the clocks' offsets
-      from the minimum and the coin row, so the table memoises it; the
-      step loop runs the tail on from the same coin block.
-    * ``"kernel"``, the reflection kernel (:func:`_reflected_schedule`),
-      when ``n >= 10`` and ``eps >= 10``.  It restarts its block at every
+    * ``"table"`` (:func:`_run_table`), when ``0 < eps < horizon`` and
+      the offset table has at most ``_TABLE_ENTRIES`` entries,
+      ``(eps+1)**n - eps**n`` offset states times ``2**n`` coin rows (n=3
+      at eps 10 has 2,648).  Below the horizon tail a step depends only
+      on the clocks' offsets from the minimum and the coin row, so the
+      table memoises it; the step loop runs the tail from the same block.
+    * ``"kernel"``, the reflection kernel (:func:`_run_kernel`), when
+      ``n >= 10`` and ``eps >= 10``.  It restarts its block at every
       forced step, which takes all ``n`` coins lost, so it runs where
       fewer than one is expected per block (``2**n > _SCHED_BLOCK``) and
       where its caps rarely bind: on the schedule alone at n in {10, 20,
       50} (2 CPUs) it overtakes the loop between eps 6 and 8, 1.8-2.8x
       faster at eps 10 and 0.06-0.12x at eps 2.
-    * ``"loop"``, the per-process step loop, for the rest.
+    * ``"loop"``, the step loop (:func:`_run_loop`), for the rest.
     """
     if 0 < eps < horizon and ((eps + 1) ** n - eps ** n) << n <= _TABLE_ENTRIES:
         return "table"
@@ -477,13 +483,8 @@ def _reflected_schedule(
             coins[:, 0] = 0
 
 
-def generate(config: SimConfig) -> Trace:
-    """Generate a complete trace; a pure function of ``config``.
-
-    Equal configs give equal traces.  The schedule is drawn from its
-    own stream, one row of ``n`` advance coins per step and
-    ``_SCHED_BLOCK`` rows per draw, so it depends only on (seed, n,
-    epsilon_app, horizon).
+def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[int]], Trace]]:
+    """The causal side of :func:`generate`: ``(events, watch, finish)``.
 
     Placement comes first (:func:`predicate_intervals`; point predicates
     are placed straight from their decisions).  Each process's local
@@ -492,25 +493,20 @@ def generate(config: SimConfig) -> Trace:
     tick marked with which of the three it holds; the interval lists
     are not kept.  ``watch[p]``, the first clock value at which p has
     causal work, is the smaller of its plan head and the delivery
-    threshold of its inbox head.  An advance that reaches the watch runs
-    the event body: it takes the due messages, then, only if the tick
-    is the plan head, runs the start, send and end the plan marks there,
-    in that order, and recomputes the watch; a send lowers the
-    receiver's watch to ``send_pt + delta``.
+    threshold of its inbox head.  ``events(p, v)`` takes the due
+    messages, then, only if the tick is the plan head, runs the start,
+    send and end the plan marks there, in that order, and recomputes the
+    watch; a send lowers the receiver's watch to ``send_pt + delta``.
 
     Each send appends an empty slot to a list indexed by its send seq,
     and the delivery fills it with the message's record, so the
     delivered messages come out in send order with no sort.  A message
     still in flight when its receiver stops is dropped: its slot stays
-    empty and is left out of ``Trace.messages``.
-
-    The schedule runs on the path :func:`_schedule_path` picks from (n,
-    epsilon_app, horizon).  On the offset table the movers are walked
-    only when one of them may have reached ``min(watch)``.
+    empty and is left out of the trace.  ``finish(clocks)`` is the
+    trace, given the final clocks.
     """
     config.validate()
-    # as Python ints: a numpy integer n would overflow the table-size test
-    n, eps, horizon, delta = map(int, (config.n, config.epsilon_app, config.horizon, config.delta))
+    n, horizon, delta = map(int, (config.n, config.horizon, config.delta))
     never = horizon + 1  # sentinel tick past every plan
 
     # p's local-work plan: the ascending ticks work[p] at which p opens an
@@ -537,7 +533,6 @@ def generate(config: SimConfig) -> Trace:
         work.append(memoryview(at))
         kinds.append(kind.tobytes())
 
-    clocks = [0] * n
     vcs: list[VC] = [(0,) * n] * n
     hlcs: list[HLC] = [(0, 0)] * n
     # in flight: per-receiver heap of (delivery threshold, send seq, sender,
@@ -593,113 +588,132 @@ def generate(config: SimConfig) -> Trace:
         watch[p] = w
         return q
 
+    def finish(clocks: list[int]) -> Trace:
+        # point intervals that open and close on the same tick are finalized
+        # in the event body because the end check runs after the start check
+        assert all(iv is None for iv in open_iv)
+        messages = tuple(m for m in sent if m is not None)
+        return Trace(config, tuple(tuple(ivs) for ivs in done), messages, tuple(clocks))
+
     watch = [at[0] for at in work]
-    sched_rng = _stream(config.seed, _S_SCHED)
-    rows: list[list[bool]] = []  # scheduler coins, row r is the next step's
+    return events, watch, finish
+
+
+def _run_table(events: _Events, watch: list[int], eps: int, horizon: int, rng: np.random.Generator) -> list[int]:
+    """The offset-table driver, for ``0 < eps < horizon``.  While ``lo +
+    eps < horizon`` a step depends only on the clock offsets from the
+    minimum ``lo`` and the coin row.  Table entry ``state << n | row``,
+    filled when first used, is ``(next state << n, rise of lo, movers in
+    ascending order, their largest offset after the step)``; the movers
+    are walked only when one may have reached ``min(watch)``.  The
+    horizon tail runs on in :func:`_run_loop` from the same coin block.
+    """
+    n = len(watch)
+    width, weights = 1 << n, 1 << np.arange(n)
+    bits = [[p for p in range(n) if m >> p & 1] for m in range(width)]  # mask -> processes
+    offs = [(0,) * n]  # state -> offsets, numbered in order of appearance
+    states = {offs[0]: 0}
+    table: list[tuple[int, int, list[int], int] | None] = [None] * width
+
+    def fill(k: int, row: int) -> tuple[int, int, list[int], int]:
+        after, rise, moved = _transition(offs[k >> n], row, eps)
+        if after not in states:
+            states[after] = len(offs)
+            offs.append(after)
+            table.extend([None] * width)
+        movers = bits[moved]
+        table[k] = (states[after] << n, rise, movers, max(after[p] for p in movers))
+        return table[k]
+
+    lo = base = 0  # base: the current state << n
+    stop, low = horizon - eps, min(watch)
+    while lo < stop:
+        block = rng.random((_SCHED_BLOCK, n)) < 0.5
+        for r, row in enumerate((block @ weights).tolist(), 1):
+            base, rise, movers, reach = table[base | row] or fill(base | row, row)
+            lo += rise
+            # no mover's clock is past lo + reach, and watches change only
+            # in events, so low is min(watch) and a step below it has no
+            # event
+            if lo + reach >= low:
+                o = offs[base >> n]
+                for p in movers:  # ascending, as in the step loop
+                    if lo + o[p] >= watch[p]:
+                        events(p, lo + o[p])
+                low = min(watch)
+            if lo >= stop:
+                break
+    return _run_loop(events, watch, eps, horizon, rng, [lo + o for o in offs[base >> n]], block[r:].tolist())
+
+
+def _run_kernel(events: _Events, watch: list[int], eps: int, horizon: int, rng: np.random.Generator) -> list[int]:
+    """The reflection-kernel driver (:func:`_reflected_schedule`), for
+    ``eps >= 1``."""
+    clocks = [0] * len(watch)
+    for seg, forced in _reflected_schedule(clocks, eps, horizon, rng):
+        if (steps := seg.shape[1] - 1) > 0:
+            # p's k-th advance in the segment is flat[offs[p] + k - 1],
+            # as p * steps + its step, and takes p's clock to
+            # c0[p] + k = index - base[p].  An event runs at the advance
+            # that reaches the watch, in (step, process) order, from a
+            # heap of (step, p, index) whose live entry for p is at[p]:
+            # the top entry is read, and replaced by p's next one after
+            # its event (or dropped if stale).
+            flat = memoryview(np.flatnonzero(seg[:, 1:] != seg[:, :-1]))
+            c0, ups = seg[:, 0], seg[:, -1] - seg[:, 0]
+            offs = [0, *itertools.accumulate(ups.tolist())]
+            base = (np.cumsum(ups) - ups - c0 - 1).tolist()
+            at, due = offs[1:], []
+            for p in np.flatnonzero(seg[:, -1] >= watch).tolist():
+                i = base[p] + watch[p]
+                if i < offs[p]:
+                    i = offs[p]
+                if i < at[p]:
+                    at[p] = i
+                    due.append((flat[i] - p * steps, p, i))
+            heapq.heapify(due)
+            while due:
+                s, p, i = due[0]
+                if at[p] != i:
+                    heapq.heappop(due)
+                    continue
+                q = events(p, i - base[p])
+                i = base[p] + watch[p]
+                if i < offs[p + 1]:
+                    at[p] = i
+                    heapq.heapreplace(due, (flat[i] - p * steps, p, i))
+                else:
+                    at[p] = offs[p + 1]
+                    heapq.heappop(due)
+                if q is not None:
+                    # q takes the message at its first advance that reaches
+                    # the new watch and comes after p's: in step s if q > p
+                    i = bisect_left(flat, q * steps + s + (q < p), offs[q], offs[q + 1])
+                    if i < base[q] + watch[q]:
+                        i = base[q] + watch[q]
+                    if i < at[q]:
+                        at[q] = i
+                        heapq.heappush(due, (flat[i] - q * steps, q, i))
+            clocks = seg[:, -1].tolist()
+        if forced >= 0:
+            v = clocks[forced] = clocks[forced] + 1
+            if v >= watch[forced]:
+                events(forced, v)
+    return clocks
+
+
+def _run_loop(events: _Events, watch: list[int], eps: int, horizon: int, rng: np.random.Generator,
+              clocks: list[int] | None = None, rows: Sequence[Sequence[bool]] = ()) -> list[int]:
+    """The per-process step loop, from ``clocks`` (zeros if None) on,
+    reading the coin rows in ``rows`` before it draws more."""
+    n = len(watch)
+    clocks = [0] * n if clocks is None else clocks
     r, procs = 0, range(n)
-
-    path = _schedule_path(n, eps, horizon)
-    if path == "table":
-        # offset table: while lo + eps < horizon no clock is near the
-        # horizon, so a step depends only on the clock offsets from lo and
-        # the coin row.  Entry k = state << n | row holds the next state
-        # (as state << n; -1 until the entry is first used), the rise of
-        # lo, the movers in ascending order and their largest offset
-        # after the step.
-        width, weights = 1 << n, 1 << np.arange(n)
-        bits = [[p for p in procs if m >> p & 1] for m in range(width)]  # mask -> processes
-        offs = [(0,) * n]  # state -> offsets, numbered in order of appearance
-        states = {offs[0]: 0}
-        nxt, rise, movers, reach = [-1] * width, [0] * width, [[]] * width, [0] * width
-        lo = base = 0  # base: the current state << n
-        stop, low = horizon - eps, min(watch)
-        while lo < stop:
-            block = sched_rng.random((_SCHED_BLOCK, n)) < 0.5
-            for r, row in enumerate((block @ weights).tolist(), 1):
-                k = base | row
-                base = nxt[k]
-                if base < 0:
-                    after, rise[k], moved = _transition(offs[k >> n], row, eps)
-                    movers[k] = bits[moved]
-                    reach[k] = max(after[p] for p in movers[k])
-                    if after not in states:
-                        states[after] = len(offs)
-                        offs.append(after)
-                        nxt += [-1] * width
-                        rise += [0] * width
-                        movers += [[]] * width
-                        reach += [0] * width
-                    base = nxt[k] = states[after] << n
-                lo += rise[k]
-                # no mover's clock is past lo + reach[k], and watches change
-                # only in events, so low is min(watch) and a step below it
-                # has no event
-                if lo + reach[k] >= low:
-                    o = offs[base >> n]
-                    for p in movers[k]:  # ascending, as in the loop below
-                        if lo + o[p] >= watch[p]:
-                            events(p, lo + o[p])
-                    low = min(watch)
-                if lo >= stop:
-                    break
-        clocks = [lo + o for o in offs[base >> n]]
-        rows = block.tolist()  # the horizon tail goes on from row r
-    elif path == "kernel":
-        for seg, forced in _reflected_schedule(clocks, eps, horizon, sched_rng):
-            if (steps := seg.shape[1] - 1) > 0:
-                # p's k-th advance in the segment is flat[offs[p] + k - 1],
-                # as p * steps + its step, and takes p's clock to
-                # c0[p] + k = index - base[p].  An event runs at the advance
-                # that reaches the watch, in (step, process) order as in the
-                # loop below, from a heap of (step, p, index) whose live
-                # entry for p is at[p]: the top entry is read, and replaced
-                # by p's next one after its event (or dropped if stale).
-                flat = memoryview(np.flatnonzero(seg[:, 1:] != seg[:, :-1]))
-                c0, ups = seg[:, 0], seg[:, -1] - seg[:, 0]
-                offs = [0, *itertools.accumulate(ups.tolist())]
-                base = (np.cumsum(ups) - ups - c0 - 1).tolist()
-                at, due = offs[1:], []
-                for p in np.flatnonzero(seg[:, -1] >= watch).tolist():
-                    i = base[p] + watch[p]
-                    if i < offs[p]:
-                        i = offs[p]
-                    if i < at[p]:
-                        at[p] = i
-                        due.append((flat[i] - p * steps, p, i))
-                heapq.heapify(due)
-                while due:
-                    s, p, i = due[0]
-                    if at[p] != i:
-                        heapq.heappop(due)
-                        continue
-                    q = events(p, i - base[p])
-                    i = base[p] + watch[p]
-                    if i < offs[p + 1]:
-                        at[p] = i
-                        heapq.heapreplace(due, (flat[i] - p * steps, p, i))
-                    else:
-                        at[p] = offs[p + 1]
-                        heapq.heappop(due)
-                    if q is not None:
-                        # q takes the message at its first advance that reaches
-                        # the new watch and comes after p's: in step s if q > p
-                        i = bisect_left(flat, q * steps + s + (q < p), offs[q], offs[q + 1])
-                        if i < base[q] + watch[q]:
-                            i = base[q] + watch[q]
-                        if i < at[q]:
-                            at[q] = i
-                            heapq.heappush(due, (flat[i] - q * steps, q, i))
-                clocks = seg[:, -1].tolist()
-            if forced >= 0:
-                v = clocks[forced] = clocks[forced] + 1
-                if v >= watch[forced]:
-                    events(forced, v)
-
     while (lo := min(clocks)) < horizon:
         if r == len(rows):
             # at eps 0 every step is forced, so no coin is ever read
             rows = ([()] * _SCHED_BLOCK if eps == 0 else
-                    (sched_rng.random((_SCHED_BLOCK, n)) < 0.5).tolist())
+                    (rng.random((_SCHED_BLOCK, n)) < 0.5).tolist())
             r = 0
         # a won coin advances a process below the drift cap and the
         # horizon; p's clock is still its value from the start of the step
@@ -720,16 +734,27 @@ def generate(config: SimConfig) -> Trace:
             v = clocks[p] = lo + 1
             if v >= watch[p]:
                 events(p, v)
+    return clocks
 
-    # point intervals that open and close on the same tick are finalized in
-    # the loop above because the end check runs after the start check
-    assert all(iv is None for iv in open_iv)
-    return Trace(
-        config=config,
-        intervals=tuple(tuple(ivs) for ivs in done),
-        messages=tuple(m for m in sent if m is not None),
-        final_clocks=tuple(clocks),
-    )
+
+_DRIVERS = {"table": _run_table, "kernel": _run_kernel, "loop": _run_loop}
+
+
+def generate(config: SimConfig) -> Trace:
+    """Generate a complete trace; a pure function of ``config``.
+
+    Equal configs give equal traces.  The schedule is drawn from its
+    own stream, one row of ``n`` advance coins per step and
+    ``_SCHED_BLOCK`` rows per draw, so it depends only on (seed, n,
+    epsilon_app, horizon).  :func:`_event_state` owns the events and
+    the trace; the schedule runs on the driver :func:`_schedule_path`
+    picks, which sees only the event body and the watch ticks.
+    """
+    events, watch, finish = _event_state(config)
+    # as Python ints: a numpy integer would overflow the table-size test
+    eps, horizon = int(config.epsilon_app), int(config.horizon)
+    run = _DRIVERS[_schedule_path(len(watch), eps, horizon)]
+    return finish(run(events, watch, eps, horizon, _stream(config.seed, _S_SCHED)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from psml import metrics
 from psml.metrics import (
     _pr_counts,
     FLAG_LOW_CONFIDENCE,
@@ -171,6 +172,31 @@ def test_sweep_rows_in_grid_order_with_seeds_innermost():
 def test_sweep_parallel_rows_identical():
     grid = {"beta": [0.1, 0.2]}
     assert sweep(CFG, grid, [0, 1], jobs=2) == sweep(CFG, grid, [0, 1], jobs=1)
+
+
+def test_sweep_pool_has_no_more_workers_than_rows(monkeypatch):
+    """Fork starts every worker of a pool up front, so the pool is capped
+    at the number of rows; this fake pool runs the rows in process."""
+    made = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(metrics, "ProcessPoolExecutor", Pool)
+    grid = {"beta": [0.1, 0.2]}
+    assert sweep(CFG, grid, [0, 1], jobs=64) == sweep(CFG, grid, [0, 1], jobs=1)
+    assert sweep(CFG, grid, [0, 1, 2], jobs=3) == sweep(CFG, grid, [0, 1, 2], jobs=1)
+    assert made == [4, 3]
 
 
 def test_sweep_validation():

@@ -505,9 +505,57 @@ def test_generate_equals_reference_at_long_horizons(cfg):
         assert received & {(m.sender, m.send_pt) for m in trace.messages}
 
 
+# configs for every schedule driver; _schedule_path picks the table for
+# the first, the loop for the second and the kernel for the third
+_DRIVER_CONFIGS = [
+    SimConfig(n=3, epsilon_app=10, delta=0, alpha=1.0, beta=0.2, interval=GeometricLength(0.3),
+              horizon=1_500, seed=21),
+    SimConfig(n=5, epsilon_app=10, delta=0, alpha=1.0, beta=0.2, interval=FixedLength(4),
+              horizon=800, correlation=PMAJ(), seed=22),
+    SimConfig(n=20, epsilon_app=50, delta=3, alpha=0.1, beta=0.1, interval=GeometricLength(0.4),
+              horizon=1_500, correlation=HNMA(), seed=23),
+    SimConfig(n=2, epsilon_app=1, delta=0, alpha=1.0, beta=1.0, interval=GeometricLength(0.5),
+              horizon=400, seed=24),
+    SimConfig(n=4, epsilon_app=6, delta=1, alpha=0.5, beta=0.3, interval=GeometricLength(0.2),
+              horizon=7, correlation=PMA(2, 0.7), seed=25),
+    SimConfig(n=3, epsilon_app=2, delta=0, alpha=1.0, beta=0.3, horizon=1, seed=26),
+    SimConfig(n=4, epsilon_app=0, delta=0, alpha=1.0, beta=0.3, interval=FixedLength(2),
+              horizon=300, seed=27),
+]
+
+
+def _driver_domain(path: str, cfg: SimConfig) -> bool:
+    """Where a driver runs: the table needs 0 < eps_app < horizon and
+    one 2**n-entry row per offset state, the kernel eps_app >= 1."""
+    eps = cfg.epsilon_app
+    return {"table": cfg.n <= 5 and 0 < eps < cfg.horizon, "kernel": eps >= 1, "loop": True}[path]
+
+
+@pytest.mark.parametrize("cfg", _DRIVER_CONFIGS, ids=[f"n{c.n}-eps{c.epsilon_app}-h{c.horizon}" for c in _DRIVER_CONFIGS])
+def test_every_driver_matches_reference_in_its_domain(cfg):
+    """Every schedule driver, on each config in its domain, whichever one
+    ``_schedule_path`` picks there, drives the event state to the
+    reference trace."""
+    expect = reference_generate(cfg)
+    for path, driver in simkernel._DRIVERS.items():
+        if _driver_domain(path, cfg):
+            events, watch, finish = simkernel._event_state(cfg)
+            rng = simkernel._stream(cfg.seed, simkernel._S_SCHED)
+            assert finish(driver(events, watch, cfg.epsilon_app, cfg.horizon, rng)) == expect, path
+
+
+def test_driver_configs_reach_paths_the_rule_does_not_pick():
+    picked = [simkernel._schedule_path(c.n, c.epsilon_app, c.horizon) for c in _DRIVER_CONFIGS]
+    assert picked[:3] == ["table", "loop", "kernel"]
+    for path in simkernel._DRIVERS:
+        assert any(p != path and _driver_domain(path, c) for p, c in zip(picked, _DRIVER_CONFIGS)), path
+
+
 def _generate_lines(cfg: SimConfig) -> int:
-    """Lines ``generate`` runs in its own frame (not in the event bodies)."""
-    code, count = simkernel.generate.__code__, 0
+    """Lines ``generate`` and its schedule drivers run in their own frames
+    (not in the event bodies)."""
+    codes = {f.__code__ for f in (simkernel.generate, *simkernel._DRIVERS.values())}
+    count = 0
 
     def local(frame, event, arg):
         nonlocal count
@@ -515,7 +563,7 @@ def _generate_lines(cfg: SimConfig) -> int:
         return local
 
     def calls(frame, event, arg):
-        return local if frame.f_code is code else None
+        return local if frame.f_code in codes else None
 
     previous = sys.gettrace()
     sys.settrace(calls)
