@@ -32,6 +32,16 @@ decided from the owner components alone: the start event of candidate
 ``i``'s owner count (``vc_j[proc_i] >= vc_i[proc_i]``).  This is
 equivalent to the full componentwise comparison for stamps drawn from
 one execution and takes constant time per pair.
+
+After a yielded cut the engine tests the moved head against the rest
+only if it learned something: if the sum of its stamp's foreign
+entries (all but its owner's) did not grow, the heads are still
+pairwise concurrent and the next cut is yielded at once.  Proof: no
+other head knew the old head, and the new one starts later on the
+same process, so none knows it; and foreign entries only grow along a
+process, so an equal sum means every foreign entry is unchanged: the
+new head knows what the old one knew, no other head.  Summing all ``n``
+entries is conservative when only some processes are monitored.
 """
 
 from __future__ import annotations
@@ -110,6 +120,8 @@ def _detect(
     ends = [c.end for c in heads]
     stamps = [c.vc_start for c in heads]
     owns = [s[p] for s, p in zip(stamps, procs)]
+    # each head's foreign entries, summed: what it has learned of others
+    foreign = [sum(s) - own for s, own in zip(stamps, owns)]
 
     def advance(i: int) -> bool:
         """Move head ``i`` on; False once its queue is exhausted."""
@@ -119,12 +131,15 @@ def _detect(
         c = heads[i] = queues[i][pos[i]]
         ends[i] = c.end
         s = stamps[i] = c.vc_start
-        owns[i] = s[procs[i]]
+        own = owns[i] = s[procs[i]]
+        foreign[i] = sum(s) - own
         return True
 
-    # each head meets its own owner count, so a count above 1 below means
-    # another head is involved; the counts run in C and most checks end
-    # there.  Head j's owner count is read against stamp entry procs[j].
+    # the prune loop runs for the first cut, for a moved head that learned
+    # something and for heads it prunes.  Each head meets its own owner
+    # count, so a count above 1 below means another head is involved;
+    # the counts run in C and end most checks.  Head j's owner count is
+    # read against stamp entry procs[j].
     full = procs == list(range(len(stamps[0])))
 
     # indices whose head changed and must be rechecked against the rest
@@ -153,11 +168,15 @@ def _detect(
                         if j not in todo:
                             todo.append(j)
         yield tuple(heads)
-        # advance the earliest-ending head; ties fall to the lowest index
+        # advance the earliest-ending head; ties fall to the lowest index.
+        # The new head is rechecked only if it learned something (see the
+        # module docstring).
         k = ends.index(min(ends))
+        known = foreign[k]
         if not advance(k):
             return
-        todo.append(k)
+        if foreign[k] != known:
+            todo.append(k)
 
 
 def detect_async(

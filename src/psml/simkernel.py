@@ -445,7 +445,12 @@ def _reflected_schedule(
     pass fixes at least one more row and the sequence only falls, so it
     stops at the schedule.  The first row in which no clock moves is a
     forced step; the block goes on from the row after it.
+
+    Needs ``eps >= 1``: at eps 0 the iteration does not stop, so it
+    raises ``ValueError`` there before any coin is drawn.
     """
+    if eps < 1:
+        raise ValueError("the reflection kernel needs epsilon_app >= 1")
     n, c0 = len(clocks), np.array(clocks, dtype=np.int64)
     while c0.min() < horizon:
         coins = np.zeros((n, _SCHED_BLOCK + 1), dtype=np.int64)  # column 0: no step

@@ -4,7 +4,10 @@ The detection reference here deliberately avoids every shortcut the
 production monitor takes: it compares full vector clocks instead of
 owner components, keeps no incremental work queue, and re-scans all
 head pairs from scratch after any advance.  Slow and obviously
-correct.  The generator reference likewise runs the full event body
+correct.  ``stepwise_detect`` sits between the two: the production
+engine as it was before it skipped the prune test on merge steps that
+learned nothing, for mid-size traces the full reference cannot reach.
+The generator reference likewise runs the full event body
 on every process advance, draws the scheduler coins one step at a
 time and stamps receives with its own copy of the merge rule.
 """
@@ -12,12 +15,14 @@ time and stamps receives with its own copy of the merge rule.
 from __future__ import annotations
 
 import heapq
+import itertools
 import os
 import subprocess
 import sys
 from enum import Enum
+from operator import ge, itemgetter
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
@@ -140,6 +145,73 @@ def brute_detect(
         heads[k] += 1
         if heads[k] >= len(queues[k]):
             return out
+
+
+def stepwise_detect(
+    queues: list[list[PredicateInterval]],
+) -> Iterator[tuple[PredicateInterval, ...]]:
+    """The production engine without its learned-nothing shortcut: after
+    every yielded cut the moved head re-enters the prune loop.  Same
+    owner-count tests as ``monitors._detect``, so it reaches traces far
+    beyond ``brute_detect``'s; the fast path must yield its cuts, in
+    its order."""
+    if any(not q for q in queues):
+        return
+    m = len(queues)
+    pos = [0] * m
+    heads = [q[0] for q in queues]
+    procs = [c.proc for c in heads]
+    ends = [c.end for c in heads]
+    stamps = [c.vc_start for c in heads]
+    owns = [s[p] for s, p in zip(stamps, procs)]
+
+    def advance(i: int) -> bool:
+        """Move head ``i`` on; False once its queue is exhausted."""
+        pos[i] += 1
+        if pos[i] == len(queues[i]):
+            return False
+        c = heads[i] = queues[i][pos[i]]
+        ends[i] = c.end
+        s = stamps[i] = c.vc_start
+        owns[i] = s[procs[i]]
+        return True
+
+    # each head meets its own owner count, so a count above 1 below means
+    # another head is involved; the counts run in C and most checks end
+    # there.  Head j's owner count is read against stamp entry procs[j].
+    full = procs == list(range(len(stamps[0])))
+
+    # indices whose head changed and must be rechecked against the rest
+    todo = list(range(m))
+    while True:
+        while todo:
+            i = todo.pop()
+            # head_i happened before any other head that learned its
+            # owner count: no cut can use it
+            p_i = procs[i]
+            if sum(map(ge, map(itemgetter(p_i), stamps), itertools.repeat(owns[i]))) > 1:
+                learned = [s[p_i] for s in stamps]
+                learned[i] = -1  # its own stamp does not count
+                top = max(learned)
+                while owns[i] <= top:
+                    if not advance(i):
+                        return
+            # heads whose owner count head_i learned happened before it:
+            # they go, and are rechecked
+            s_i = stamps[i]
+            if sum(map(ge, s_i if full else map(s_i.__getitem__, procs), owns)) > 1:
+                for j, (p, own) in enumerate(zip(procs, owns)):
+                    if s_i[p] >= own and j != i:
+                        if not advance(j):
+                            return
+                        if j not in todo:
+                            todo.append(j)
+        yield tuple(heads)
+        # advance the earliest-ending head; ties fall to the lowest index
+        k = ends.index(min(ends))
+        if not advance(k):
+            return
+        todo.append(k)
 
 
 def brute_async(

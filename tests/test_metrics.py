@@ -1,5 +1,6 @@
 """Experiment harness: counting conventions, sweeps, serialization."""
 
+import gc
 import json
 import math
 
@@ -32,7 +33,7 @@ from psml.monitors import (
     detect_quasi,
     is_eps_consistent,
 )
-from psml.simkernel import FixedLength, GeometricLength, SimConfig, generate
+from psml.simkernel import PMAJ, FixedLength, GeometricLength, SimConfig, generate
 
 from helpers import past_warmup
 
@@ -422,3 +423,24 @@ def test_presets_shape():
     assert kinds == {"sweep", "prdiagram", "partial", "hlc"}
     for spec in PRESETS.values():
         assert "base" in spec
+
+
+def test_experiment_path_leaves_no_reference_cycles():
+    """Generation, the three monitors and an FPR experiment free what
+    they allocate by reference counting alone: with the cycle collector
+    off, a collection afterwards finds nothing."""
+    cfg = SimConfig(n=20, epsilon_app=50, beta=0.1, alpha=0.05, delta=10,
+                    correlation=PMAJ(), horizon=3_000, seed=7)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        trace = generate(cfg)
+        assert detect_async(trace)
+        detect_partialsync(trace, cfg.epsilon_app, range(0, cfg.n, 2))
+        detect_quasi(trace)
+        fpr_experiment(cfg, cfg.epsilon_app)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,5 +1,6 @@
 """Detection monitors against the naive full-compare reference."""
 
+import itertools
 import math
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from psml.metrics import _pr_counts, default_warmup, fpr_experiment
 from psml.monitors import (
+    _shares_tick,
     candidate_queues,
     cut_length,
     detect_async,
@@ -15,7 +17,16 @@ from psml.monitors import (
     is_eps_consistent,
     is_hb_consistent,
 )
-from psml.simkernel import PredicateInterval, SimConfig, generate
+from psml.simkernel import (
+    HNMA,
+    PMAJ,
+    FixedLength,
+    GeometricLength,
+    Independent,
+    PredicateInterval,
+    SimConfig,
+    generate,
+)
 
 from helpers import (
     EDGE_CONFIGS,
@@ -26,6 +37,7 @@ from helpers import (
     compare,
     past_warmup,
     random_small_config,
+    stepwise_detect,
 )
 
 
@@ -180,6 +192,58 @@ def test_partialsync_rejects_bad_window():
         detect_partialsync(trace, -1)
     with pytest.raises(ValueError):
         detect_partialsync(trace, float("nan"))
+
+
+# mid-size traces for the learned-nothing shortcut: no messages (no merge
+# step after the first cut learns anything), reference and dense traffic,
+# and a message every tick with same-step delivery (nearly every step does;
+# denser predicates keep its concurrent cuts in the thousands)
+_TRAFFIC = [(0.0, 10, 0.1), (0.001, 100, 0.1), (0.05, 10, 0.1), (1.0, 0, 0.5)]
+_STEPWISE_CONFIGS = [
+    SimConfig(n=n, epsilon_app=eps, alpha=alpha, delta=delta, beta=beta,
+              interval=interval, correlation=corr, horizon=horizon, seed=seed)
+    for seed, ((n, eps, horizon, interval), (alpha, delta, beta), corr) in enumerate(
+        itertools.product(
+            [(8, 20, 4_000, GeometricLength(0.3)), (20, 40, 2_000, FixedLength(1))],
+            _TRAFFIC,
+            [Independent(), PMAJ(), HNMA()],
+        )
+    )
+]
+
+
+def _learned_steps(cuts):
+    """Successive cuts in which a changed head's foreign stamp entries
+    grew: the merge steps that must re-enter the prune test."""
+    return sum(
+        any(a is not b and sum(b.vc_start) - b.vc_start[b.proc] > sum(a.vc_start) - a.vc_start[a.proc]
+            for a, b in zip(prev, cut))
+        for prev, cut in zip(cuts, cuts[1:])
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg", _STEPWISE_CONFIGS,
+    ids=[f"n{c.n}-a{c.alpha}-{type(c.correlation).__name__}" for c in _STEPWISE_CONFIGS],
+)
+def test_monitors_match_stepwise_engine_on_mid_size_traces(cfg):
+    """Skipping the prune test on merge steps whose new head learned
+    nothing changes no cut and no order, on the full process set and on
+    a subset."""
+    trace = generate(cfg)
+    for procs in (None, range(1, cfg.n, 3)):
+        slow = list(stepwise_detect(candidate_queues(trace, procs)))
+        assert detect_async(trace, procs) == slow
+        for eps in (0, cfg.epsilon_app):
+            assert detect_partialsync(trace, eps, procs) == [c for c in slow if cut_length(c) <= eps]
+        assert detect_quasi(trace, procs) == [c for c in slow if _shares_tick(c)]
+    cuts = detect_async(trace)
+    assert len(cuts) > 100
+    learned = _learned_steps(cuts)
+    if cfg.alpha == 0:
+        assert learned == 0
+    elif cfg.alpha == 1:
+        assert learned > len(cuts) // 2
 
 
 # ---------------------------------------------------------------------------

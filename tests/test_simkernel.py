@@ -551,6 +551,19 @@ def test_driver_configs_reach_paths_the_rule_does_not_pick():
         assert any(p != path and _driver_domain(path, c) for p, c in zip(picked, _DRIVER_CONFIGS)), path
 
 
+def test_reflection_kernel_rejects_eps_zero_before_drawing():
+    """At eps_app 0 the kernel's fixed point would not stop; it refuses
+    the config and leaves the schedule stream untouched."""
+    cfg = SimConfig(n=3, epsilon_app=0, beta=0.3, horizon=200, seed=5)
+    events, watch, _ = simkernel._event_state(cfg)
+    rng = simkernel._stream(cfg.seed, simkernel._S_SCHED)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="epsilon_app >= 1"):
+        simkernel._run_kernel(events, watch, 0, cfg.horizon, rng)
+    assert rng.bit_generator.state == state
+    assert simkernel._schedule_path(cfg.n, 0, cfg.horizon) == "loop"
+
+
 def _generate_lines(cfg: SimConfig) -> int:
     """Lines ``generate`` and its schedule drivers run in their own frames
     (not in the event bodies)."""
