@@ -27,6 +27,12 @@ False positive rate follows the asynchronous-monitor convention:
 ``fpr = 1 - y_f / y`` where ``y`` counts the cuts the asynchronous
 monitor reports and ``y_f`` counts those that are also eps-consistent
 for the checked window.
+
+The experiment entries ``fpr_experiment``, ``_pr_counts`` (simulated
+``pr_diagram``), ``partial_fractions`` and ``hlc_recall_curve`` run
+whole with the cyclic garbage collector paused
+(:func:`psml.simkernel._collector_paused`), so no collection runs
+between their generate and detect calls either.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ from .simkernel import (
     GeometricLength,
     SimConfig,
     Trace,
+    _collector_paused,
     generate,
 )
 
@@ -196,6 +203,7 @@ def row_flags(count: int | None, *estimates: float) -> tuple[str, ...]:
     return tuple(flags)
 
 
+@_collector_paused
 def fpr_experiment(
     config: SimConfig, eps_check: float, warmup: int | None = None
 ) -> FprResult:
@@ -225,6 +233,7 @@ def fpr_row(
     return fpr_experiment(config, check, warmup)
 
 
+@_collector_paused
 def _pr_counts(
     config: SimConfig, eps_mon_values: Sequence[float], warmup: int | None
 ) -> list[tuple[int, int, int]]:
@@ -361,6 +370,7 @@ def pr_diagram(
     return rows
 
 
+@_collector_paused
 def partial_fractions(
     config: SimConfig, p_values: Sequence[int], replicates: int = 5
 ) -> list[float]:
@@ -386,6 +396,7 @@ def partial_predicate_experiment(
     return partial_fractions(config, [p], replicates)[0]
 
 
+@_collector_paused
 def hlc_recall_curve(
     config: SimConfig, ell_values: Sequence[int], replicates: int = 5
 ) -> list[tuple[int, float, float]]:

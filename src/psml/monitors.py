@@ -42,6 +42,10 @@ same process, so none knows it; and foreign entries only grow along a
 process, so an equal sum means every foreign entry is unchanged: the
 new head knows what the old one knew, no other head.  Summing all ``n``
 entries is conservative when only some processes are monitored.
+
+The three ``detect_*`` monitors run with the cyclic garbage collector
+paused (:func:`psml.simkernel._collector_paused`): the engine's cut
+tuples create no reference cycles.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ import itertools
 from operator import attrgetter, ge, itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .simkernel import PredicateInterval, Trace
+from .simkernel import PredicateInterval, Trace, _collector_paused
 
 __all__ = [
     "cut_length",
@@ -179,6 +183,7 @@ def _detect(
             todo.append(k)
 
 
+@_collector_paused
 def detect_async(
     trace: Trace, procs: Iterable[int] | None = None
 ) -> list[tuple[PredicateInterval, ...]]:
@@ -186,6 +191,7 @@ def detect_async(
     return list(_detect(candidate_queues(trace, procs)))
 
 
+@_collector_paused
 def detect_partialsync(
     trace: Trace, eps_mon: float, procs: Iterable[int] | None = None
 ) -> list[tuple[PredicateInterval, ...]]:
@@ -205,6 +211,7 @@ def _shares_tick(cands: Sequence[PredicateInterval]) -> bool:
     return lo <= hi
 
 
+@_collector_paused
 def detect_quasi(
     trace: Trace, procs: Iterable[int] | None = None
 ) -> list[tuple[PredicateInterval, ...]]:

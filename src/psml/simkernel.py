@@ -42,16 +42,29 @@ purpose, and every decision is indexed by clock value rather than by
 scheduler step.  Predicate placement therefore depends only on
 (seed, beta, interval, correlation), never on scheduling, and adding
 processes does not perturb the streams of existing ones.
+
+CPython's cyclic garbage collector untracks only exact tuples, so every
+``PredicateInterval``, ``MessageRecord`` and cut tuple stays tracked, and
+each automatic collection walks the whole trace again.  The experiment
+paths create no reference cycles: what they allocate is freed by
+reference counting alone.  So :func:`generate`, the three monitors'
+``detect_*`` and the experiment entries in :mod:`psml.metrics` run with
+the collector paused (:func:`_collector_paused`).  The pause is safe
+only under that precondition, which the tests check by running every
+paused path with the collector off and asserting that a collection
+afterwards finds nothing.
 """
 
 from __future__ import annotations
 
+import functools
+import gc
 import heapq
 import itertools
 import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -73,6 +86,29 @@ __all__ = [
     "generate",
     "trace_records",
 ]
+
+
+_F = TypeVar("_F", bound=Callable)
+
+
+def _collector_paused(fn: _F) -> _F:
+    """Run ``fn`` with the cyclic garbage collector off, restoring it
+    afterwards, also when ``fn`` raises.  A collector that is already
+    off is left alone, so nested paused calls and callers that turned
+    it off keep their state.  Only for paths that create no reference
+    cycles (see the module docstring)."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+
+    return paused
 
 
 # ---------------------------------------------------------------------------
@@ -745,6 +781,7 @@ def _run_loop(events: _Events, watch: list[int], eps: int, horizon: int, rng: np
 _DRIVERS = {"table": _run_table, "kernel": _run_kernel, "loop": _run_loop}
 
 
+@_collector_paused
 def generate(config: SimConfig) -> Trace:
     """Generate a complete trace; a pure function of ``config``.
 

@@ -33,7 +33,7 @@ from psml.monitors import (
     detect_quasi,
     is_eps_consistent,
 )
-from psml.simkernel import PMAJ, FixedLength, GeometricLength, SimConfig, generate
+from psml.simkernel import PMAJ, FixedLength, GeometricLength, SimConfig, _collector_paused, generate
 
 from helpers import past_warmup
 
@@ -444,3 +444,98 @@ def test_experiment_path_leaves_no_reference_cycles():
     finally:
         if enabled:
             gc.enable()
+
+
+# the dense cell of the collector tests: PMAJ, dense predicates and messages
+DENSE = SimConfig(n=20, epsilon_app=50, beta=0.1, alpha=0.05, delta=10,
+                  correlation=PMAJ(), horizon=3_000, seed=7)
+
+
+@pytest.fixture
+def set_collector():
+    """Sets the collector on or off for one test and restores it after."""
+
+    def set_(on):
+        gc.enable() if on else gc.disable()
+
+    before = gc.isenabled()
+    yield set_
+    set_(before)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("call", [
+    lambda: generate(CFG),
+    lambda: fpr_experiment(CFG, CFG.epsilon_app),
+    lambda: hlc_recall_curve(CFG, [1, 3], replicates=2),
+], ids=["generate", "fpr_experiment", "hlc_recall_curve"])
+def test_collector_pause_restores_the_collector(set_collector, enabled, call):
+    """A paused call, nested ones included, leaves the collector on if
+    it was on and off if the caller turned it off."""
+    set_collector(enabled)
+    call()
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("call, message", [
+    (lambda: generate(SimConfig(n=1, epsilon_app=5)), "n must be at least 2"),
+    (lambda: fpr_experiment(CFG, -1), "eps_check must be non-negative"),
+], ids=["generate", "fpr_experiment"])
+def test_collector_pause_restores_the_collector_when_the_call_raises(
+    set_collector, enabled, call, message
+):
+    set_collector(enabled)
+    with pytest.raises(ValueError, match=message):
+        call()
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_nested_paused_calls_keep_the_collector_off_inside(set_collector, enabled):
+    """Inside a paused call the collector is off, also after a nested
+    paused call returns; the outer call restores the caller's state."""
+
+    @_collector_paused
+    def outer():
+        before = gc.isenabled()
+        generate(CFG)
+        return before, gc.isenabled()
+
+    set_collector(enabled)
+    assert outer() == (False, False)
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fpr_experiment(DENSE, DENSE.epsilon_app),
+    lambda: hlc_recall_curve(CFG, [1, 3], replicates=2),
+], ids=["fpr_experiment", "hlc_recall_curve"])
+def test_no_automatic_collection_inside_a_paused_experiment(set_collector, call):
+    """The experiment entries run whole under the pause: no automatic
+    collection starts between their generate and detect calls either."""
+    starts = []
+
+    def count(phase, info):
+        starts.append(phase == "start")
+
+    set_collector(True)
+    gc.callbacks.append(count)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(count)
+    assert sum(starts) == 0
+
+
+def test_every_paused_path_leaves_no_reference_cycles(set_collector):
+    """The paths the pause covers beyond generate, the monitors and
+    fpr_experiment free what they allocate by reference counting alone:
+    with the cycle collector off, a collection afterwards finds nothing."""
+    gc.collect()
+    set_collector(False)
+    hlc_recall_curve(CFG, [1, 3], replicates=2)
+    partial_fractions(DENSE, [2, 5], replicates=1)
+    pr_diagram(CFG, [0, 5], [3, 5], mode="simulated", replicates=2)
+    metrics._sweep_row((DENSE, {"beta": 0.05}, 3, None))
+    assert gc.collect() == 0

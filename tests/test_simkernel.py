@@ -2,6 +2,7 @@
 schedule-independence of predicate placement."""
 
 import hashlib
+import inspect
 import itertools
 import sys
 
@@ -566,8 +567,9 @@ def test_reflection_kernel_rejects_eps_zero_before_drawing():
 
 def _generate_lines(cfg: SimConfig) -> int:
     """Lines ``generate`` and its schedule drivers run in their own frames
-    (not in the event bodies)."""
-    codes = {f.__code__ for f in (simkernel.generate, *simkernel._DRIVERS.values())}
+    (not in the event bodies, nor in the collector pause around it)."""
+    funcs = (inspect.unwrap(simkernel.generate), *simkernel._DRIVERS.values())
+    codes = {f.__code__ for f in funcs}
     count = 0
 
     def local(frame, event, arg):
