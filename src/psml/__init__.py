@@ -24,7 +24,7 @@ from .analytic import (
     recall,
     uncertainty_ratio,
 )
-from .cli import main as cli_main, render_csv
+from .cli import render_csv
 from .metrics import (
     PRESETS,
     FprResult,
@@ -44,8 +44,6 @@ from .monitors import (
     detect_async,
     detect_partialsync,
     detect_quasi,
-    is_eps_consistent,
-    is_hb_consistent,
 )
 from .simkernel import (
     HNMA,

@@ -242,9 +242,8 @@ def _fmt(value: Any) -> str:
     if isinstance(value, float):
         if math.isnan(value):
             return ""
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        # scalar results print at full precision; tables round (_cell)
+        # scalar results print at full precision (inf as "inf"); tables
+        # round (_cell)
         return repr(value)
     return str(value)
 
@@ -297,13 +296,20 @@ def _render_rows(
 
 
 def _deliver(text: str, out: str | None) -> None:
-    """Print, or atomically replace ``out`` (write temp file, rename)."""
+    """Print, or atomically replace ``out`` (write temp file, rename),
+    leaving the mode ``open(out, "w")`` would: the old file's or umask's."""
     if out is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".psml-tmp-")
     try:
+        try:
+            mode = os.stat(out).st_mode & 0o7777
+        except FileNotFoundError:
+            os.umask(umask := os.umask(0))
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, out)

@@ -51,7 +51,7 @@ tuples create no reference cycles.
 from __future__ import annotations
 
 import itertools
-from operator import attrgetter, ge, itemgetter
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .simkernel import PredicateInterval, Trace, _collector_paused
@@ -139,14 +139,10 @@ def _detect(
         foreign[i] = sum(s) - own
         return True
 
-    # the prune loop runs for the first cut, for a moved head that learned
-    # something and for heads it prunes.  Each head meets its own owner
-    # count, so a count above 1 below means another head is involved;
-    # the counts run in C and end most checks.  Head j's owner count is
-    # read against stamp entry procs[j].
-    full = procs == list(range(len(stamps[0])))
-
-    # indices whose head changed and must be rechecked against the rest
+    # indices whose head changed and must be rechecked against the rest:
+    # every head for the first cut, then a moved head that learned
+    # something and the heads it prunes.  Head j's owner count is read
+    # against stamp entry procs[j].
     todo = list(range(m))
     while True:
         while todo:
@@ -154,23 +150,21 @@ def _detect(
             # head_i happened before any other head that learned its
             # owner count: no cut can use it
             p_i = procs[i]
-            if sum(map(ge, map(itemgetter(p_i), stamps), itertools.repeat(owns[i]))) > 1:
-                learned = [s[p_i] for s in stamps]
-                learned[i] = -1  # its own stamp does not count
-                top = max(learned)
-                while owns[i] <= top:
-                    if not advance(i):
-                        return
+            learned = [s[p_i] for s in stamps]
+            learned[i] = -1  # its own stamp does not count
+            top = max(learned)
+            while owns[i] <= top:
+                if not advance(i):
+                    return
             # heads whose owner count head_i learned happened before it:
             # they go, and are rechecked
             s_i = stamps[i]
-            if sum(map(ge, s_i if full else map(s_i.__getitem__, procs), owns)) > 1:
-                for j, (p, own) in enumerate(zip(procs, owns)):
-                    if s_i[p] >= own and j != i:
-                        if not advance(j):
-                            return
-                        if j not in todo:
-                            todo.append(j)
+            for j, (p, own) in enumerate(zip(procs, owns)):
+                if s_i[p] >= own and j != i:
+                    if not advance(j):
+                        return
+                    if j not in todo:
+                        todo.append(j)
         yield tuple(heads)
         # advance the earliest-ending head; ties fall to the lowest index.
         # The new head is rechecked only if it learned something (see the

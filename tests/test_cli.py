@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, precedence, reproducibility."""
 
 import json
+import os
 import re
+import stat
 
 import pytest
 
@@ -296,6 +298,29 @@ def test_out_file_matches_stdout(tmp_path):
     _, streamed, _ = run_cli(SIM_FAST)
     assert target.read_text() == streamed
     assert list(tmp_path.iterdir()) == [target]  # no temp residue
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace-out"])
+@pytest.mark.parametrize("umask", [0o022, 0o002, 0o077])
+def test_written_file_gets_the_mode_open_would_leave(flag, umask, tmp_path, capsys):
+    """A new file gets 0o666 less the umask, a replaced file keeps its
+    permission bits, as with a plain ``open(path, "w")``."""
+    from psml import cli
+
+    fresh, kept = tmp_path / "fresh", tmp_path / "kept"
+    kept.write_text("old\n")
+    kept.chmod(0o640)
+    saved = os.umask(umask)
+    try:
+        for target in (fresh, kept):
+            assert cli.main(SIM_FAST + [flag, str(target)]) == 0
+    finally:
+        os.umask(saved)
+    capsys.readouterr()
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o666 & ~umask
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+    assert kept.read_bytes() == fresh.read_bytes()
+    assert sorted(tmp_path.iterdir()) == [fresh, kept]  # no temp residue
 
 
 def test_trace_export_matches_library(tmp_path):

@@ -340,7 +340,10 @@ def test_block_coin_draws_equal_per_step_draws():
 @settings(max_examples=200, deadline=None)
 @given(EDGE_CONFIGS)
 def test_generate_equals_reference_generator(cfg):
+    """``generate`` and every schedule driver whose domain holds the
+    config, picked or not, give the reference trace."""
     assert generate(cfg) == reference_generate(cfg)
+    _assert_every_driver_gives(cfg, reference_generate(cfg))
 
 
 class _Coins:
@@ -537,7 +540,12 @@ def test_every_driver_matches_reference_in_its_domain(cfg):
     """Every schedule driver, on each config in its domain, whichever one
     ``_schedule_path`` picks there, drives the event state to the
     reference trace."""
-    expect = reference_generate(cfg)
+    _assert_every_driver_gives(cfg, reference_generate(cfg))
+
+
+def _assert_every_driver_gives(cfg: SimConfig, expect: simkernel.Trace) -> None:
+    """Each driver in whose domain ``cfg`` lies takes a fresh event state
+    to ``expect``."""
     for path, driver in simkernel._DRIVERS.items():
         if _driver_domain(path, cfg):
             events, watch, finish = simkernel._event_state(cfg)
