@@ -24,7 +24,6 @@ from .analytic import (
     recall,
     uncertainty_ratio,
 )
-from .cli import render_csv
 from .metrics import (
     PRESETS,
     FprResult,

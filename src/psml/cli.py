@@ -588,9 +588,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for out in (getattr(args, "out", None), getattr(args, "trace_out", None)):
-            if out is not None and not os.path.isdir(os.path.dirname(os.path.abspath(out))):
+        outs = [out for out in (getattr(args, "out", None), getattr(args, "trace_out", None)) if out is not None]
+        for out in outs:
+            if not out or os.path.isdir(out):
+                raise ValueError(f"{out!r} names no file to write")
+            if not os.path.isdir(os.path.dirname(os.path.abspath(out))):
                 raise ValueError(f"no directory to write {out} in")
+        if len(outs) == 2 and os.path.realpath(outs[0]) == os.path.realpath(outs[1]):
+            raise ValueError(f"--out and --trace-out both name {outs[1]}")
         return args.func(args)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         print(f"psml: invalid parameters: {exc}", file=sys.stderr)

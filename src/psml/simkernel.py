@@ -312,35 +312,36 @@ def _length_iter(config: SimConfig, proc: int) -> Iterator[int]:
 # ---------------------------------------------------------------------------
 
 
-def truthify(decisions: np.ndarray, lengths: Iterator[int], horizon: int) -> list[tuple[int, int]]:
-    """Turn per-tick truth decisions into disjoint intervals.
+def truthify(decisions: np.ndarray, lengths: Iterator[int], horizon: int) -> np.ndarray:
+    """Turn per-tick truth decisions into disjoint intervals, a ``(k, 2)``
+    int64 array of ``[start, end]`` rows in time order.
 
     A decision at tick v opens an interval [v, v + k - 1] with k drawn
     from ``lengths``; decisions falling inside an open interval are
     ignored (no re-truthification), and eligibility resumes the tick
     after the interval closes.  Ends are clamped to the horizon.
     """
-    out: list[tuple[int, int]] = []
+    out: list[int] = []
     next_free = 1
-    for v in np.flatnonzero(decisions):
+    for v in np.flatnonzero(decisions).tolist():
         if v < next_free:
             continue
-        end = min(int(v) + next(lengths) - 1, horizon)
-        out.append((int(v), end))
+        end = min(v + next(lengths) - 1, horizon)
+        out += (v, end)
         next_free = end + 1
-    return out
+    return np.array(out, dtype=np.int64).reshape(-1, 2)
 
 
-def _point_intervals(decisions: np.ndarray) -> list[tuple[int, int]]:
+def _point_intervals(decisions: np.ndarray) -> np.ndarray:
     """``truthify(decisions, itertools.repeat(1), horizon)`` for point
     predicates: every true decision after tick 0 is its own interval,
     so no decision is swallowed and none needs clamping."""
-    ticks = (np.flatnonzero(decisions[1:]) + 1).tolist()
-    return list(zip(ticks, ticks))
+    return np.repeat(np.flatnonzero(decisions[1:]) + 1, 2).reshape(-1, 2)
 
 
-def predicate_intervals(config: SimConfig) -> list[list[tuple[int, int]]]:
-    """Interval placement for every process, independent of scheduling.
+def predicate_intervals(config: SimConfig) -> list[np.ndarray]:
+    """Interval placement for every process, independent of scheduling:
+    one ``(k, 2)`` int64 array of ``[start, end]`` rows per process.
 
     Processes settle in index order, each from its own truth coins.  The
     first ``lead`` keep them; at each tick a later process (a follower)
@@ -385,14 +386,9 @@ def predicate_intervals(config: SimConfig) -> list[list[tuple[int, int]]]:
             size = min(p, group)
             followed = 2 * cov_sum < size if minority else 2 * cov_sum > size
             dec = np.where(_stream(seed, _S_DEP, p).random(horizon + 1) < p_dep, followed, dec)
-        if point:
-            intervals.append(_point_intervals(dec))
-            if p < group:  # a point interval covers its own tick
-                cov_sum[1:] += dec[1:]
-            continue
-        intervals.append(truthify(dec, _length_iter(config, p), horizon))
+        spans = _point_intervals(dec) if point else truthify(dec, _length_iter(config, p), horizon)
+        intervals.append(spans)
         if p < group:  # the intervals are disjoint: +1 at each start, -1 past each end
-            spans = np.array(intervals[p], dtype=np.int64).reshape(-1, 2)
             edges = np.zeros(horizon + 2, dtype=np.int32)
             edges[spans[:, 0]] += 1
             edges[spans[:, 1] + 1] -= 1
@@ -531,7 +527,7 @@ def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[
     are placed straight from their decisions).  Each process's local
     work is then merged once, in numpy, into one ascending plan of the
     ticks that hold an interval start, a send or an interval end, each
-    tick marked with which of the three it holds; the interval lists
+    tick marked with which of the three it holds; the interval arrays
     are not kept.  ``watch[p]``, the first clock value at which p has
     causal work, is the smaller of its plan head and the delivery
     threshold of its inbox head.  ``events(p, v)`` takes the due
@@ -557,19 +553,18 @@ def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[
     work: list[memoryview] = []
     kinds: list[bytes] = []
     send_to: list[list[int]] = []
-    for p, plan in enumerate(predicate_intervals(config)):
+    for p, spans in enumerate(predicate_intervals(config)):
         coins = _stream(config.seed, _S_SEND, p).random(horizon + 1) < config.alpha
         coins[0] = False
         ticks = np.flatnonzero(coins)
         raw = _stream(config.seed, _S_RECV, p).integers(0, n - 1, size=ticks.size)
         send_to.append([int(r) + 1 if r >= p else int(r) for r in raw])
-        spans = np.fromiter(itertools.chain.from_iterable(plan), np.int64, 2 * len(plan))
         # sorted and deduplicated without np.unique, whose first call
         # imports numpy.ma (over 1 MB of resident memory at n=3)
-        at = np.sort(np.concatenate((spans, ticks, [never])))
+        at = np.sort(np.concatenate((spans.ravel(), ticks, [never])))
         at = at[np.diff(at, prepend=-1) > 0]
         kind = np.zeros(at.size, dtype=np.uint8)
-        for bit, marks in ((1, spans[0::2]), (2, ticks), (4, spans[1::2])):
+        for bit, marks in ((1, spans[:, 0]), (2, ticks), (4, spans[:, 1])):
             kind[np.searchsorted(at, marks)] |= bit
         work.append(memoryview(at))
         kinds.append(kind.tobytes())

@@ -298,6 +298,48 @@ def reference_step_schedule(
     return [next(p for p in live if clocks[p] == lo)]
 
 
+def pairs(spans: np.ndarray) -> list[tuple[int, int]]:
+    """A placement's ``[start, end]`` rows as ``(start, end)`` tuples."""
+    return [(a, b) for a, b in spans.tolist()]
+
+
+def reference_predicate_intervals(config: SimConfig) -> list[np.ndarray]:
+    """The placement ``simkernel.predicate_intervals`` must equal.
+
+    From the same streams, but by the models' plain rule: a follower's
+    dependence coin makes it read, tick by tick, how many processes of
+    its group have that tick inside one of their intervals, and take
+    the strict majority (HNMA: the strict minority).  Every length, 1
+    included, goes through ``truthify``.
+    """
+    config.validate()
+    n, horizon, seed = config.n, config.horizon, config.seed
+    corr = config.correlation
+    # (first follower, its group as a function of p, p_dep)
+    if isinstance(corr, PMA):
+        lead, group, p_dep = corr.group1, lambda p: corr.group1, corr.p_dep
+    elif isinstance(corr, HNMA):
+        lead, group, p_dep = n // 2, lambda p: n // 2, 0.5
+    elif isinstance(corr, PMAJ):
+        lead, group, p_dep = 1, lambda p: p, 0.5
+    else:
+        lead, group, p_dep = n, None, 0.0
+    covered: list[set[int]] = []  # per process, every tick inside an interval
+    plans = []
+    for p in range(n):
+        dec = simkernel._stream(seed, simkernel._S_PRED, p).random(horizon + 1) < config.beta
+        if p >= lead:
+            dep = simkernel._stream(seed, simkernel._S_DEP, p).random(horizon + 1) < p_dep
+            size = group(p)
+            for v in range(horizon + 1):
+                if dep[v]:
+                    count = sum(v in ticks for ticks in covered[:size])
+                    dec[v] = 2 * count < size if isinstance(corr, HNMA) else 2 * count > size
+        plans.append(simkernel.truthify(dec, simkernel._length_iter(config, p), horizon))
+        covered.append({v for a, b in pairs(plans[p]) for v in range(a, b + 1)})
+    return plans
+
+
 def reference_generate(config: SimConfig) -> Trace:
     """The per-advance generator ``simkernel.generate`` must equal.
 

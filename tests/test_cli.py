@@ -4,9 +4,13 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import psml
 from psml.analytic import (
     admissible_eps_mon,
     hlc_min_len_half_recall,
@@ -28,6 +32,16 @@ SIM_FAST = [
     "--horizon", "400",
     "--seed", "7",
 ]
+
+
+def test_importing_the_package_leaves_the_command_line_unloaded():
+    """``import psml`` loads the library, not ``psml.cli`` and ``argparse``."""
+    src = str(Path(psml.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, psml; print(sorted({'psml.cli', 'argparse'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -185,29 +199,53 @@ def test_partial_p_out_of_range_exits_two():
     assert code == 2
 
 
-def test_unwritable_out_exits_three(tmp_path):
+def test_unwritable_out_exits_three(tmp_path, monkeypatch, capsys):
+    from psml import cli
+
     target = tmp_path / "taken"
-    target.mkdir()  # the rename onto a directory fails after the run
-    code, _, err = run_cli(SIM_FAST + ["--out", str(target)])
-    assert code == 3
-    assert "runtime failure" in err
+    run = cli.fpr_row
+
+    def taken_during_the_run(*args, **kwargs):
+        target.mkdir()  # the rename onto a directory fails after the run
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fpr_row", taken_during_the_run)
+    assert cli.main(SIM_FAST + ["--out", str(target)]) == 3
+    assert "runtime failure" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [target]  # no temp residue
 
 
-@pytest.mark.parametrize("flag", ["--out", "--trace-out"])
+@pytest.mark.parametrize(
+    "outputs",
+    [
+        [("--out", "missing/out.csv")],
+        [("--trace-out", "missing/out.csv")],
+        [("--out", "")],
+        [("--trace-out", "")],
+        [("--out", ".")],
+        [("--trace-out", ".")],
+        [("--out", "same.txt"), ("--trace-out", "same.txt")],
+    ],
+    ids=["--out", "--trace-out", "--out-empty", "--trace-out-empty", "--out-directory",
+         "--trace-out-directory", "--out-is-trace-out"],
+)
 def test_output_in_missing_directory_exits_two_before_running(
-    flag, tmp_path, monkeypatch, capsys
+    outputs, tmp_path, monkeypatch, capsys
 ):
+    """A path that can never be written (in a missing directory, empty,
+    an existing directory, or both outputs at one file) is refused, and
+    named, before the experiment runs."""
     from psml import cli
 
     def never(*args, **kwargs):
         raise AssertionError("the experiment ran")  # main would exit 3
 
     monkeypatch.setattr(cli, "fpr_row", never)
-    target = tmp_path / "missing" / "out.csv"
-    assert cli.main(SIM_FAST + [flag, str(target)]) == 2
+    monkeypatch.chdir(tmp_path)
+    argv = [arg for flag, name in outputs for arg in (flag, str(tmp_path / name) if name else "")]
+    assert cli.main(SIM_FAST + argv) == 2
     err = capsys.readouterr().err
-    assert "invalid parameters" in err and str(target) in err
+    assert "invalid parameters" in err and argv[-1] in err
     assert list(tmp_path.iterdir()) == []
 
 

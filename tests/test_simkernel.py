@@ -5,6 +5,7 @@ import hashlib
 import inspect
 import itertools
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,14 @@ from psml.simkernel import (
     truthify,
 )
 
-from helpers import EDGE_CONFIGS, reference_generate, reference_step_schedule, replay_schedule
+from helpers import (
+    EDGE_CONFIGS,
+    pairs,
+    reference_generate,
+    reference_predicate_intervals,
+    reference_step_schedule,
+    replay_schedule,
+)
 
 
 BASE = SimConfig(n=4, epsilon_app=5, delta=8, alpha=0.1, beta=0.1, horizon=300, seed=1)
@@ -91,7 +99,7 @@ def test_numpy_integer_counts_are_accepted():
 def test_truthify_blocks_decisions_inside_open_intervals():
     decisions = np.zeros(13, dtype=bool)
     decisions[[2, 5, 6, 9]] = True
-    out = truthify(decisions, itertools.repeat(3), horizon=12)
+    out = pairs(truthify(decisions, itertools.repeat(3), horizon=12))
     # the decision at 6 falls inside [5, 7] and must be swallowed
     assert out == [(2, 4), (5, 7), (9, 11)]
 
@@ -99,12 +107,12 @@ def test_truthify_blocks_decisions_inside_open_intervals():
 def test_truthify_clamps_to_horizon():
     decisions = np.zeros(11, dtype=bool)
     decisions[9] = True
-    assert truthify(decisions, itertools.repeat(5), horizon=10) == [(9, 10)]
+    assert pairs(truthify(decisions, itertools.repeat(5), horizon=10)) == [(9, 10)]
 
 
 def test_truthify_back_to_back_intervals_stay_disjoint():
     decisions = np.ones(8, dtype=bool)
-    out = truthify(decisions, itertools.repeat(2), horizon=7)
+    out = pairs(truthify(decisions, itertools.repeat(2), horizon=7))
     assert out == [(1, 2), (3, 4), (5, 6), (7, 7)]
     for (a, b), (c, d) in zip(out, out[1:]):
         assert c > b
@@ -131,8 +139,8 @@ def test_point_placement_equals_truthify():
     them; ``truthify`` at length 1 is the reference rule."""
     for dec in _decision_cases():
         got = simkernel._point_intervals(dec)
-        assert got == truthify(dec, itertools.repeat(1), len(dec) - 1), dec
-        assert all(type(v) is int for iv in got for v in iv)
+        assert pairs(got) == pairs(truthify(dec, itertools.repeat(1), len(dec) - 1)), dec
+        assert got.dtype == np.int64 and got.shape == (len(got), 2)
 
 
 def test_records_are_immutable_hashable_field_ordered_tuples():
@@ -209,7 +217,7 @@ def test_pma_zero_dependence_is_independent():
     kw = dict(n=6, epsilon_app=5, beta=0.1, horizon=2000, seed=5)
     ind = predicate_intervals(SimConfig(**kw, correlation=Independent()))
     pma = predicate_intervals(SimConfig(**kw, correlation=PMA(group1=3, p_dep=0.0)))
-    assert ind == pma
+    assert list(map(pairs, ind)) == list(map(pairs, pma))
 
 
 def test_pma_full_dependence_copies_majority_coverage():
@@ -229,21 +237,21 @@ def test_pma_full_dependence_copies_majority_coverage():
             cov[a : b + 1] += 1
     majority = 2 * cov > 3
     for p in (3, 4):
-        assert plans[p] == truthify(majority, itertools.repeat(2), cfg.horizon)
+        assert pairs(plans[p]) == pairs(truthify(majority, itertools.repeat(2), cfg.horizon))
 
 
 def test_pma_group_untouched_by_followers():
     kw = dict(n=6, epsilon_app=5, beta=0.1, horizon=2000, seed=7)
     ind = predicate_intervals(SimConfig(**kw, correlation=Independent()))
     pma = predicate_intervals(SimConfig(**kw, correlation=PMA(group1=3, p_dep=0.7)))
-    assert ind[:3] == pma[:3]
+    assert list(map(pairs, ind[:3])) == list(map(pairs, pma[:3]))
 
 
 def test_pmaj_leader_matches_independent():
     kw = dict(n=4, epsilon_app=5, beta=0.1, horizon=2000, seed=8)
     ind = predicate_intervals(SimConfig(**kw, correlation=Independent()))
     pmaj = predicate_intervals(SimConfig(**kw, correlation=PMAJ()))
-    assert ind[0] == pmaj[0]
+    assert pairs(ind[0]) == pairs(pmaj[0])
 
 
 def test_hnma_followers_lean_toward_minority():
@@ -262,6 +270,51 @@ def test_hnma_followers_lean_toward_minority():
     follower_agree = (dec[5, 1:] == minority[1:]).mean()
     independent_agree = (dec[0, 1:] == minority[1:]).mean()
     assert follower_agree > independent_agree + 0.1
+
+
+def _assert_placement_is_reference(cfg: SimConfig) -> None:
+    got, expect = predicate_intervals(cfg), reference_predicate_intervals(cfg)
+    assert all(spans.dtype == np.int64 and spans.shape == (len(spans), 2) for spans in got)
+    assert list(map(pairs, got)) == list(map(pairs, expect))
+
+
+@settings(max_examples=200, deadline=None)
+@given(EDGE_CONFIGS)
+def test_placement_equals_reference_placement(cfg):
+    """One coverage rule for every length, and the point path, agree
+    with coverage counted tick by tick and ``truthify`` at every length."""
+    _assert_placement_is_reference(cfg)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SimConfig(n=20, epsilon_app=200, delta=100, alpha=0.001, beta=0.01, horizon=5_000, seed=1),
+        SimConfig(n=3, epsilon_app=10, beta=0.005, interval=FixedLength(30), horizon=30_000, seed=1),
+        SimConfig(n=20, epsilon_app=50, delta=10, alpha=0.05, beta=0.1, horizon=2_000,
+                  correlation=PMAJ(), seed=1),
+        SimConfig(n=10, epsilon_app=10, beta=0.05, horizon=2_000, correlation=HNMA(), seed=1),
+    ],
+    ids=["sparse-ref", "few-long", "dense-corr", "hnma"],
+)
+def test_workload_placement_equals_reference_placement(cfg):
+    _assert_placement_is_reference(cfg)
+
+
+def test_placement_memory_follows_the_interval_count():
+    """Placement holds its intervals in arrays, not one Python object
+    per interval: its traced peak stays within about 24 bytes per
+    interval plus 16 per tick (one process's coins and the coverage)."""
+    cfg = SimConfig(n=50, epsilon_app=10, beta=0.01, horizon=40_000, correlation=HNMA(), seed=1)
+    tracemalloc.start()
+    try:
+        plans = predicate_intervals(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    count = sum(map(len, plans))
+    assert count == 516_036
+    assert peak < 24 * count + 16 * cfg.horizon, peak
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +596,19 @@ def test_every_driver_matches_reference_in_its_domain(cfg):
     _assert_every_driver_gives(cfg, reference_generate(cfg))
 
 
+@pytest.mark.parametrize("cfg", _DRIVER_CONFIGS, ids=[f"n{c.n}-eps{c.epsilon_app}-h{c.horizon}" for c in _DRIVER_CONFIGS])
+def test_trace_records_hold_python_ints(cfg):
+    """Placement is numpy, the records are not: every field is an
+    ``int`` or a tuple of ``int``s, never a numpy scalar."""
+    trace = generate(cfg)
+    records = [iv for ivs in trace.intervals for iv in ivs] + list(trace.messages)
+    assert records
+    for rec in records:
+        for field in rec:
+            values = field if isinstance(field, tuple) else (field,)
+            assert all(type(v) is int for v in values), rec
+
+
 def _assert_every_driver_gives(cfg: SimConfig, expect: simkernel.Trace) -> None:
     """Each driver in whose domain ``cfg`` lies takes a fresh event state
     to ``expect``."""
@@ -703,7 +769,7 @@ def test_placement_ignores_traffic_and_scheduling():
     """Interval placement must depend only on seed, beta, interval,
     correlation, n, and horizon."""
     kw = dict(n=4, epsilon_app=5, beta=0.1, horizon=500, seed=14)
-    reference = predicate_intervals(SimConfig(**kw))
+    reference = list(map(pairs, predicate_intervals(SimConfig(**kw))))
     for overrides in (
         {"delta": 0},
         {"delta": 40},
@@ -711,7 +777,7 @@ def test_placement_ignores_traffic_and_scheduling():
         {"alpha": 0.9},
         {"epsilon_app": 0},
     ):
-        assert predicate_intervals(SimConfig(**{**kw, **overrides})) == reference
+        assert list(map(pairs, predicate_intervals(SimConfig(**{**kw, **overrides})))) == reference
     # and the generated trace carries exactly the planned intervals
     trace = generate(SimConfig(**kw, alpha=0.5, delta=3))
     got = [[(iv.start, iv.end) for iv in plan] for plan in trace.intervals]
@@ -721,7 +787,7 @@ def test_placement_ignores_traffic_and_scheduling():
 def test_growing_the_system_keeps_existing_streams():
     small = predicate_intervals(SimConfig(n=3, epsilon_app=5, beta=0.1, horizon=400, seed=15))
     large = predicate_intervals(SimConfig(n=5, epsilon_app=5, beta=0.1, horizon=400, seed=15))
-    assert large[:3] == small
+    assert list(map(pairs, large[:3])) == list(map(pairs, small))
 
 
 def test_write_trace_round_trip_fields():
