@@ -24,13 +24,15 @@ the process's vector clock and hybrid logical clock, and the stamps
 are recorded in the trace.  An interval's end stamp is a snapshot of
 the process's vector clock after its final tick (ends are not events).
 
-Work is paid per event, not per advance: an advance below the
+Work is paid per message event, not per advance: an advance below the
 process's watch tick only moves the clock, and the scheduler coins come
 in blocks of steps, one ``(steps, n)`` draw giving the same values as
-one draw per step.  The watch is the smaller of two heads: that of the
-process's local-work plan (its interval starts, interval ends and send
-ticks, merged into one ascending list before the schedule runs) and
-that of its inbox.  Point predicates are placed straight from their
+one draw per step.  The watch is the smaller of two heads: the
+process's next send tick and its inbox head.  Interval starts and ends
+run no code of their own.  Between two message events a process's
+stamps move by the local-event rules alone, which have a closed form,
+so its starts are stamped at its next send or receive (and the rest
+when the run ends).  Point predicates are placed straight from their
 per-tick decisions.
 Events never change a clock, so the schedule is kept apart from them:
 :func:`_event_state` owns the plans, inboxes, stamps and the trace, and
@@ -523,17 +525,31 @@ def _reflected_schedule(
 def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[int]], Trace]]:
     """The causal side of :func:`generate`: ``(events, watch, finish)``.
 
-    Placement comes first (:func:`predicate_intervals`; point predicates
-    are placed straight from their decisions).  Each process's local
-    work is then merged once, in numpy, into one ascending plan of the
-    ticks that hold an interval start, a send or an interval end, each
-    tick marked with which of the three it holds; the interval arrays
-    are not kept.  ``watch[p]``, the first clock value at which p has
-    causal work, is the smaller of its plan head and the delivery
-    threshold of its inbox head.  ``events(p, v)`` takes the due
-    messages, then, only if the tick is the plan head, runs the start,
-    send and end the plan marks there, in that order, and recomputes the
-    watch; a send lowers the receiver's watch to ``send_pt + delta``.
+    Placement comes first (:func:`predicate_intervals`).  Each process's
+    plan is then its ascending send ticks, closed by a sentinel past the
+    horizon, and the start and end columns of its placement.
+    ``watch[p]``, the first clock value at which p has a message event,
+    is the smaller of its next send tick and the delivery threshold of
+    its inbox head.  ``events(p, v)`` runs only at message events: it
+    stamps p's interval starts due before the event, takes the due
+    messages, then, if v is p's send tick, stamps a start at v and sends,
+    and recomputes the watch; a send lowers the receiver's watch to
+    ``send_pt + delta``.
+
+    The starts need no event of their own because their stamps have a
+    closed form.  Between two message events of p, p's vector stamp
+    changes only in its own entry, which is p's event count: no message
+    knows more of p than p itself.  After local events at rising ticks
+    ``s_1 < ... < s_j`` from ``(l, c)``, p's HLC is ``(s_j, 0)`` if ``s_j
+    > l``, else ``(l, c + j)``.  So the starts are stamped at p's next
+    message event, in the body's order at one tick (receive, start,
+    send, end): the starts below v before a receive at v, a start at v
+    before a send at v.  An interval with no message event between its
+    start and its end has ``vc_end`` equal to ``vc_start`` (the same
+    tuple); at most one interval per process is open, the last stamped
+    one whose end lies at or after the latest message event, and it is
+    closed with the stamp of the last message event at or before its
+    end.  ``finish`` stamps what remains.
 
     Each send appends an empty slot to a list indexed by its send seq,
     and the delivery fills it with the message's record, so the
@@ -546,41 +562,68 @@ def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[
     n, horizon, delta = map(int, (config.n, config.horizon, config.delta))
     never = horizon + 1  # sentinel tick past every plan
 
-    # p's local-work plan: the ascending ticks work[p] at which p opens an
-    # interval (bit 1 of kinds[p]), sends (bit 2) or closes its interval
-    # (bit 4), with a sentinel at the end.  A send's receiver is send_to[p]
-    # in send order.
-    work: list[memoryview] = []
-    kinds: list[bytes] = []
+    # p's plan: its ascending send ticks sends[p], their receivers
+    # send_to[p] in send order, and its interval starts[p] and ends[p]
+    sends: list[memoryview] = []
     send_to: list[list[int]] = []
+    starts: list[memoryview] = []
+    ends: list[memoryview] = []
     for p, spans in enumerate(predicate_intervals(config)):
         coins = _stream(config.seed, _S_SEND, p).random(horizon + 1) < config.alpha
         coins[0] = False
         ticks = np.flatnonzero(coins)
         raw = _stream(config.seed, _S_RECV, p).integers(0, n - 1, size=ticks.size)
         send_to.append([int(r) + 1 if r >= p else int(r) for r in raw])
-        # sorted and deduplicated without np.unique, whose first call
-        # imports numpy.ma (over 1 MB of resident memory at n=3)
-        at = np.sort(np.concatenate((spans.ravel(), ticks, [never])))
-        at = at[np.diff(at, prepend=-1) > 0]
-        kind = np.zeros(at.size, dtype=np.uint8)
-        for bit, marks in ((1, spans[:, 0]), (2, ticks), (4, spans[:, 1])):
-            kind[np.searchsorted(at, marks)] |= bit
-        work.append(memoryview(at))
-        kinds.append(kind.tobytes())
+        sends.append(memoryview(np.append(ticks, never)))
+        starts.append(memoryview(spans[:, 0]))
+        ends.append(memoryview(spans[:, 1]))
 
     vcs: list[VC] = [(0,) * n] * n
     hlcs: list[HLC] = [(0, 0)] * n
     # in flight: per-receiver heap of (delivery threshold, send seq, sender,
     # send_pt, vc_send, hlc_send)
     pending: list[list[tuple]] = [[] for _ in range(n)]
-    open_iv: list[tuple[int, VC, HLC] | None] = [None] * n  # start and its stamps
-    wptr = [0] * n
+    # the open interval: start, end and start stamps
+    open_iv: list[tuple[int, int, VC, HLC] | None] = [None] * n
+    iptr = [0] * n  # the next start to stamp
     sptr = [0] * n
     done: list[list[PredicateInterval]] = [[] for _ in range(n)]
     sent: list[MessageRecord | None] = []  # by send seq; None until delivered
 
+    def settle(p: int, bound: int, v: int) -> None:
+        """Close p's open interval if it ends before v, then stamp p's
+        starts below ``bound``; one that ends at or after v stays open."""
+        ivs = done[p]
+        iv = open_iv[p]
+        if iv is not None and iv[1] < v:
+            ivs.append(PredicateInterval(p, iv[0], iv[1], iv[2], vcs[p], iv[3]))
+            open_iv[p] = None
+        k, at = iptr[p], starts[p]
+        last = len(at)
+        if k == last or at[k] >= bound:
+            return
+        e, (l, c), to = list(vcs[p]), hlcs[p], ends[p]
+        while k < last and (s := at[k]) < bound:
+            e[p] += 1
+            vc = tuple(e)
+            if s > l:
+                l, c = s, 0
+            else:
+                c += 1
+            hlc = (l, c)
+            end = to[k]
+            if end == s:  # a point interval's record holds one int for both
+                end = s
+            if end < v:
+                ivs.append(PredicateInterval(p, s, end, vc, vc, hlc))
+            else:
+                open_iv[p] = (s, end, vc, hlc)
+            k += 1
+        iptr[p] = k
+        vcs[p], hlcs[p] = vc, hlc
+
     def events(p: int, v: int) -> int | None:
+        settle(p, v, v)
         inbox = pending[p]
         while inbox and inbox[0][0] <= v:
             _, mseq, sender, send_pt, vc_s, hlc_s = heapq.heappop(inbox)
@@ -589,49 +632,34 @@ def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[
             sent[mseq] = MessageRecord(sender, send_pt, p, v, vc_s, hlc_s, vcs[p], hlcs[p])
 
         q = None
-        k = wptr[p]
-        w = work[p][k]
+        k = sptr[p]
+        w = sends[p][k]
         if w == v:
-            kind = kinds[p][k]
-            if kind & 1:
-                vcs[p] = vc_tick(vcs[p], p)
-                hlcs[p] = hlc_tick(hlcs[p], v)
-                open_iv[p] = (v, vcs[p], hlcs[p])
-
-            if kind & 2:
-                sp = sptr[p]
-                sptr[p] = sp + 1
-                vcs[p] = vc_tick(vcs[p], p)
-                hlcs[p] = hlc_tick(hlcs[p], v)
-                q = send_to[p][sp]
-                heapq.heappush(pending[q], (v + delta, len(sent), p, v, vcs[p], hlcs[p]))
-                sent.append(None)
-                # a receiver already past the threshold takes the message on
-                # its next advance, which with delta = 0 may come later in
-                # this step
-                if v + delta < watch[q]:
-                    watch[q] = v + delta
-
-            if kind & 4:
-                start, vc_start, hlc_start = open_iv[p]
-                done[p].append(PredicateInterval(p, start, v, vc_start, vcs[p], hlc_start))
-                open_iv[p] = None
-
-            wptr[p] = k = k + 1
-            w = work[p][k]
+            settle(p, v + 1, v)
+            vcs[p] = vc_tick(vcs[p], p)
+            hlcs[p] = hlc_tick(hlcs[p], v)
+            q = send_to[p][k]
+            heapq.heappush(pending[q], (v + delta, len(sent), p, v, vcs[p], hlcs[p]))
+            sent.append(None)
+            # a receiver already past the threshold takes the message on
+            # its next advance, which with delta = 0 may come later in
+            # this step
+            if v + delta < watch[q]:
+                watch[q] = v + delta
+            sptr[p] = k = k + 1
+            w = sends[p][k]
         if inbox and inbox[0][0] < w:
             w = inbox[0][0]
         watch[p] = w
         return q
 
     def finish(clocks: list[int]) -> Trace:
-        # point intervals that open and close on the same tick are finalized
-        # in the event body because the end check runs after the start check
-        assert all(iv is None for iv in open_iv)
+        for p in range(n):  # every interval ends by the horizon
+            settle(p, never, never)
         messages = tuple(m for m in sent if m is not None)
         return Trace(config, tuple(tuple(ivs) for ivs in done), messages, tuple(clocks))
 
-    watch = [at[0] for at in work]
+    watch = [at[0] for at in sends]
     return events, watch, finish
 
 

@@ -340,6 +340,23 @@ def reference_predicate_intervals(config: SimConfig) -> list[np.ndarray]:
     return plans
 
 
+def reference_send_plan(config: SimConfig) -> tuple[list[list[int]], list[list[int]]]:
+    """Every process's send ticks and their receivers, in send order,
+    straight from the send and receiver streams."""
+    n, horizon = config.n, config.horizon
+    send_ticks: list[list[int]] = []
+    send_to: list[list[int]] = []
+    stream = simkernel._stream
+    for p in range(n):
+        coins = stream(config.seed, simkernel._S_SEND, p).random(horizon + 1) < config.alpha
+        coins[0] = False
+        ticks = np.flatnonzero(coins)
+        raw = stream(config.seed, simkernel._S_RECV, p).integers(0, n - 1, size=ticks.size)
+        send_ticks.append([int(t) for t in ticks])
+        send_to.append([int(r) + 1 if r >= p else int(r) for r in raw])
+    return send_ticks, send_to
+
+
 def reference_generate(config: SimConfig) -> Trace:
     """The per-advance generator ``simkernel.generate`` must equal.
 
@@ -351,17 +368,7 @@ def reference_generate(config: SimConfig) -> Trace:
     n, horizon, delta = config.n, config.horizon, config.delta
 
     plans = simkernel.predicate_intervals(config)
-    send_ticks: list[list[int]] = []
-    send_to: list[list[int]] = []
-    stream = simkernel._stream
-    for p in range(n):
-        coins = stream(config.seed, simkernel._S_SEND, p).random(horizon + 1) < config.alpha
-        coins[0] = False
-        ticks = np.flatnonzero(coins)
-        raw = stream(config.seed, simkernel._S_RECV, p).integers(0, n - 1, size=ticks.size)
-        send_ticks.append([int(t) for t in ticks])
-        send_to.append([int(r) + 1 if r >= p else int(r) for r in raw])
-
+    send_ticks, send_to = reference_send_plan(config)
     sched_rng = simkernel._stream(config.seed, simkernel._S_SCHED)
 
     clocks = [0] * n

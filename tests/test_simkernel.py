@@ -34,6 +34,7 @@ from helpers import (
     pairs,
     reference_generate,
     reference_predicate_intervals,
+    reference_send_plan,
     reference_step_schedule,
     replay_schedule,
 )
@@ -617,6 +618,88 @@ def _assert_every_driver_gives(cfg: SimConfig, expect: simkernel.Trace) -> None:
             events, watch, finish = simkernel._event_state(cfg)
             rng = simkernel._stream(cfg.seed, simkernel._S_SCHED)
             assert finish(driver(events, watch, cfg.epsilon_app, cfg.horizon, rng)) == expect, path
+
+
+# sparse cells: many interval starts and ends, few messages
+_SPARSE_CELLS = [
+    SimConfig(n=3, epsilon_app=10, delta=100, alpha=0.001, beta=0.01, interval=FixedLength(30),
+              horizon=20_000, seed=1),
+    SimConfig(n=20, epsilon_app=200, delta=100, alpha=0.001, beta=0.01, horizon=10_000, seed=1),
+]
+
+
+@pytest.mark.parametrize("cfg", _SPARSE_CELLS, ids=["n3-fixed30", "n20-reference"])
+def test_event_body_runs_only_at_message_events(cfg):
+    """Interval starts and ends run no event body of their own: on every
+    driver in its domain the body runs at most once per send and once
+    per (receiver, receive tick), far fewer times than there are
+    intervals, and the trace is unchanged."""
+    expect = generate(cfg)
+    sends = sum(map(len, reference_send_plan(cfg)[0]))
+    receives = len({(m.receiver, m.receive_pt) for m in expect.messages})
+    assert sum(map(len, expect.intervals)) > 2 * (sends + receives)
+    for path, driver in simkernel._DRIVERS.items():
+        if not _driver_domain(path, cfg):
+            continue
+        events, watch, finish = simkernel._event_state(cfg)
+        calls = 0
+
+        def counted(p: int, v: int) -> int | None:
+            nonlocal calls
+            calls += 1
+            return events(p, v)
+
+        rng = simkernel._stream(cfg.seed, simkernel._S_SCHED)
+        assert finish(driver(counted, watch, cfg.epsilon_app, cfg.horizon, rng)) == expect, path
+        assert calls <= sends + receives, (path, calls, sends, receives)
+
+
+# long intervals that hold several receives, with sends on start and end
+# ticks: EDGE_CONFIGS stops at length 6 and horizon 90
+_LONG_CELLS = [
+    SimConfig(n=n, epsilon_app=4, delta=delta, alpha=alpha, beta=0.1, interval=interval,
+              horizon=300 if n == 3 else 120, seed=40 + i)
+    for i, (n, delta, alpha, interval) in enumerate(itertools.product(
+        (3, 20), (0, 1), (0.3, 1.0), (FixedLength(30), GeometricLength(0.05))))
+]
+
+
+@pytest.mark.parametrize("cfg", _LONG_CELLS, ids=[
+    f"n{c.n}-delta{c.delta}-alpha{c.alpha}-{type(c.interval).__name__}" for c in _LONG_CELLS])
+def test_long_intervals_crossed_by_messages(cfg):
+    """An interval's end stamp takes every message event up to its end,
+    including a send on its end tick; a send on its start tick follows
+    the start.  Every driver matches the reference on such cells."""
+    expect = reference_generate(cfg)
+    received = [[m.receive_pt for m in expect.messages if m.receiver == p] for p in range(cfg.n)]
+    sent = [set(ticks) for ticks in reference_send_plan(cfg)[0]]
+    ivs = [iv for row in expect.intervals for iv in row]
+    assert max(sum(iv.start < t <= iv.end for t in received[iv.proc]) for iv in ivs) >= 2
+    assert any(iv.start in sent[iv.proc] for iv in ivs)
+    assert any(iv.end in sent[iv.proc] and iv.end > iv.start for iv in ivs)
+    assert any(iv.vc_end != iv.vc_start for iv in ivs)
+    _assert_every_driver_gives(cfg, expect)
+
+
+def test_random_streams_are_pinned():
+    """The first draws of every ``Generator`` method psml reads, under
+    ``_stream`` for a few (seed, purpose, proc) keys.  The golden digests
+    and pinned traces rest on these values; a numpy release that moves a
+    stream fails here by name."""
+    stream = simkernel._stream
+    assert stream(0, simkernel._S_PRED, 0).random(4).tolist() == [
+        0.5651317655614634, 0.935433136976671, 0.47987454708253907, 0.7708334969532483]
+    assert stream(1, simkernel._S_SEND, 7).random(4).tolist() == [
+        0.4691480040268251, 0.9574742434703987, 0.34498936185156437, 0.41594595853247207]
+    assert stream(11, simkernel._S_SCHED, 0).random(4).tolist() == [
+        0.0038445840118889185, 0.8784218469072975, 0.9129229403427805, 0.8565641088018796]
+    assert stream(9, simkernel._S_DEP, 4).random(3).tolist() == [
+        0.3602238431665059, 0.3726067272494079, 0.5846833833581081]
+    assert stream(1, simkernel._S_RECV, 7).integers(0, 19, size=6).tolist() == [13, 5, 13, 15, 15, 1]
+    assert stream(5, simkernel._S_RECV, 0).integers(0, 2, size=6).tolist() == [1, 1, 1, 0, 0, 0]
+    # numpy draws geometric lengths by one method below p = 1/3, another above
+    assert stream(0, simkernel._S_LEN, 0).geometric(0.05, size=6).tolist() == [5, 7, 47, 1, 88, 14]
+    assert stream(3, simkernel._S_LEN, 2).geometric(0.4, size=8).tolist() == [2, 2, 1, 1, 1, 1, 1, 1]
 
 
 def test_driver_configs_reach_paths_the_rule_does_not_pick():
