@@ -34,7 +34,6 @@ from .metrics import (
     fpr_row,
     hlc_recall_curve,
     partial_fractions,
-    partial_predicate_experiment,
     pr_diagram,
     sweep,
 )

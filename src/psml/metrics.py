@@ -18,15 +18,17 @@ Counting conventions shared by every experiment here:
   ``pr_diagram`` rows) are flagged low-confidence under 30 counted
   cuts; closed forms, ``partial_fractions`` and ``hlc_recall_curve``
   carry no count and get no such flag;
-* undefined estimates (zero denominator) are NaN plus a flag, never
-  a silent zero;
+* every estimate is a ratio of counts through one rule, :func:`_ratio`:
+  a zero denominator gives NaN plus a flag, never a silent zero;
 * replicated experiments derive their seeds as ``config.seed + i``,
   so a base config pins the whole replicate set.
 
 False positive rate follows the asynchronous-monitor convention:
 ``fpr = 1 - y_f / y`` where ``y`` counts the cuts the asynchronous
 monitor reports and ``y_f`` counts those that are also eps-consistent
-for the checked window.
+for the checked window.  One count rule, :func:`_counted_lengths`, gives
+the sorted lengths of the counted cuts, so ``y_f`` and every window
+count of simulated ``pr_diagram`` are one bisection of that list.
 
 The experiment entries ``fpr_experiment``, ``_pr_counts`` (simulated
 ``pr_diagram``), ``partial_fractions`` and ``hlc_recall_curve`` run
@@ -79,7 +81,6 @@ __all__ = [
     "sweep",
     "pr_diagram",
     "partial_fractions",
-    "partial_predicate_experiment",
     "hlc_recall_curve",
     "clustered_ztest",
     "PRESETS",
@@ -107,13 +108,18 @@ def _resolve_warmup(config: SimConfig, warmup: int | None) -> int:
 
 def _counted_lengths(trace: Trace, warmup: int) -> list[int]:
     """The lengths of the asynchronous monitor's cuts whose earliest
-    candidate starts at or after ``warmup``, in enumeration order.  The
-    engine's heads only advance, so a cut's minimum start never falls
-    along the enumeration: these cuts are a suffix of it, found by one
-    bisection."""
+    candidate starts at or after ``warmup``, sorted, so the cuts that fit
+    a window are counted by one ``bisect_right``.  The engine's heads
+    only advance, so a cut's minimum start never falls along the
+    enumeration: these cuts are a suffix of it, found by one bisection."""
     cuts = detect_async(trace)
     first = bisect_left(cuts, warmup, key=lambda cut: min(c.start for c in cut))
-    return list(map(cut_length, itertools.islice(cuts, first, None)))
+    return sorted(map(cut_length, itertools.islice(cuts, first, None)))
+
+
+def _ratio(num: float, den: float) -> float:
+    """``num / den``, or NaN (undefined) for a zero denominator."""
+    return num / den if den else float("nan")
 
 
 def config_with(base: SimConfig, **overrides: Any) -> SimConfig:
@@ -219,8 +225,8 @@ def fpr_experiment(
     trace = generate(config)
     lengths = _counted_lengths(trace, warmup)
     y = len(lengths)
-    y_f = sum(length <= eps_check for length in lengths)
-    fpr = 1.0 - y_f / y if y else float("nan")
+    y_f = bisect_right(lengths, eps_check)
+    fpr = 1.0 - _ratio(y_f, y)
     return FprResult(config, eps_check, warmup, y, y_f, fpr, row_flags(y, fpr), trace)
 
 
@@ -252,7 +258,7 @@ def _pr_counts(
         raise ValueError("eps_mon must be non-negative")
     warmup = _resolve_warmup(config, warmup)
     eps_app = config.epsilon_app
-    lengths = sorted(_counted_lengths(generate(config), warmup))
+    lengths = _counted_lengths(generate(config), warmup)
     true_set = bisect_right(lengths, eps_app)
     return [
         (bisect_right(lengths, eps_mon), true_set, bisect_right(lengths, min(eps_mon, eps_app)))
@@ -317,7 +323,7 @@ def _replicas(config: SimConfig, replicates: int) -> list[SimConfig]:
 
 def _mean_defined(values: list[float]) -> float:
     kept = [v for v in values if not math.isnan(v)]
-    return sum(kept) / len(kept) if kept else float("nan")
+    return _ratio(sum(kept), len(kept))
 
 
 def pr_diagram(
@@ -355,8 +361,8 @@ def pr_diagram(
                 count = None
             else:
                 counts = [run[j] for run in runs]
-                prec = _mean_defined([h / d if d else float("nan") for d, _, h in counts])
-                rec = _mean_defined([h / t if t else float("nan") for _, t, h in counts])
+                prec = _mean_defined([_ratio(h, d) for d, _, h in counts])
+                rec = _mean_defined([_ratio(h, t) for _, t, h in counts])
                 count = sum(max(d, t) for d, t, _ in counts)
             rows.append(
                 {
@@ -382,18 +388,10 @@ def partial_fractions(
     ratios: list[list[float]] = [[] for _ in p_values]
     for rep in _replicas(config, replicates):
         trace = generate(rep)
-        for kept, p in zip(ratios, p_values):
+        for runs, p in zip(ratios, p_values):
             denom = len(detect_partialsync(trace, config.epsilon_app, range(p)))
-            if denom:
-                kept.append(len(detect_quasi(trace, range(p))) / denom)
-    return [sum(r) / len(r) if r else float("nan") for r in ratios]
-
-
-def partial_predicate_experiment(
-    config: SimConfig, p: int, replicates: int = 5
-) -> float:
-    """:func:`partial_fractions` for one p."""
-    return partial_fractions(config, [p], replicates)[0]
+            runs.append(_ratio(len(detect_quasi(trace, range(p))), denom))
+    return [_mean_defined(runs) for runs in ratios]
 
 
 @_collector_paused
@@ -417,7 +415,7 @@ def hlc_recall_curve(
             trace = generate(rep)
             denom += len(detect_partialsync(trace, config.epsilon_app))
             num += len(detect_quasi(trace))
-        sim = num / denom if denom else float("nan")
+        sim = _ratio(num, denom)
         rows.append((ell, sim, hlc_recall(config.epsilon_app, config.n, config.beta, ell)))
     return rows
 

@@ -99,20 +99,20 @@ def is_eps_consistent(cut: Sequence[PredicateInterval], eps: float) -> bool:
 
 def candidate_queues(
     trace: Trace, procs: Iterable[int] | None = None
-) -> list[list[PredicateInterval]]:
+) -> list[tuple[PredicateInterval, ...]]:
     """Per-process candidate queues for the monitored set (default all):
-    the trace's own interval records, in ascending process order."""
+    the trace's own interval tuples, in ascending process order."""
     n = trace.config.n
     chosen = sorted(set(procs)) if procs is not None else list(range(n))
     if not chosen:
         raise ValueError("monitored set is empty")
     if chosen[0] < 0 or chosen[-1] >= n:
         raise ValueError("monitored process out of range")
-    return [list(trace.intervals[p]) for p in chosen]
+    return [trace.intervals[p] for p in chosen]
 
 
 def _detect(
-    queues: list[list[PredicateInterval]],
+    queues: list[tuple[PredicateInterval, ...]],
 ) -> Iterator[tuple[PredicateInterval, ...]]:
     """Yield the heads of every pairwise-concurrent cut, in order."""
     if any(not q for q in queues):

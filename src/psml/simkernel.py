@@ -558,7 +558,7 @@ def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[
     empty and is left out of the trace.  ``finish(clocks)`` is the
     trace, given the final clocks.
     """
-    config.validate()
+    placement = predicate_intervals(config)  # validates the config
     n, horizon, delta = map(int, (config.n, config.horizon, config.delta))
     never = horizon + 1  # sentinel tick past every plan
 
@@ -568,12 +568,12 @@ def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[
     send_to: list[list[int]] = []
     starts: list[memoryview] = []
     ends: list[memoryview] = []
-    for p, spans in enumerate(predicate_intervals(config)):
+    for p, spans in enumerate(placement):
         coins = _stream(config.seed, _S_SEND, p).random(horizon + 1) < config.alpha
         coins[0] = False
         ticks = np.flatnonzero(coins)
         raw = _stream(config.seed, _S_RECV, p).integers(0, n - 1, size=ticks.size)
-        send_to.append([int(r) + 1 if r >= p else int(r) for r in raw])
+        send_to.append((raw + (raw >= p)).tolist())  # any process but p
         sends.append(memoryview(np.append(ticks, never)))
         starts.append(memoryview(spans[:, 0]))
         ends.append(memoryview(spans[:, 1]))

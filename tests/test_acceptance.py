@@ -6,10 +6,9 @@ tolerance and prints a single PASS/FAIL line with the measured numbers
 verdict line). Simulation-backed checks pin every seed, so the measured
 values are exactly reproducible.
 
-The whole file takes about a minute (60-70 s on a 2-CPU machine with
+The whole file takes under a minute (about 50 s on a 2-CPU machine with
 Python 3.11 and numpy 2.4); the interval-recall curve, the correlated
-FPR, the prefix-majority table and the async FPR reference cells take
-most of it.
+FPR and the async FPR reference cells take most of it.
 """
 
 import json
@@ -34,7 +33,7 @@ from psml.metrics import (
     config_with,
     fpr_experiment,
     hlc_recall_curve,
-    partial_predicate_experiment,
+    partial_fractions,
     pr_diagram,
 )
 from psml.monitors import detect_async, detect_partialsync, detect_quasi
@@ -297,7 +296,7 @@ def test_prefix_majority_fraction_table():
         **_TRAFFIC,
     )
     targets = {2: 0.79, 3: 0.68, 4: 0.60, 5: 0.42}
-    fractions = {p: partial_predicate_experiment(cfg, p, replicates=10) for p in targets}
+    fractions = dict(zip(targets, partial_fractions(cfg, list(targets), replicates=10)))
     deviations = {p: abs(fractions[p] - targets[p]) for p in targets}
     ordered = [fractions[p] for p in sorted(fractions)]
     ok = max(deviations.values()) <= 0.08 and all(

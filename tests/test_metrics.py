@@ -20,7 +20,6 @@ from psml.metrics import (
     fpr_row,
     hlc_recall_curve,
     partial_fractions,
-    partial_predicate_experiment,
     pr_diagram,
     sweep,
 )
@@ -325,7 +324,7 @@ def test_partial_fractions_equal_direct_enumeration():
                 ratios.append(len(detect_quasi(trace, range(p))) / denom)
         assert ratios  # a zero denominator everywhere would test nothing
         assert frac == sum(ratios) / len(ratios)
-        assert partial_predicate_experiment(cfg, p, replicates=3) == frac
+        assert partial_fractions(cfg, [p], replicates=3) == [frac]
 
 
 def test_pr_diagram_rejects_bad_mode_and_interval():
@@ -335,14 +334,14 @@ def test_pr_diagram_rejects_bad_mode_and_interval():
         pr_diagram(config_with(CFG, geom_p=0.5), [3], [3])
 
 
-def test_partial_predicate_experiment_bounds():
+def test_partial_fractions_bounds():
     cfg = config_with(CFG, n=4, ell=8, beta=0.05, horizon=2000)
-    value = partial_predicate_experiment(cfg, p=2, replicates=2)
+    [value] = partial_fractions(cfg, [2], replicates=2)
     assert 0.0 <= value <= 1.5  # a ratio of counts, near or below 1
     with pytest.raises(ValueError):
-        partial_predicate_experiment(cfg, p=0)
+        partial_fractions(cfg, [0])
     with pytest.raises(ValueError):
-        partial_predicate_experiment(cfg, p=9)
+        partial_fractions(cfg, [9])
     with pytest.raises(ValueError):
         partial_fractions(cfg, [2, 2.5])
 

@@ -100,7 +100,7 @@ def test_candidate_queues_subset_and_errors():
     full = candidate_queues(trace)
     assert len(full) == 4
     # the trace's own interval records, not copies
-    assert full == [list(ivs) for ivs in trace.intervals]
+    assert full == list(trace.intervals)
     assert all(a is b for q, ivs in zip(full, trace.intervals) for a, b in zip(q, ivs))
     sub = candidate_queues(trace, [2, 0])
     assert [q[0].proc for q in sub if q] == [0, 2]  # sorted process order

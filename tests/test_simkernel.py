@@ -6,6 +6,8 @@ import inspect
 import itertools
 import sys
 import tracemalloc
+import types
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -612,12 +614,23 @@ def test_trace_records_hold_python_ints(cfg):
 
 def _assert_every_driver_gives(cfg: SimConfig, expect: simkernel.Trace) -> None:
     """Each driver in whose domain ``cfg`` lies takes a fresh event state
-    to ``expect``."""
+    to ``expect``, calling ``events`` with the same ``(p, v)`` sequence,
+    and getting the same receivers, as the step loop."""
+    dispatched = {}
     for path, driver in simkernel._DRIVERS.items():
         if _driver_domain(path, cfg):
             events, watch, finish = simkernel._event_state(cfg)
+            calls = dispatched[path] = []
+
+            def recorded(p: int, v: int) -> int | None:
+                q = events(p, v)
+                calls.append((p, v, q))
+                return q
+
             rng = simkernel._stream(cfg.seed, simkernel._S_SCHED)
-            assert finish(driver(events, watch, cfg.epsilon_app, cfg.horizon, rng)) == expect, path
+            assert finish(driver(recorded, watch, cfg.epsilon_app, cfg.horizon, rng)) == expect, path
+    for path, calls in dispatched.items():
+        assert calls == dispatched["loop"], path
 
 
 # sparse cells: many interval starts and ends, few messages
@@ -722,11 +735,20 @@ def test_reflection_kernel_rejects_eps_zero_before_drawing():
     assert simkernel._schedule_path(cfg.n, 0, cfg.horizon) == "loop"
 
 
+def _nested_codes(code: types.CodeType) -> Iterator[types.CodeType]:
+    """``code`` and every code object defined inside it."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _nested_codes(const)
+
+
 def _generate_lines(cfg: SimConfig) -> int:
     """Lines ``generate`` and its schedule drivers run in their own frames
+    and in the functions nested in them, such as the table's ``fill``
     (not in the event bodies, nor in the collector pause around it)."""
     funcs = (inspect.unwrap(simkernel.generate), *simkernel._DRIVERS.values())
-    codes = {f.__code__ for f in funcs}
+    codes = {c for f in funcs for c in _nested_codes(f.__code__)}
     count = 0
 
     def local(frame, event, arg):
