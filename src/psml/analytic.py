@@ -175,6 +175,12 @@ def uncertainty_ratio(n: int, beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _ratio(num: float, den: float) -> float:
+    """``num / den``, or NaN (undefined) for a zero denominator: the one
+    rule for closed-form and simulated ratios alike."""
+    return num / den if den else float("nan")
+
+
 def _window_ratio(num: float, den: float, n: int, beta: float, ell: float) -> float:
     """phi_interval(num) / phi_interval(den): exactly 1 when num >= den,
     NaN when the denominator is 0.  n, beta and ell are checked first,
@@ -184,9 +190,7 @@ def _window_ratio(num: float, den: float, n: int, beta: float, ell: float) -> fl
     _check_ell(ell)
     if num >= den:
         return 1.0
-    top = phi_interval(num, n, beta, ell)
-    bottom = phi_interval(den, n, beta, ell)
-    return top / bottom if bottom else math.nan
+    return _ratio(phi_interval(num, n, beta, ell), phi_interval(den, n, beta, ell))
 
 
 def precision(eps_mon: float, eps_app: float, n: int, beta: float, ell: float = 1) -> float:

@@ -18,8 +18,10 @@ Counting conventions shared by every experiment here:
   ``pr_diagram`` rows) are flagged low-confidence under 30 counted
   cuts; closed forms, ``partial_fractions`` and ``hlc_recall_curve``
   carry no count and get no such flag;
-* every estimate is a ratio of counts through one rule, :func:`_ratio`:
-  a zero denominator gives NaN plus a flag, never a silent zero;
+* every estimate is a ratio of counts through one rule,
+  :func:`psml.analytic._ratio`, the one the closed-form precision and
+  recall use: a zero denominator gives NaN plus a flag, never a silent
+  zero;
 * replicated experiments derive their seeds as ``config.seed + i``,
   so a base config pins the whole replicate set.
 
@@ -50,7 +52,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .analytic import hlc_recall, precision, recall
+from .analytic import _ratio, hlc_recall, precision, recall
 from .monitors import (
     cut_length,
     detect_async,
@@ -115,11 +117,6 @@ def _counted_lengths(trace: Trace, warmup: int) -> list[int]:
     cuts = detect_async(trace)
     first = bisect_left(cuts, warmup, key=lambda cut: min(c.start for c in cut))
     return sorted(map(cut_length, itertools.islice(cuts, first, None)))
-
-
-def _ratio(num: float, den: float) -> float:
-    """``num / den``, or NaN (undefined) for a zero denominator."""
-    return num / den if den else float("nan")
 
 
 def config_with(base: SimConfig, **overrides: Any) -> SimConfig:

@@ -20,9 +20,9 @@ value, in which case delivery lands on its next tick.  Messages still
 undelivered when the receiver stops are dropped.
 
 Every receive, interval start, and send is a causal event: it ticks
-the process's vector clock and hybrid logical clock, and the stamps
-are recorded in the trace.  An interval's end stamp is a snapshot of
-the process's vector clock after its final tick (ends are not events).
+the process's vector clock and hybrid logical clock.  The trace records
+the stamps of starts and sends; a receive shows in the receiver's later
+stamps.
 
 Work is paid per message event, not per advance: an advance below the
 process's watch tick only moves the clock, and the scheduler coins come
@@ -236,23 +236,24 @@ class SimConfig:
 
 
 class PredicateInterval(NamedTuple):
-    """One maximal span [start, end] of local-predicate truth.
+    """One maximal span [start, end] of local-predicate truth on
+    process ``proc``; point predicates have end == start.
 
-    ``vc_start``/``hlc_start`` stamp the truthification event;
-    ``vc_end`` snapshots the process's vector clock after the tick at
-    ``end``.  Point predicates have end == start.
+    ``vc_start``/``hlc_start`` stamp the truthification event, the only
+    stamps the monitors read.  Ends are not events and carry no stamp.
     """
 
     proc: int
     start: int
     end: int
     vc_start: VC
-    vc_end: VC
     hlc_start: HLC
 
 
 class MessageRecord(NamedTuple):
-    """A delivered message with the clock stamps of both endpoints."""
+    """A delivered message: its endpoints' processes and ticks, and the
+    stamps of its send event.  The receive merges them into the
+    receiver's clocks, so it shows in the receiver's later stamps."""
 
     sender: int
     send_pt: int
@@ -260,8 +261,6 @@ class MessageRecord(NamedTuple):
     receive_pt: int
     vc_send: VC
     hlc_send: HLC
-    vc_receive: VC
-    hlc_receive: HLC
 
 
 @dataclass(frozen=True, slots=True)
@@ -541,15 +540,11 @@ def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[
     changes only in its own entry, which is p's event count: no message
     knows more of p than p itself.  After local events at rising ticks
     ``s_1 < ... < s_j`` from ``(l, c)``, p's HLC is ``(s_j, 0)`` if ``s_j
-    > l``, else ``(l, c + j)``.  So the starts are stamped at p's next
-    message event, in the body's order at one tick (receive, start,
-    send, end): the starts below v before a receive at v, a start at v
-    before a send at v.  An interval with no message event between its
-    start and its end has ``vc_end`` equal to ``vc_start`` (the same
-    tuple); at most one interval per process is open, the last stamped
-    one whose end lies at or after the latest message event, and it is
-    closed with the stamp of the last message event at or before its
-    end.  ``finish`` stamps what remains.
+    > l``, else ``(l, c + j)``.  So the starts are stamped, and their
+    intervals recorded, at p's next message event, in the body's order
+    at one tick (receive, start, send): the starts below v before a
+    receive at v, a start at v before a send at v.  ``finish`` stamps
+    what remains.
 
     Each send appends an empty slot to a list indexed by its send seq,
     and the delivery fills it with the message's record, so the
@@ -583,26 +578,18 @@ def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[
     # in flight: per-receiver heap of (delivery threshold, send seq, sender,
     # send_pt, vc_send, hlc_send)
     pending: list[list[tuple]] = [[] for _ in range(n)]
-    # the open interval: start, end and start stamps
-    open_iv: list[tuple[int, int, VC, HLC] | None] = [None] * n
     iptr = [0] * n  # the next start to stamp
     sptr = [0] * n
     done: list[list[PredicateInterval]] = [[] for _ in range(n)]
     sent: list[MessageRecord | None] = []  # by send seq; None until delivered
 
-    def settle(p: int, bound: int, v: int) -> None:
-        """Close p's open interval if it ends before v, then stamp p's
-        starts below ``bound``; one that ends at or after v stays open."""
-        ivs = done[p]
-        iv = open_iv[p]
-        if iv is not None and iv[1] < v:
-            ivs.append(PredicateInterval(p, iv[0], iv[1], iv[2], vcs[p], iv[3]))
-            open_iv[p] = None
+    def settle(p: int, bound: int) -> None:
+        """Stamp p's starts below ``bound`` and record their intervals."""
         k, at = iptr[p], starts[p]
         last = len(at)
         if k == last or at[k] >= bound:
             return
-        e, (l, c), to = list(vcs[p]), hlcs[p], ends[p]
+        ivs, e, (l, c), to = done[p], list(vcs[p]), hlcs[p], ends[p]
         while k < last and (s := at[k]) < bound:
             e[p] += 1
             vc = tuple(e)
@@ -614,28 +601,25 @@ def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[
             end = to[k]
             if end == s:  # a point interval's record holds one int for both
                 end = s
-            if end < v:
-                ivs.append(PredicateInterval(p, s, end, vc, vc, hlc))
-            else:
-                open_iv[p] = (s, end, vc, hlc)
+            ivs.append(PredicateInterval(p, s, end, vc, hlc))
             k += 1
         iptr[p] = k
         vcs[p], hlcs[p] = vc, hlc
 
     def events(p: int, v: int) -> int | None:
-        settle(p, v, v)
+        settle(p, v)
         inbox = pending[p]
         while inbox and inbox[0][0] <= v:
             _, mseq, sender, send_pt, vc_s, hlc_s = heapq.heappop(inbox)
             vcs[p] = vc_merge(vcs[p], vc_s, p)
             hlcs[p] = hlc_merge(hlcs[p], hlc_s, v)
-            sent[mseq] = MessageRecord(sender, send_pt, p, v, vc_s, hlc_s, vcs[p], hlcs[p])
+            sent[mseq] = MessageRecord(sender, send_pt, p, v, vc_s, hlc_s)
 
         q = None
         k = sptr[p]
         w = sends[p][k]
         if w == v:
-            settle(p, v + 1, v)
+            settle(p, v + 1)
             vcs[p] = vc_tick(vcs[p], p)
             hlcs[p] = hlc_tick(hlcs[p], v)
             q = send_to[p][k]
@@ -655,7 +639,7 @@ def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[
 
     def finish(clocks: list[int]) -> Trace:
         for p in range(n):  # every interval ends by the horizon
-            settle(p, never, never)
+            settle(p, never)
         messages = tuple(m for m in sent if m is not None)
         return Trace(config, tuple(tuple(ivs) for ivs in done), messages, tuple(clocks))
 
@@ -833,7 +817,9 @@ def _fmt(stamp: tuple[int, ...]) -> str:
 
 def trace_records(trace: Trace) -> Iterator[str]:
     """Flat key-value line records: intervals (by process), then messages
-    (in send order).  Stamps are those of the opening/send event."""
+    (in send order).  A line holds every field of its record, so the
+    records can be read back from it: ``vc`` and ``hlc`` are the
+    interval's start stamps or the message's send stamps."""
     for ivs in trace.intervals:
         for iv in ivs:
             yield (

@@ -361,7 +361,7 @@ def reference_generate(config: SimConfig) -> Trace:
     """The per-advance generator ``simkernel.generate`` must equal.
 
     Every process advance runs the whole event body (receive, start,
-    send, end), and every step draws its coins with one
+    send), and every step draws its coins with one
     ``rng.random(n)`` call through :func:`reference_step_schedule`.
     """
     config.validate()
@@ -377,7 +377,6 @@ def reference_generate(config: SimConfig) -> Trace:
     # in flight: per-receiver heap of (delivery threshold, send seq, sender,
     # send_pt, vc_send, hlc_send)
     pending: list[list[tuple[int, int, int, int, VC, HLC]]] = [[] for _ in range(n)]
-    open_iv: list[tuple[int, int, VC, HLC] | None] = [None] * n
     iptr = [0] * n
     sptr = [0] * n
     done: list[list[PredicateInterval]] = [[] for _ in range(n)]
@@ -395,9 +394,7 @@ def reference_generate(config: SimConfig) -> Trace:
                 _, mseq, sender, send_pt, vc_s, hlc_s = heapq.heappop(inbox)
                 vcs[p] = reference_vc_merge(vcs[p], vc_s, p)
                 hlcs[p] = hlc_merge(hlcs[p], hlc_s, v)
-                delivered.append(
-                    (mseq, MessageRecord(sender, send_pt, p, v, vc_s, hlc_s, vcs[p], hlcs[p]))
-                )
+                delivered.append((mseq, MessageRecord(sender, send_pt, p, v, vc_s, hlc_s)))
 
             plan = plans[p]
             k = iptr[p]
@@ -405,7 +402,7 @@ def reference_generate(config: SimConfig) -> Trace:
                 iptr[p] = k + 1
                 vcs[p] = vc_tick(vcs[p], p)
                 hlcs[p] = hlc_tick(hlcs[p], v)
-                open_iv[p] = (plan[k][0], plan[k][1], vcs[p], hlcs[p])
+                done[p].append(PredicateInterval(p, plan[k][0], plan[k][1], vcs[p], hlcs[p]))
 
             sp = sptr[p]
             if sp < len(send_ticks[p]) and send_ticks[p][sp] == v:
@@ -415,14 +412,6 @@ def reference_generate(config: SimConfig) -> Trace:
                 heapq.heappush(pending[send_to[p][sp]], (v + delta, seq, p, v, vcs[p], hlcs[p]))
                 seq += 1
 
-            iv = open_iv[p]
-            if iv is not None and iv[1] == v:
-                done[p].append(PredicateInterval(p, iv[0], iv[1], iv[2], vcs[p], iv[3]))
-                open_iv[p] = None
-
-    # point intervals that open and close on the same tick are finalized in
-    # the loop above because the end check runs after the start check
-    assert all(iv is None for iv in open_iv)
     delivered.sort(key=lambda t: t[0])
     return Trace(
         config=config,

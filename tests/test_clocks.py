@@ -21,7 +21,7 @@ def test_vc_zero_and_local_event():
     assert vc == (0, 0, 0)
 
 
-def test_vc_receive_merges_and_ticks():
+def test_vc_merge_takes_max_and_ticks():
     merged = vc_merge((2, 0, 1), (1, 3, 0), 0)
     assert merged == (3, 3, 1)
 
@@ -119,7 +119,7 @@ def test_hlc_advance_cases():
     assert hlc_tick(ts, 9) == (9, 0)  # fresh l: counter resets
 
 
-def test_hlc_receive_three_way_split():
+def test_hlc_merge_three_way_split():
     ts = (5, 2)
     assert hlc_merge(ts, (5, 7), 4) == (5, 8)
     assert hlc_merge(ts, (3, 9), 5) == (5, 3)

@@ -42,8 +42,7 @@ from helpers import (
 
 
 def _cand(proc, start, end, entries):
-    vc = tuple(entries)
-    return PredicateInterval(proc, start, end, vc, vc, (start, 0))
+    return PredicateInterval(proc, start, end, tuple(entries), (start, 0))
 
 
 # ---------------------------------------------------------------------------

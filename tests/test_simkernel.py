@@ -7,6 +7,7 @@ import itertools
 import sys
 import tracemalloc
 import types
+from bisect import bisect_left
 from typing import Iterator
 
 import numpy as np
@@ -149,9 +150,8 @@ def test_point_placement_equals_truthify():
 def test_records_are_immutable_hashable_field_ordered_tuples():
     """The record contract: fields in a fixed order, no assignment, and
     usable as set and dict keys, with equal records hashing equal."""
-    assert PredicateInterval._fields == ("proc", "start", "end", "vc_start", "vc_end", "hlc_start")
-    assert MessageRecord._fields == ("sender", "send_pt", "receiver", "receive_pt",
-                                     "vc_send", "hlc_send", "vc_receive", "hlc_receive")
+    assert PredicateInterval._fields == ("proc", "start", "end", "vc_start", "hlc_start")
+    assert MessageRecord._fields == ("sender", "send_pt", "receiver", "receive_pt", "vc_send", "hlc_send")
     trace = generate(BASE)
     records = [iv for ivs in trace.intervals for iv in ivs] + list(trace.messages)
     assert trace.messages and len(records) > len(trace.messages)
@@ -680,9 +680,10 @@ _LONG_CELLS = [
 @pytest.mark.parametrize("cfg", _LONG_CELLS, ids=[
     f"n{c.n}-delta{c.delta}-alpha{c.alpha}-{type(c.interval).__name__}" for c in _LONG_CELLS])
 def test_long_intervals_crossed_by_messages(cfg):
-    """An interval's end stamp takes every message event up to its end,
-    including a send on its end tick; a send on its start tick follows
-    the start.  Every driver matches the reference on such cells."""
+    """Long intervals hold several receives, and some start or end on a
+    send tick, so the closed-form stamping carries a process's stamps
+    across receives inside an interval and orders a start before a send
+    at one tick.  Every driver matches the reference on such cells."""
     expect = reference_generate(cfg)
     received = [[m.receive_pt for m in expect.messages if m.receiver == p] for p in range(cfg.n)]
     sent = [set(ticks) for ticks in reference_send_plan(cfg)[0]]
@@ -690,7 +691,6 @@ def test_long_intervals_crossed_by_messages(cfg):
     assert max(sum(iv.start < t <= iv.end for t in received[iv.proc]) for iv in ivs) >= 2
     assert any(iv.start in sent[iv.proc] for iv in ivs)
     assert any(iv.end in sent[iv.proc] and iv.end > iv.start for iv in ivs)
-    assert any(iv.vc_end != iv.vc_start for iv in ivs)
     _assert_every_driver_gives(cfg, expect)
 
 
@@ -820,14 +820,31 @@ def _cfg_dict(cfg: SimConfig) -> dict:
 
 
 def test_messages_respect_delivery_rule():
+    """A message crosses processes and waits at least ``delta``, and the
+    receiver's first record stamped at or after the receive knows the
+    send: its vector stamp dominates ``vc_send`` and its HLC is larger
+    than ``hlc_send``.  That record is the receiver's next interval
+    start or send, in the body order receive, start, send."""
     trace = generate(BASE)
     assert trace.messages
+    # every process's stamped records as (tick, body order, vc, hlc)
+    stamped = [[(iv.start, 0, iv.vc_start, iv.hlc_start) for iv in ivs] for ivs in trace.intervals]
+    for m in trace.messages:
+        stamped[m.sender].append((m.send_pt, 1, m.vc_send, m.hlc_send))
+    for rows in stamped:
+        rows.sort()
+    known = 0
     for m in trace.messages:
         assert m.sender != m.receiver
         assert m.receive_pt >= m.send_pt + BASE.delta
-        # the receive stamp knows the send stamp
-        assert all(r >= s for r, s in zip(m.vc_receive, m.vc_send))
-        assert m.hlc_receive > m.hlc_send
+        rows = stamped[m.receiver]
+        i = bisect_left(rows, (m.receive_pt,))
+        if i < len(rows):
+            _, _, vc, hlc = rows[i]
+            assert all(r >= s for r, s in zip(vc, m.vc_send))
+            assert hlc > m.hlc_send
+            known += 1
+    assert known > 0.9 * len(trace.messages), (known, len(trace.messages))
 
 
 @pytest.mark.parametrize("delta", [0, 6])
@@ -866,8 +883,6 @@ def test_interval_stamps_are_causal_events():
             assert cur.vc_start[cur.proc] > prev.vc_start[prev.proc]
         for iv in plan:
             assert iv.start <= iv.end
-            # end snapshot incorporates everything the start knew
-            assert all(e >= s for e, s in zip(iv.vc_end, iv.vc_start))
 
 
 def test_placement_ignores_traffic_and_scheduling():
@@ -895,6 +910,28 @@ def test_growing_the_system_keeps_existing_streams():
     assert list(map(pairs, large[:3])) == list(map(pairs, small))
 
 
+def _read_record(line: str) -> PredicateInterval | MessageRecord:
+    """A ``trace_records`` line read back into its record.  Every field
+    is passed by name, so a field the line lacks or a key the record
+    lacks raises ``TypeError``."""
+    fields = dict(part.split("=", 1) for part in line.split())
+    kind = fields.pop("kind")
+    vc = tuple(map(int, fields.pop("vc").split(",")))
+    hlc = tuple(map(int, fields.pop("hlc").split(",")))
+    ints = {key: int(value) for key, value in fields.items()}
+    if kind == "interval":
+        return PredicateInterval(**ints, vc_start=vc, hlc_start=hlc)
+    assert kind == "message", kind
+    return MessageRecord(**ints, vc_send=vc, hlc_send=hlc)
+
+
+def _assert_export_round_trips(trace, lines: list[str]) -> None:
+    """The export is lossless: its lines read back into exactly the
+    trace's records, intervals by process, then messages in send order."""
+    records = [iv for ivs in trace.intervals for iv in ivs] + list(trace.messages)
+    assert [_read_record(line) for line in lines] == records
+
+
 def test_write_trace_round_trip_fields():
     trace = generate(SimConfig(n=3, epsilon_app=4, delta=6, alpha=0.2, beta=0.15, horizon=80, seed=16))
     lines = list(trace_records(trace))
@@ -907,62 +944,49 @@ def test_write_trace_round_trip_fields():
         assert fields["kind"] in ("interval", "message")
         if fields["kind"] == "interval":
             assert int(fields["end"]) >= int(fields["start"])
+    _assert_export_round_trips(trace, lines)
 
 
-# sha256 of the trace_records export, and of every record's fields with
-# stamps as tuples (the export leaves out vc_end and the receive stamps);
-# both taken from the generator before its stamps became tuples
+# sha256 of the trace_records export, taken from the generator before its
+# stamps became tuples; the export reads back into every record
 _PINNED_TRACES = [
     (
         SimConfig(n=5, epsilon_app=10, delta=5, alpha=0.2, beta=0.05, horizon=2000,
                   correlation=PMAJ(), seed=3),
         "710c6eef5ef04c6a1f85dca1ca4f8c1ab0ac2adfa5d02cdd5c6f16feb6a03d1d",
-        "8e7c6feac51d47ce4999ae94aed04d6c79d2fd4c9d70ffd72ff092ec83b71549",
     ),
     (
         SimConfig(n=4, epsilon_app=3, delta=0, alpha=0.3, beta=0.05, horizon=1500, seed=7),
         "a0257871079285aca33b376b7d6ad473ad020371ffa6cc1b4aaeccdd0ec58f92",
-        "a7a8a527c851dc81d46f77bc7e948aa362b92ea249f60dc90b5ffd6a1aaa5ee9",
     ),
     (
         SimConfig(n=3, epsilon_app=8, delta=4, alpha=0.1, beta=0.02,
                   interval=GeometricLength(0.2), horizon=3000, seed=11),
         "23668487f6b4b8ce944c62e9d2c8974ad74c5c4c517a24511e71b3f1a7f9a79f",
-        "a822c3d71d3f3483206cf40aa870aa309bc671fee0040aaa2f1bc90abb0839af",
     ),
     (
         SimConfig(n=5, epsilon_app=6, delta=3, alpha=0.2, beta=0.08, interval=FixedLength(3),
                   horizon=2000, correlation=PMA(2, 0.7), seed=5),
         "dd4e03d556e2a65714290ac5d2b12505abd2cac3778da33df5b7112d5bce9813",
-        "688520311ab344d5e25673c20e0bb27c5ee9e871c7ed182c0a12cc2e441ba851",
     ),
     (
         SimConfig(n=6, epsilon_app=5, delta=2, alpha=0.15, beta=0.1, horizon=2000,
                   correlation=HNMA(), seed=9),
         "e538e4070996757271c045c4cc3b70e1be74699ca55e5913283d0de13bf79a2f",
-        "3e95a71f178a84e77cb1bd9be851f52a36c66d3d8161aa92d2b731478a20d05f",
     ),
     # taken from the per-process step loop, before n=20 ran the kernel
     (
         SimConfig(n=20, epsilon_app=30, delta=3, alpha=0.05, beta=0.03,
                   interval=FixedLength(2), horizon=1500, seed=17),
         "b3880c296f5a15ca08e0b5400bdd0c347fef5b8a0cffcc9a4da7ef48f5c0bb46",
-        "0219df8cfcba91a2d8435691f118857356ba08092150422fe0eaaa355cfd3206",
     ),
 ]
 
 
-@pytest.mark.parametrize("cfg, records_sha, stamps_sha", _PINNED_TRACES, ids=["pmaj", "delta0", "geom", "pma", "hnma", "n20"])
-def test_trace_bytes_are_pinned(cfg, records_sha, stamps_sha):
+@pytest.mark.parametrize("cfg, records_sha", _PINNED_TRACES, ids=["pmaj", "delta0", "geom", "pma", "hnma", "n20"])
+def test_trace_bytes_are_pinned(cfg, records_sha):
     trace = generate(cfg)
-    text = "".join(line + "\n" for line in trace_records(trace))
+    lines = list(trace_records(trace))
+    text = "".join(line + "\n" for line in lines)
     assert hashlib.sha256(text.encode()).hexdigest() == records_sha
-    fields = [
-        (iv.proc, iv.start, iv.end, iv.vc_start, iv.vc_end, iv.hlc_start)
-        for ivs in trace.intervals
-        for iv in ivs
-    ] + [
-        (m.sender, m.send_pt, m.receiver, m.receive_pt, m.vc_send, m.hlc_send, m.vc_receive, m.hlc_receive)
-        for m in trace.messages
-    ]
-    assert hashlib.sha256(repr(fields).encode()).hexdigest() == stamps_sha
+    _assert_export_round_trips(trace, lines)
