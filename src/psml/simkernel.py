@@ -27,13 +27,14 @@ stamps.
 Work is paid per message event, not per advance: an advance below the
 process's watch tick only moves the clock, and the scheduler coins come
 in blocks of steps, one ``(steps, n)`` draw giving the same values as
-one draw per step.  The watch is the smaller of two heads: the
-process's next send tick and its inbox head.  Interval starts and ends
-run no code of their own.  Between two message events a process's
-stamps move by the local-event rules alone, which have a closed form,
-so its starts are stamped at its next send or receive (and the rest
-when the run ends).  Point predicates are placed straight from their
-per-tick decisions.
+one draw per step.  For small ``n`` the offset table takes a run of
+steps per lookup while no clock in it can reach a watch.  The watch is
+the smaller of two heads: the process's next send tick and its inbox
+head.  Interval starts and ends run no code of their own.  Between two
+message events a process's stamps move by the local-event rules alone,
+which have a closed form, so its starts are stamped at its next send or
+receive (and the rest when the run ends).  Point predicates are placed
+straight from their per-tick decisions.
 Events never change a clock, so the schedule is kept apart from them:
 :func:`_event_state` owns the plans, inboxes, stamps and the trace, and
 one of three schedule drivers, each giving the same steps, calls its
@@ -404,7 +405,7 @@ def predicate_intervals(config: SimConfig) -> list[np.ndarray]:
 # scheduler steps per coin draw; a (B, n) draw equals B successive draws of n.
 # The reflection kernel solves one block of steps at a time.
 _SCHED_BLOCK = 512
-# largest offset table, in (state, coin row) entries, that generate builds
+# largest offset table, in (state, coin code) entries, that generate builds
 _TABLE_ENTRIES = 1 << 17
 # A schedule driver runs the scheduler to the horizon and returns the final
 # clocks.  It sees only the watch ticks and events(p, v), which it calls at
@@ -413,16 +414,30 @@ _TABLE_ENTRIES = 1 << 17
 _Events = Callable[[int, int], int | None]
 
 
+def _coin_rows(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The next ``_SCHED_BLOCK`` rows of ``n`` scheduler coins, True for
+    a won coin: ``rng.random((_SCHED_BLOCK, n)) < 0.5``, read as the top
+    bit of the raw words that ``random`` turns into doubles."""
+    return rng.bit_generator.random_raw((_SCHED_BLOCK, n)) < 1 << 63
+
+
+def _table_states(n: int, eps: int) -> int:
+    """The number of offset states: offsets in 0..eps, at least one 0."""
+    return (eps + 1) ** n - eps ** n
+
+
 def _schedule_path(n: int, eps: int, horizon: int) -> str:
     """The path ``generate`` runs the schedule on; all three give the
     same steps.
 
     * ``"table"`` (:func:`_run_table`), when ``0 < eps < horizon`` and
-      the offset table has at most ``_TABLE_ENTRIES`` entries,
-      ``(eps+1)**n - eps**n`` offset states times ``2**n`` coin rows (n=3
-      at eps 10 has 2,648).  Below the horizon tail a step depends only
-      on the clocks' offsets from the minimum and the coin row, so the
-      table memoises it; the step loop runs the tail from the same block.
+      the one-step offset table, ``(eps+1)**n - eps**n`` offset states
+      times ``2**n`` coin rows, has at most ``_TABLE_ENTRIES`` entries
+      (n=3 at eps 10 has 2,648).  Below the horizon tail a step depends
+      only on the clocks' offsets from the minimum and the coin row, so
+      the table holds every step, and every run of ``k`` steps for the
+      largest ``k`` that fits; the step loop runs the tail from the same
+      block.
     * ``"kernel"``, the reflection kernel (:func:`_run_kernel`), when
       ``n >= 10`` and ``eps >= 10``.  It restarts its block at every
       forced step, which takes all ``n`` coins lost, so it runs where
@@ -432,29 +447,95 @@ def _schedule_path(n: int, eps: int, horizon: int) -> str:
       faster at eps 10 and 0.06-0.12x at eps 2.
     * ``"loop"``, the step loop (:func:`_run_loop`), for the rest.
     """
-    if 0 < eps < horizon and ((eps + 1) ** n - eps ** n) << n <= _TABLE_ENTRIES:
+    if 0 < eps < horizon and _table_states(n, eps) << n <= _TABLE_ENTRIES:
         return "table"
     return "kernel" if eps >= 10 and 1 << n > _SCHED_BLOCK else "loop"
 
 
-def _transition(offsets: tuple[int, ...], row: int, eps: int) -> tuple[tuple[int, ...], int, int]:
-    """One scheduler step below the horizon tail, on clock offsets.
+def _offset_states(n: int, eps: int) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Every offset state, numbered: a ``(_table_states(n, eps), n)``
+    array whose row i holds state i's offsets, and the function from an
+    array of states (offsets in the last axis) to their numbers.
 
-    ``offsets[p]`` is p's clock minus the minimum clock, in 0..eps, and
-    bit p of ``row`` is p's advance coin.  Returns the offsets after the
-    step, the rise of the minimum clock and the bitmask of the processes
-    that moved: the coin winners below the drift cap or, if there are
-    none, the first process at offset 0.
+    The states come in groups by their first process at offset 0, j,
+    and within group j count in mixed radix, process 0 fastest: ``o[p] -
+    1`` in base eps below j, ``o[p]`` in base eps + 1 above it.  So the
+    zero state is 0, and no sort, search or ``(eps+1)**n`` grid is needed
+    (n=2 runs on the table up to eps 16,383)."""
+    parts, place, first = [], np.zeros((n, n), dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for j in range(n):
+        digits = [eps] * j + [1] + [eps + 1] * (n - 1 - j)
+        part = np.indices(digits[::-1])[::-1].reshape(n, -1).T
+        part[:, :j] += 1
+        place[j] = np.cumprod([1] + digits[:-1])
+        first[j] = sum(map(len, parts)) - place[j, :j].sum()
+        parts.append(part)
+
+    def number(states: np.ndarray) -> np.ndarray:
+        j = (states == 0).argmax(axis=-1)
+        return (states * place[j]).sum(axis=-1) + first[j]
+
+    return np.concatenate(parts).astype(np.min_scalar_type(eps)), number
+
+
+def _steps(offsets: np.ndarray, eps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One scheduler step below the horizon tail, from every offset state
+    in ``offsets`` (one row each, offsets in 0..eps) under every coin row
+    (p's coin in bit p).  Returns, indexed ``[state, row]``, the offsets
+    after the step, the rise of the minimum clock and the movers, a bool
+    per process: the coin winners below the drift cap or, where there
+    are none, the first process at offset 0."""
+    n = offsets.shape[1]
+    won = np.arange(1 << n)[:, None] >> np.arange(n) & 1 == 1
+    moved = won & (offsets[:, None, :] < eps)
+    state, row = np.nonzero(~moved.any(axis=2))
+    moved[state, row, offsets.argmin(axis=1)[state]] = True
+    after = offsets[:, None, :] + moved
+    rise = after.min(axis=2)
+    return after - rise[:, :, None], rise, moved
+
+
+def _table_entries(offsets: np.ndarray, eps: int, ids: Callable[[np.ndarray], np.ndarray],
+                   k: int) -> tuple[list[tuple], list[tuple]]:
+    """The offset-table entries of the states ``offsets``, as ``(steps,
+    runs)``; ``ids`` numbers the states after a step.
+
+    ``steps[i << n | row]``, state i under coin row ``row``, is ``(next
+    << n, rise of lo, movers in ascending order, their largest offset
+    after the step)``.  ``runs[i << n*k | code]`` covers the ``k`` steps
+    whose coin rows are bits ``n*j`` to ``n*j + n - 1`` of ``code``:
+    ``(next << n*k, rise of lo, reach)``, with ``reach`` the largest
+    mover clock over the k steps, measured from the lo before them, so
+    at least the rise.  A run of more than one step reads the steps of
+    the states it passes, so ``offsets`` must then hold every state,
+    numbered by its row.
     """
-    moved = 0
-    for p, o in enumerate(offsets):
-        if row >> p & 1 and o < eps:
-            moved |= 1 << p
-    if not moved:
-        moved = 1 << offsets.index(0)
-    after = [o + (moved >> p & 1) for p, o in enumerate(offsets)]
-    rise = min(after)
-    return tuple(o - rise for o in after), rise, moved
+    n = offsets.shape[1]
+    after, rise, moved = _steps(offsets, eps)
+    nxt, reach = ids(after), (after * moved).max(axis=2)
+    bits = [tuple(p for p in range(n) if m >> p & 1) for m in range(1 << n)]  # mask -> processes
+    steps = _shared(lambda b, r, m, h: (b, r, bits[m], h), nxt << n, rise, moved @ (1 << np.arange(n)), reach)
+    state, code = np.arange(len(offsets))[:, None], np.arange(1 << n * k)
+    up = top = np.zeros((), np.min_scalar_type(eps + k))  # the rise and reach so far
+    for j in range(k):
+        row = code >> n * j & (1 << n) - 1
+        up = up + rise[state, row]
+        top = np.maximum(top, up + reach[state, row])
+        state = nxt[state, row]
+    state <<= n * k
+    return steps, _shared(lambda *run: run, state, up, top)
+
+
+def _shared(make: Callable[..., tuple], *cols: np.ndarray) -> list[tuple]:
+    """``[make(*row) for row in zip(*cols)]`` over non-negative int
+    arrays of one shape, read flat, with one object for equal rows: a
+    table holds a few thousand distinct entries among tens of thousands."""
+    flat = [col.ravel() for col in cols]
+    key = np.ravel_multi_index(flat, [int(col.max()) + 1 for col in flat])
+    _, first, where = np.unique(key, return_index=True, return_inverse=True)
+    made = np.fromiter(itertools.starmap(make, zip(*(col[first].tolist() for col in flat))),
+                       dtype=object, count=first.size)
+    return made[where].tolist()
 
 
 def _reflected_schedule(
@@ -487,7 +568,7 @@ def _reflected_schedule(
     n, c0 = len(clocks), np.array(clocks, dtype=np.int64)
     while c0.min() < horizon:
         coins = np.zeros((n, _SCHED_BLOCK + 1), dtype=np.int64)  # column 0: no step
-        coins[:, 1:] = (rng.random((_SCHED_BLOCK, n)) < 0.5).T
+        coins[:, 1:] = _coin_rows(rng, n).T
         while coins.shape[1] > 1:
             ups = coins.cumsum(axis=1)
             cap = np.full(coins.shape[1], horizon)
@@ -582,6 +663,7 @@ def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[
     sptr = [0] * n
     done: list[list[PredicateInterval]] = [[] for _ in range(n)]
     sent: list[MessageRecord | None] = []  # by send seq; None until delivered
+    record = tuple.__new__  # a record built without the named tuple's Python __new__
 
     def settle(p: int, bound: int) -> None:
         """Stamp p's starts below ``bound`` and record their intervals."""
@@ -601,7 +683,7 @@ def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[
             end = to[k]
             if end == s:  # a point interval's record holds one int for both
                 end = s
-            ivs.append(PredicateInterval(p, s, end, vc, hlc))
+            ivs.append(record(PredicateInterval, (p, s, end, vc, hlc)))
             k += 1
         iptr[p] = k
         vcs[p], hlcs[p] = vc, hlc
@@ -613,7 +695,7 @@ def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[
             _, mseq, sender, send_pt, vc_s, hlc_s = heapq.heappop(inbox)
             vcs[p] = vc_merge(vcs[p], vc_s, p)
             hlcs[p] = hlc_merge(hlcs[p], hlc_s, v)
-            sent[mseq] = MessageRecord(sender, send_pt, p, v, vc_s, hlc_s)
+            sent[mseq] = record(MessageRecord, (sender, send_pt, p, v, vc_s, hlc_s))
 
         q = None
         k = sptr[p]
@@ -647,51 +729,98 @@ def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[
     return events, watch, finish
 
 
+class _GrownTable(dict):
+    """Offset-table entries built when first read, a state at a time:
+    ``grow(key)`` stores every entry of the state that ``key`` indexes."""
+
+    def __init__(self, grow: Callable[[int], None]):
+        self.grow = grow
+
+    def __missing__(self, key: int) -> tuple:
+        self.grow(key)
+        return self[key]
+
+
 def _run_table(events: _Events, watch: list[int], eps: int, horizon: int, rng: np.random.Generator) -> list[int]:
-    """The offset-table driver, for ``0 < eps < horizon``.  While ``lo +
-    eps < horizon`` a step depends only on the clock offsets from the
-    minimum ``lo`` and the coin row.  Table entry ``state << n | row``,
-    filled when first used, is ``(next state << n, rise of lo, movers in
-    ascending order, their largest offset after the step)``; the movers
-    are walked only when one may have reached ``min(watch)``.  The
-    horizon tail runs on in :func:`_run_loop` from the same coin block.
+    """The offset-table driver, for ``0 < eps < horizon``.  Below ``stop
+    = horizon - eps`` a step depends only on the clock offsets from the
+    minimum ``lo`` and the coin row, so a table holds it
+    (:func:`_table_entries`), and every run of ``k`` steps.
+
+    Where the one-step table fits ``_TABLE_ENTRIES``, as wherever
+    :func:`_schedule_path` picks this driver, both tables are built
+    whole, with ``k`` the largest power of two that divides
+    ``_SCHED_BLOCK`` and keeps the run table within ``_TABLE_ENTRIES``
+    (2 at n=3, eps 10: 331 states times 64 codes).  Elsewhere a state's
+    entries are built when the run first reaches it, with ``k = 1``.
+
+    A lookup takes a whole run while no mover in it can reach
+    ``min(watch)`` or ``stop``.  Otherwise the run's steps are walked one
+    at a time, and a step's movers only when one of them may have
+    reached ``min(watch)``: an event in one step may lower a watch that
+    the next reaches.  A run's reach is at least its rise, so a run
+    taken whole ends below ``stop``; a walk hands the horizon tail, with
+    the rest of the coin block, to :func:`_run_loop` at the step that
+    reaches ``stop``.
     """
     n = len(watch)
-    width, weights = 1 << n, 1 << np.arange(n)
-    bits = [[p for p in range(n) if m >> p & 1] for m in range(width)]  # mask -> processes
-    offs = [(0,) * n]  # state -> offsets, numbered in order of appearance
-    states = {offs[0]: 0}
-    table: list[tuple[int, int, list[int], int] | None] = [None] * width
+    if _table_states(n, eps) << n <= _TABLE_ENTRIES:
+        states, number = _offset_states(n, eps)
+        k = 1
+        while _SCHED_BLOCK % (2 * k) == 0 and len(states) << 2 * n * k <= _TABLE_ENTRIES:
+            k *= 2
+        steps, runs = _table_entries(states, eps, number, k)
+        offs = list(map(tuple, states.tolist()))
+    else:
+        k, offs, steps = 1, [(0,) * n], {}
+        index = {offs[0]: 0}
 
-    def fill(k: int, row: int) -> tuple[int, int, list[int], int]:
-        after, rise, moved = _transition(offs[k >> n], row, eps)
-        if after not in states:
-            states[after] = len(offs)
-            offs.append(after)
-            table.extend([None] * width)
-        movers = bits[moved]
-        table[k] = (states[after] << n, rise, movers, max(after[p] for p in movers))
-        return table[k]
+        def number(after: np.ndarray) -> np.ndarray:
+            ids = []
+            for o in map(tuple, after.reshape(-1, n).tolist()):
+                if index.setdefault(o, len(offs)) == len(offs):
+                    offs.append(o)
+                ids.append(index[o])
+            return np.array(ids).reshape(after.shape[:-1])
 
-    lo = base = 0  # base: the current state << n
-    stop, low = horizon - eps, min(watch)
-    while lo < stop:
-        block = rng.random((_SCHED_BLOCK, n)) < 0.5
-        for r, row in enumerate((block @ weights).tolist(), 1):
-            base, rise, movers, reach = table[base | row] or fill(base | row, row)
-            lo += rise
-            # no mover's clock is past lo + reach, and watches change only
-            # in events, so low is min(watch) and a step below it has no
-            # event
-            if lo + reach >= low:
-                o = offs[base >> n]
-                for p in movers:  # ascending, as in the step loop
-                    if lo + o[p] >= watch[p]:
-                        events(p, lo + o[p])
-                low = min(watch)
-            if lo >= stop:
-                break
-    return _run_loop(events, watch, eps, horizon, rng, [lo + o for o in offs[base >> n]], block[r:].tolist())
+        def grow(key: int) -> None:
+            state = key >> n
+            more, new = _table_entries(np.array([offs[state]]), eps, number, 1)
+            base = state << n
+            steps.update(zip(range(base, base + len(more)), more))
+            runs.update(zip(range(base, base + len(new)), new))
+
+        runs = _GrownTable(grow)
+    weights, shift, mask = 1 << np.arange(n * k), n * k - n, (1 << n) - 1
+    lo = base = 0  # base: the current state << n*k
+    stop = horizon - eps
+    low = min(min(watch), stop)
+    while True:
+        block = _coin_rows(rng, n)
+        todo = iter((block.reshape(-1, n * k) @ weights).tolist())  # row j of a run: bits n*j on
+        for code in todo:
+            nxt, rise, reach = runs[base | code]
+            if lo + reach < low:
+                base = nxt
+                lo += rise
+                continue
+            b = base >> shift
+            for j in range(0, n * k, n):
+                b, rise, movers, reach = steps[b | code >> j & mask]
+                lo += rise
+                # no mover's clock is past lo + reach, and watches change
+                # only in events, so a step below low has no event
+                if lo + reach >= low:
+                    o = offs[b >> n]
+                    for p in movers:  # ascending, as in the step loop
+                        if lo + o[p] >= watch[p]:
+                            events(p, lo + o[p])
+                    low = min(min(watch), stop)
+                if lo >= stop:
+                    r = _SCHED_BLOCK - k * len(list(todo)) - k + j // n + 1
+                    return _run_loop(events, watch, eps, horizon, rng, [lo + x for x in offs[b >> n]],
+                                     block[r:].tolist())
+            base = b << shift
 
 
 def _run_kernel(events: _Events, watch: list[int], eps: int, horizon: int, rng: np.random.Generator) -> list[int]:
@@ -760,8 +889,7 @@ def _run_loop(events: _Events, watch: list[int], eps: int, horizon: int, rng: np
     while (lo := min(clocks)) < horizon:
         if r == len(rows):
             # at eps 0 every step is forced, so no coin is ever read
-            rows = ([()] * _SCHED_BLOCK if eps == 0 else
-                    (rng.random((_SCHED_BLOCK, n)) < 0.5).tolist())
+            rows = [()] * _SCHED_BLOCK if eps == 0 else _coin_rows(rng, n).tolist()
             r = 0
         # a won coin advances a process below the drift cap and the
         # horizon; p's clock is still its value from the start of the step

@@ -388,6 +388,19 @@ def test_block_coin_draws_equal_per_step_draws():
         assert (row == stepped.random(n)).all()
 
 
+@pytest.mark.parametrize("n", [1, 3, 20])
+def test_coin_rows_equal_generator_coins(n):
+    """The drivers' scheduler coins, read from the raw words, equal the
+    ``Generator.random(...) < 0.5`` coins of the same stream, block after
+    block, for several stream keys."""
+    for seed, purpose, proc in [(0, simkernel._S_SCHED, 0), (7, simkernel._S_SCHED, 0),
+                                (11, simkernel._S_SCHED, 3), (5, simkernel._S_PRED, 2)]:
+        raw = simkernel._stream(seed, purpose, proc)
+        drawn = simkernel._stream(seed, purpose, proc)
+        for _ in range(3):
+            assert np.array_equal(simkernel._coin_rows(raw, n), drawn.random((simkernel._SCHED_BLOCK, n)) < 0.5)
+
+
 # ---------------------------------------------------------------------------
 # generation
 # ---------------------------------------------------------------------------
@@ -417,22 +430,44 @@ class _Coins:
 @pytest.mark.parametrize("n, eps", [(2, 1), (2, 3), (3, 2), (4, 1)])
 def test_table_transition_matches_reference_step(n, eps):
     """Every offset state and every coin row: the step the offset table
-    memoises moves the processes the reference scheduler moves."""
+    holds moves the processes the reference scheduler moves."""
     horizon = 1000  # far from every clock, as in the table's region
     states = [s for s in itertools.product(range(eps + 1), repeat=n) if min(s) == 0]
     assert len(states) == (eps + 1) ** n - eps ** n
-    for offsets in states:
+    grid, number = simkernel._offset_states(n, eps)
+    assert sorted(map(tuple, grid.tolist())) == states
+    assert number(grid).tolist() == list(range(len(states)))
+    after, rise, moved = simkernel._steps(grid, eps)
+    for i, offsets in enumerate(map(tuple, grid.tolist())):
         for row in range(1 << n):
             won = [bool(row >> p & 1) for p in range(n)]
-            after, rise, moved = simkernel._transition(offsets, row, eps)
             for lo in (0, 37):
                 clocks = [lo + o for o in offsets]
                 expect = reference_step_schedule(clocks, eps, horizon, _Coins(won))
-                assert [p for p in range(n) if moved >> p & 1] == expect, (offsets, row)
+                assert np.flatnonzero(moved[i, row]).tolist() == expect, (offsets, row)
             stepped = [o + (p in expect) for p, o in enumerate(offsets)]
-            assert rise == min(stepped)
-            assert after == tuple(o - rise for o in stepped)
-            assert max(after) <= eps
+            assert rise[i, row] == min(stepped)
+            assert tuple(after[i, row].tolist()) == tuple(o - rise[i, row] for o in stepped)
+            assert max(after[i, row]) <= eps
+
+
+@pytest.mark.parametrize("n, eps, k", [(3, 10, 2), (2, 1, 4), (2, 2, 4), (2, 3, 4)])
+def test_table_runs_compose_steps(n, eps, k):
+    """Every offset state and every code of ``k`` coin rows: the run entry
+    equals ``k`` successive step entries, its reach being the largest
+    mover clock over them, measured from the ``lo`` before the run."""
+    states, number = simkernel._offset_states(n, eps)
+    steps, runs = simkernel._table_entries(states, eps, number, k)
+    assert len(steps) == len(states) << n and len(runs) == len(states) << n * k
+    assert len(states) << 2 * n * k > simkernel._TABLE_ENTRIES  # the driver's k: no larger one fits
+    for state in range(len(states)):
+        for code in range(1 << n * k):
+            b, up, top = state << n, 0, 0
+            for j in range(k):
+                b, rise, movers, reach = steps[b | code >> n * j & (1 << n) - 1]
+                up += rise
+                top = max(top, up + reach)
+            assert runs[state << n * k | code] == (b >> n << n * k, up, top), (state, code)
 
 
 def test_schedule_path_serves_each_workload():
@@ -633,6 +668,37 @@ def _assert_every_driver_gives(cfg: SimConfig, expect: simkernel.Trace) -> None:
         assert calls == dispatched["loop"], path
 
 
+# table cells with a message on every tick, delivered in the step it is due,
+# at horizons of both parities: n=3 takes runs of two steps, n=2 of four
+_RUN_CELLS = [
+    SimConfig(n=n, epsilon_app=eps, delta=0, alpha=1.0, beta=0.2, interval=FixedLength(3),
+              horizon=horizon, seed=30 + horizon % 2)
+    for n, eps, horizons in [(3, 10, (600, 601)), (2, 3, (600, 602, 603, 604))]
+    for horizon in horizons
+]
+
+
+def test_table_runs_hand_the_tail_over_at_every_step(monkeypatch):
+    """The table driver reaches ``stop`` inside a run, one step at a time,
+    and hands the tail to the step loop after each of the run's steps
+    across these cells; every driver gives the reference on each."""
+    handed = {2: set(), 4: set()}
+    loop = simkernel._run_loop
+
+    def tail(events, watch, eps, horizon, rng, clocks=None, rows=()):
+        if clocks is not None:  # called by the table driver
+            k = 2 if len(watch) == 3 else 4
+            assert min(clocks) == horizon - eps
+            handed[k].add(k - 1 - len(rows) % k)  # the run step that reached stop
+        return loop(events, watch, eps, horizon, rng, clocks, rows)
+
+    monkeypatch.setattr(simkernel, "_run_loop", tail)
+    for cfg in _RUN_CELLS:
+        assert simkernel._schedule_path(cfg.n, cfg.epsilon_app, cfg.horizon) == "table"
+        _assert_every_driver_gives(cfg, reference_generate(cfg))
+    assert handed == {2: {0, 1}, 4: {0, 1, 2, 3}}
+
+
 # sparse cells: many interval starts and ends, few messages
 _SPARSE_CELLS = [
     SimConfig(n=3, epsilon_app=10, delta=100, alpha=0.001, beta=0.01, interval=FixedLength(30),
@@ -745,8 +811,9 @@ def _nested_codes(code: types.CodeType) -> Iterator[types.CodeType]:
 
 def _generate_lines(cfg: SimConfig) -> int:
     """Lines ``generate`` and its schedule drivers run in their own frames
-    and in the functions nested in them, such as the table's ``fill``
-    (not in the event bodies, nor in the collector pause around it)."""
+    and in the functions nested in them, such as the grown table's
+    ``grow`` (not in the event bodies, nor in the collector pause around
+    it)."""
     funcs = (inspect.unwrap(simkernel.generate), *simkernel._DRIVERS.values())
     codes = {c for f in funcs for c in _nested_codes(f.__code__)}
     count = 0
