@@ -30,7 +30,9 @@ False positive rate follows the asynchronous-monitor convention:
 monitor reports and ``y_f`` counts those that are also eps-consistent
 for the checked window.  One count rule, :func:`_counted_lengths`, gives
 the sorted lengths of the counted cuts, so ``y_f`` and every window
-count of simulated ``pr_diagram`` are one bisection of that list.
+count of simulated ``pr_diagram`` are one bisection of that list.  The
+engine measures each cut as it yields it (``detect_async``'s
+``lengths``), so no counted cut is re-read here.
 
 The experiment entries ``fpr_experiment``, ``_pr_counts`` (simulated
 ``pr_diagram``), ``partial_fractions`` and ``hlc_recall_curve`` run
@@ -54,7 +56,6 @@ import numpy as np
 
 from .analytic import _ratio, hlc_recall, precision, recall
 from .monitors import (
-    cut_length,
     detect_async,
     detect_partialsync,
     detect_quasi,
@@ -113,10 +114,13 @@ def _counted_lengths(trace: Trace, warmup: int) -> list[int]:
     candidate starts at or after ``warmup``, sorted, so the cuts that fit
     a window are counted by one ``bisect_right``.  The engine's heads
     only advance, so a cut's minimum start never falls along the
-    enumeration: these cuts are a suffix of it, found by one bisection."""
-    cuts = detect_async(trace)
-    first = bisect_left(cuts, warmup, key=lambda cut: min(c.start for c in cut))
-    return sorted(map(cut_length, itertools.islice(cuts, first, None)))
+    enumeration: these cuts are a suffix of it, found by one bisection.
+    The engine measures every cut as it yields it."""
+    lengths: list[int] = []
+    cuts = detect_async(trace, lengths=lengths)
+    del lengths[: bisect_left(cuts, warmup, key=lambda cut: min(c.start for c in cut))]
+    lengths.sort()
+    return lengths
 
 
 def config_with(base: SimConfig, **overrides: Any) -> SimConfig:
@@ -214,8 +218,8 @@ def fpr_experiment(
     and classify each counted cut via eps-consistency at ``eps_check``.
 
     The monitor reports only pairwise-concurrent cuts, so a cut is
-    eps-consistent exactly when its length fits ``eps_check``; only the
-    counted cuts are measured (:func:`_counted_lengths`)."""
+    eps-consistent exactly when its length fits ``eps_check``
+    (:func:`_counted_lengths`)."""
     if not eps_check >= 0:
         raise ValueError("eps_check must be non-negative")
     warmup = _resolve_warmup(config, warmup)

@@ -26,6 +26,18 @@ process's interval: no cut is a slide of the previous one.  The
 engine never sees a monitor's rule, so every monitor's cuts are a
 subsequence of the asynchronous monitor's, in the same order.
 
+The engine measures each cut as it yields it: a cut's length
+(:func:`cut_length`) is ``max(hi - min(ends), 0)``, ``hi`` being the
+largest start among the heads.  ``hi`` is kept as a running maximum of
+every head start seen, raised whenever a head advances (a prune or a
+move), and it always equals the largest current start: every current
+head has been seen, and the head that set ``hi`` is still current,
+because heads only move forward, one queue's starts rise (a later head
+on its queue would start later still) and an exhausted queue ends the
+enumeration.  ``min(ends)`` is taken anyway to pick the head to move,
+so a length costs O(1) instead of O(m).
+The partially synchronous monitor filters on these lengths.
+
 Inside the engine, happens-before between two candidate stamps is
 decided from the owner components alone: the start event of candidate
 ``i`` precedes that of ``j`` exactly when ``j``'s stamp has learned
@@ -113,8 +125,11 @@ def candidate_queues(
 
 def _detect(
     queues: list[tuple[PredicateInterval, ...]],
+    lengths: list[int] | None = None,
 ) -> Iterator[tuple[PredicateInterval, ...]]:
-    """Yield the heads of every pairwise-concurrent cut, in order."""
+    """Yield the heads of every pairwise-concurrent cut, in order; with
+    ``lengths``, append each cut's :func:`cut_length` just before it is
+    yielded."""
     if any(not q for q in queues):
         return
     m = len(queues)
@@ -122,6 +137,9 @@ def _detect(
     heads = [q[0] for q in queues]
     procs = [c.proc for c in heads]
     ends = [c.end for c in heads]
+    # the largest head start seen, always a current head's (see the
+    # module docstring)
+    hi = max(map(_START, heads))
     stamps = [c.vc_start for c in heads]
     owns = [s[p] for s, p in zip(stamps, procs)]
     # each head's foreign entries, summed: what it has learned of others
@@ -129,10 +147,13 @@ def _detect(
 
     def advance(i: int) -> bool:
         """Move head ``i`` on; False once its queue is exhausted."""
+        nonlocal hi
         pos[i] += 1
         if pos[i] == len(queues[i]):
             return False
         c = heads[i] = queues[i][pos[i]]
+        if c.start > hi:
+            hi = c.start
         ends[i] = c.end
         s = stamps[i] = c.vc_start
         own = owns[i] = s[procs[i]]
@@ -165,11 +186,14 @@ def _detect(
                         return
                     if j not in todo:
                         todo.append(j)
+        # the earliest end is both the cut's smallest end and the head to
+        # advance; ties fall to the lowest index.  The new head is
+        # rechecked only if it learned something (see the module docstring).
+        low = min(ends)
+        if lengths is not None:
+            lengths.append(hi - low if hi > low else 0)
         yield tuple(heads)
-        # advance the earliest-ending head; ties fall to the lowest index.
-        # The new head is rechecked only if it learned something (see the
-        # module docstring).
-        k = ends.index(min(ends))
+        k = ends.index(low)
         known = foreign[k]
         if not advance(k):
             return
@@ -179,10 +203,14 @@ def _detect(
 
 @_collector_paused
 def detect_async(
-    trace: Trace, procs: Iterable[int] | None = None
+    trace: Trace, procs: Iterable[int] | None = None, *, lengths: list[int] | None = None
 ) -> list[tuple[PredicateInterval, ...]]:
-    """All distinct pairwise-concurrent cuts, in emission order."""
-    return list(_detect(candidate_queues(trace, procs)))
+    """All distinct pairwise-concurrent cuts, in emission order.
+
+    Given a list as ``lengths``, the engine appends to it each cut's
+    :func:`cut_length`, in the same order, as it enumerates the cut:
+    no caller needs to re-read the cuts to measure them."""
+    return list(_detect(candidate_queues(trace, procs), lengths))
 
 
 @_collector_paused
@@ -193,7 +221,9 @@ def detect_partialsync(
     exactly detect_async's length-filtered subsequence."""
     if not eps_mon >= 0:
         raise ValueError("eps_mon must be non-negative")
-    return [h for h in _detect(candidate_queues(trace, procs)) if cut_length(h) <= eps_mon]
+    # the engine appends a cut's length just before yielding the cut
+    lengths: list[int] = []
+    return [h for h in _detect(candidate_queues(trace, procs), lengths) if lengths[-1] <= eps_mon]
 
 
 def _shares_tick(cands: Sequence[PredicateInterval]) -> bool:

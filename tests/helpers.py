@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 import psml
 from psml import simkernel
 from psml.clocks import HLC, VC, hlc_merge, hlc_tick, vc_tick
+from psml.monitors import cut_length
 from psml.simkernel import (
     HNMA,
     PMA,
@@ -238,6 +239,12 @@ def brute_quasi(
         return lo <= hi
 
     return brute_detect(trace_queues(trace, procs), accept)
+
+
+def reference_counted_lengths(trace: Trace, warmup: int) -> list[int]:
+    """The experiments' count rule by the slow path: the sorted
+    ``cut_length`` of every reference cut past the warmup."""
+    return sorted(cut_length(c) for c in brute_async(trace) if past_warmup(c, warmup))
 
 
 # ---------------------------------------------------------------------------

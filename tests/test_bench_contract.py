@@ -69,3 +69,23 @@ def test_cli_runs_record_every_span_the_worker_reads(tracing, tmp_path):
         "monitors.detect_partialsync",
         "monitors.detect_quasi",
     }
+
+
+def test_library_fpr_experiment_counts_through_the_traced_detector(tracing):
+    """A library ``fpr_experiment`` (the dense-corr path) must take its
+    count from the traced ``detect_async``: a count routed around that
+    name would leave the monitors' spans and counts at 0."""
+    from psml import metrics
+    from psml.simkernel import PMAJ, SimConfig
+
+    rec = tracing.Recorder()
+    cfg = SimConfig(n=4, epsilon_app=5, beta=0.2, alpha=0.05, delta=10,
+                    correlation=PMAJ(), horizon=300, seed=1)
+    with tracing.traced_calls(rec):
+        res = metrics.fpr_experiment(cfg, 5)
+    names = [name for name, *_ in rec.spans]
+    detect = names.index("monitors.detect_async")
+    assert names[rec.spans[detect][3]] == "metrics.fpr_experiment"
+    assert res.y > 0
+    assert rec.counts["metrics.y"] == res.y
+    assert rec.counts["monitors.cuts"] >= rec.counts["metrics.y"]

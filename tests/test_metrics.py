@@ -34,7 +34,7 @@ from psml.monitors import (
 )
 from psml.simkernel import PMAJ, FixedLength, GeometricLength, SimConfig, _collector_paused, generate
 
-from helpers import past_warmup
+from helpers import past_warmup, reference_counted_lengths
 
 
 CFG = SimConfig(n=3, epsilon_app=5, delta=10, alpha=0.05, beta=0.15, horizon=600, seed=31)
@@ -82,6 +82,19 @@ def test_fpr_experiment_counts_match_direct_enumeration():
     assert res.y_f == sum(is_eps_consistent(c, 5) for c in cuts)
     assert res.fpr == pytest.approx(1 - res.y_f / res.y)
     assert res.config == CFG
+
+
+def test_counted_lengths_match_reference_on_a_dense_correlated_cell():
+    """The engine-measured count rule against the reference detector on
+    a dense-corr-like cell, where prefix-majority placement and dense
+    messages make the engine prune."""
+    cfg = SimConfig(n=20, epsilon_app=50, beta=0.1, alpha=0.05, delta=10,
+                    correlation=PMAJ(), horizon=2_000, seed=1)
+    trace = generate(cfg)
+    for warmup in (0, default_warmup(cfg)):
+        lengths = metrics._counted_lengths(trace, warmup)
+        assert len(lengths) > 1_000
+        assert lengths == reference_counted_lengths(trace, warmup)
 
 
 def test_fpr_experiment_flags_sparse_counts():

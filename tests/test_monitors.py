@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psml.metrics import _pr_counts, default_warmup, fpr_experiment
+from psml.metrics import _counted_lengths, _pr_counts, default_warmup, fpr_experiment
 from psml.monitors import (
     _shares_tick,
     candidate_queues,
@@ -37,6 +37,7 @@ from helpers import (
     compare,
     past_warmup,
     random_small_config,
+    reference_counted_lengths,
     stepwise_detect,
 )
 
@@ -228,11 +229,14 @@ def _learned_steps(cuts):
 def test_monitors_match_stepwise_engine_on_mid_size_traces(cfg):
     """Skipping the prune test on merge steps whose new head learned
     nothing changes no cut and no order, on the full process set and on
-    a subset."""
+    a subset; and where prunes fire, the engine's running-maximum length
+    rule measures every cut as cut_length does."""
     trace = generate(cfg)
     for procs in (None, range(1, cfg.n, 3)):
         slow = list(stepwise_detect(candidate_queues(trace, procs)))
-        assert detect_async(trace, procs) == slow
+        lengths = []
+        assert detect_async(trace, procs, lengths=lengths) == slow
+        assert lengths == [cut_length(c) for c in slow]
         for eps in (0, cfg.epsilon_app):
             assert detect_partialsync(trace, eps, procs) == [c for c in slow if cut_length(c) <= eps]
         assert detect_quasi(trace, procs) == [c for c in slow if _shares_tick(c)]
@@ -257,9 +261,14 @@ def test_monitors_and_counts_match_references_on_edge_configs(cfg, eps_mon, data
     # every process, then a non-empty subset: the path of p-of-n conjunctions
     subset = data.draw(st.lists(st.integers(0, cfg.n - 1), min_size=1, unique=True).map(sorted))
     for procs in (None, subset):
-        assert detect_async(trace, procs) == brute_async(trace, procs)
+        lengths = []
+        cuts = detect_async(trace, procs, lengths=lengths)
+        assert cuts == brute_async(trace, procs)
+        assert lengths == [cut_length(c) for c in cuts]
         for eps in (0, cfg.epsilon_app, math.inf):
-            assert detect_partialsync(trace, eps, procs) == brute_partialsync(trace, eps, procs)
+            kept = detect_partialsync(trace, eps, procs)
+            assert kept == brute_partialsync(trace, eps, procs)
+            assert kept == [c for c in cuts if cut_length(c) <= eps]
         assert detect_quasi(trace, procs) == brute_quasi(trace, procs)
 
     # the experiments skip the warmup prefix by bisection: at the default
@@ -270,6 +279,7 @@ def test_monitors_and_counts_match_references_on_edge_configs(cfg, eps_mon, data
     h = cfg.horizon
     for warmup in (None, 0, 1, h // 2, h, h + 1):
         warm = default_warmup(cfg) if warmup is None else warmup
+        assert _counted_lengths(trace, warm) == reference_counted_lengths(trace, warm)
 
         # fpr counts against the full happens-before check of the reference cuts
         res = fpr_experiment(cfg, cfg.epsilon_app, warmup)
