@@ -11,7 +11,8 @@ A stamp is a plain tuple and each stamping rule is one function:
   events sharing the same ``l``; tuple order is its lexicographic
   order.  It is causally sound (an event that happened before another
   never carries a larger stamp) but not complete: distinct concurrent
-  events may compare as ordered.
+  events may compare as ordered.  In this simulator no message arrives
+  before its send tick, so ``l`` is the event's own tick (see monitors).
 
 Physical clocks are plain non-negative ``int`` ticks throughout.
 """

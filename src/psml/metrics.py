@@ -400,7 +400,8 @@ def hlc_recall_curve(
     config: SimConfig, ell_values: Sequence[int], replicates: int = 5
 ) -> list[tuple[int, float, float]]:
     """Per interval length: simulated quasi/partialsync detection
-    ratio next to the closed-form recall of the quasi monitor.
+    ratio next to the closed-form recall of the quasi monitor: the
+    zero-window count over the ``eps_app``-window count.
 
     Counts are pooled across replicates before taking the ratio; the
     per-trace counts are small for short intervals and per-trace

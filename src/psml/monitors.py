@@ -12,8 +12,8 @@ concurrent cuts and the three monitors filter what it yields:
 * asynchronous: keep every concurrent cut;
 * partially synchronous: keep only cuts whose length fits a window
   ``eps_mon``;
-* quasi-synchronous: keep only cuts whose intervals share a common
-  tick, decided from the scalar hybrid-logical-clock stamps alone.
+* quasi-synchronous: keep only cuts whose intervals share a tick by
+  their scalar hybrid-logical-clock stamps: here, the cuts of length 0.
 
 The engine is the queue-based weak-conjunctive-predicate algorithm:
 while some head candidate happens-before another head, the preceding
@@ -37,6 +37,13 @@ on its queue would start later still) and an exhausted queue ends the
 enumeration.  ``min(ends)`` is taken anyway to pick the head to move,
 so a length costs O(1) instead of O(m).
 The partially synchronous monitor filters on these lengths.
+
+The quasi-synchronous rule, some ``l`` in every window ``[l, l + end -
+start]`` with ``l = hlc_start[0]``, is the length-0 filter: every ``l``
+is its event's tick ``v`` (by induction, ``l_prev`` is an earlier tick).
+A local or send event gives ``l = max(l_prev, v) = v``, a receive ``l =
+max(l_prev, send_pt, v) = v``, as delivery waits for ``send_pt + delta``.
+So ``hlc_start[0] == start``: the rule is ``max(start) <= min(end)``.
 
 Inside the engine, happens-before between two candidate stamps is
 decided from the owner components alone: the start event of candidate
@@ -226,22 +233,11 @@ def detect_partialsync(
     return [h for h in _detect(candidate_queues(trace, procs), lengths) if lengths[-1] <= eps_mon]
 
 
-def _shares_tick(cands: Sequence[PredicateInterval]) -> bool:
-    """Some logical value falls in every candidate's window
-    [l, l + (end - start)], l being ``hlc_start[0]``: max of lows <=
-    min of highs."""
-    lo = max(c.hlc_start[0] for c in cands)
-    hi = min(c.hlc_start[0] + (c.end - c.start) for c in cands)
-    return lo <= hi
-
-
 @_collector_paused
 def detect_quasi(
     trace: Trace, procs: Iterable[int] | None = None
 ) -> list[tuple[PredicateInterval, ...]]:
-    """Concurrent cuts whose intervals share a common tick, decided
-    from scalar clocks alone (:func:`_shares_tick`).  In a trace whose
-    hybrid clocks ride the physical clock this coincides with
-    max(start) <= min(end), so every kept cut has length zero.
-    """
-    return [h for h in _detect(candidate_queues(trace, procs)) if _shares_tick(h)]
+    """Concurrent cuts whose intervals share a tick by their scalar
+    hybrid clocks: as ``hlc_start[0] == start`` (see the module
+    docstring), exactly the cuts of length 0."""
+    return detect_partialsync(trace, 0, procs)

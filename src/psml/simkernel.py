@@ -495,10 +495,9 @@ def _steps(offsets: np.ndarray, eps: int) -> tuple[np.ndarray, np.ndarray, np.nd
     return after - rise[:, :, None], rise, moved
 
 
-def _table_entries(offsets: np.ndarray, eps: int, ids: Callable[[np.ndarray], np.ndarray],
-                   k: int) -> tuple[list[tuple], list[tuple]]:
-    """The offset-table entries of the states ``offsets``, as ``(steps,
-    runs)``; ``ids`` numbers the states after a step.
+def _table_entries(n: int, eps: int, k: int) -> tuple[np.ndarray, list[tuple], list[tuple]]:
+    """Every offset state, state i in row i (:func:`_offset_states`), and
+    its offset-table entries, as ``(offsets, steps, runs)``.
 
     ``steps[i << n | row]``, state i under coin row ``row``, is ``(next
     << n, rise of lo, movers in ascending order, their largest offset
@@ -506,13 +505,11 @@ def _table_entries(offsets: np.ndarray, eps: int, ids: Callable[[np.ndarray], np
     whose coin rows are bits ``n*j`` to ``n*j + n - 1`` of ``code``:
     ``(next << n*k, rise of lo, reach)``, with ``reach`` the largest
     mover clock over the k steps, measured from the lo before them, so
-    at least the rise.  A run of more than one step reads the steps of
-    the states it passes, so ``offsets`` must then hold every state,
-    numbered by its row.
+    at least the rise.
     """
-    n = offsets.shape[1]
+    offsets, number = _offset_states(n, eps)
     after, rise, moved = _steps(offsets, eps)
-    nxt, reach = ids(after), (after * moved).max(axis=2)
+    nxt, reach = number(after), (after * moved).max(axis=2)
     bits = [tuple(p for p in range(n) if m >> p & 1) for m in range(1 << n)]  # mask -> processes
     steps = _shared(lambda b, r, m, h: (b, r, bits[m], h), nxt << n, rise, moved @ (1 << np.arange(n)), reach)
     state, code = np.arange(len(offsets))[:, None], np.arange(1 << n * k)
@@ -523,7 +520,7 @@ def _table_entries(offsets: np.ndarray, eps: int, ids: Callable[[np.ndarray], np
         top = np.maximum(top, up + reach[state, row])
         state = nxt[state, row]
     state <<= n * k
-    return steps, _shared(lambda *run: run, state, up, top)
+    return offsets, steps, _shared(lambda *run: run, state, up, top)
 
 
 def _shared(make: Callable[..., tuple], *cols: np.ndarray) -> list[tuple]:
@@ -729,30 +726,15 @@ def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[
     return events, watch, finish
 
 
-class _GrownTable(dict):
-    """Offset-table entries built when first read, a state at a time:
-    ``grow(key)`` stores every entry of the state that ``key`` indexes."""
-
-    def __init__(self, grow: Callable[[int], None]):
-        self.grow = grow
-
-    def __missing__(self, key: int) -> tuple:
-        self.grow(key)
-        return self[key]
-
-
 def _run_table(events: _Events, watch: list[int], eps: int, horizon: int, rng: np.random.Generator) -> list[int]:
-    """The offset-table driver, for ``0 < eps < horizon``.  Below ``stop
-    = horizon - eps`` a step depends only on the clock offsets from the
-    minimum ``lo`` and the coin row, so a table holds it
-    (:func:`_table_entries`), and every run of ``k`` steps.
-
-    Where the one-step table fits ``_TABLE_ENTRIES``, as wherever
-    :func:`_schedule_path` picks this driver, both tables are built
-    whole, with ``k`` the largest power of two that divides
-    ``_SCHED_BLOCK`` and keeps the run table within ``_TABLE_ENTRIES``
-    (2 at n=3, eps 10: 331 states times 64 codes).  Elsewhere a state's
-    entries are built when the run first reaches it, with ``k = 1``.
+    """The offset-table driver, for ``0 < eps < horizon`` where the
+    one-step table fits ``_TABLE_ENTRIES`` (:func:`_schedule_path`'s
+    rule).  Below ``stop = horizon - eps`` a step depends only on the
+    clock offsets from the minimum ``lo`` and the coin row, so a table
+    holds it (:func:`_table_entries`), and every run of ``k`` steps.
+    Both tables are built whole, with ``k`` the largest power of two
+    that divides ``_SCHED_BLOCK`` and keeps the run table within
+    ``_TABLE_ENTRIES`` (2 at n=3, eps 10: 331 states times 64 codes).
 
     A lookup takes a whole run while no mover in it can reach
     ``min(watch)`` or ``stop``.  Otherwise the run's steps are walked one
@@ -764,33 +746,13 @@ def _run_table(events: _Events, watch: list[int], eps: int, horizon: int, rng: n
     reaches ``stop``.
     """
     n = len(watch)
-    if _table_states(n, eps) << n <= _TABLE_ENTRIES:
-        states, number = _offset_states(n, eps)
-        k = 1
-        while _SCHED_BLOCK % (2 * k) == 0 and len(states) << 2 * n * k <= _TABLE_ENTRIES:
-            k *= 2
-        steps, runs = _table_entries(states, eps, number, k)
-        offs = list(map(tuple, states.tolist()))
-    else:
-        k, offs, steps = 1, [(0,) * n], {}
-        index = {offs[0]: 0}
-
-        def number(after: np.ndarray) -> np.ndarray:
-            ids = []
-            for o in map(tuple, after.reshape(-1, n).tolist()):
-                if index.setdefault(o, len(offs)) == len(offs):
-                    offs.append(o)
-                ids.append(index[o])
-            return np.array(ids).reshape(after.shape[:-1])
-
-        def grow(key: int) -> None:
-            state = key >> n
-            more, new = _table_entries(np.array([offs[state]]), eps, number, 1)
-            base = state << n
-            steps.update(zip(range(base, base + len(more)), more))
-            runs.update(zip(range(base, base + len(new)), new))
-
-        runs = _GrownTable(grow)
+    if _schedule_path(n, eps, horizon) != "table":
+        raise ValueError("the offset table needs 0 < epsilon_app < horizon and a table that fits")
+    k = 1
+    while _SCHED_BLOCK % (2 * k) == 0 and _table_states(n, eps) << 2 * n * k <= _TABLE_ENTRIES:
+        k *= 2
+    states, steps, runs = _table_entries(n, eps, k)
+    offs = list(map(tuple, states.tolist()))
     weights, shift, mask = 1 << np.arange(n * k), n * k - n, (1 << n) - 1
     lo = base = 0  # base: the current state << n*k
     stop = horizon - eps

@@ -230,15 +230,19 @@ def brute_partialsync(
     return brute_detect(trace_queues(trace, procs), accept)
 
 
+def shares_tick(cands: Sequence[PredicateInterval]) -> bool:
+    """The quasi-synchronous rule on scalar hybrid clocks alone: some
+    logical value falls in every candidate's window [l, l + (end -
+    start)], l being ``hlc_start[0]``: max of lows <= min of highs."""
+    lo = max(c.hlc_start[0] for c in cands)
+    hi = min(c.hlc_start[0] + (c.end - c.start) for c in cands)
+    return lo <= hi
+
+
 def brute_quasi(
     trace: Trace, procs: Sequence[int] | None = None
 ) -> list[tuple[PredicateInterval, ...]]:
-    def accept(cands: Sequence[PredicateInterval]) -> bool:
-        lo = max(c.hlc_start[0] for c in cands)
-        hi = min(c.hlc_start[0] + (c.end - c.start) for c in cands)
-        return lo <= hi
-
-    return brute_detect(trace_queues(trace, procs), accept)
+    return brute_detect(trace_queues(trace, procs), shares_tick)
 
 
 def reference_counted_lengths(trace: Trace, warmup: int) -> list[int]:

@@ -1,5 +1,6 @@
 """Detection monitors against the naive full-compare reference."""
 
+import dataclasses
 import itertools
 import math
 
@@ -8,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from psml.metrics import _counted_lengths, _pr_counts, default_warmup, fpr_experiment
 from psml.monitors import (
-    _shares_tick,
     candidate_queues,
     cut_length,
     detect_async,
@@ -38,6 +38,7 @@ from helpers import (
     past_warmup,
     random_small_config,
     reference_counted_lengths,
+    shares_tick,
     stepwise_detect,
 )
 
@@ -151,22 +152,16 @@ def test_partialsync_is_length_filtered_async(index):
 @pytest.mark.parametrize("index", range(100, 115))
 def test_quasi_is_overlap_filtered_async_without_messages(index):
     """With no messages the scalar clocks equal the physical clocks, so
-    quasi acceptance reduces to a shared tick."""
-    cfg = random_small_config(index)
-    cfg = SimConfig(
-        n=cfg.n,
-        epsilon_app=cfg.epsilon_app,
-        delta=cfg.delta,
-        alpha=0.0,
-        beta=cfg.beta,
-        interval=cfg.interval,
-        horizon=cfg.horizon,
-        seed=cfg.seed,
-    )
-    trace = generate(cfg)
-    full = detect_async(trace)
-    overlap = [c for c in full if cut_length(c) == 0]
-    assert detect_quasi(trace) == overlap
+    quasi acceptance reduces to a shared tick; with the config's own
+    traffic it still does, because no message arrives before its send
+    tick."""
+    base = random_small_config(index)
+    for cfg in (dataclasses.replace(base, alpha=0.0), base):
+        trace = generate(cfg)
+        full = detect_async(trace)
+        overlap = [c for c in full if cut_length(c) == 0]
+        assert detect_quasi(trace) == overlap
+        assert [c for c in full if shares_tick(c)] == overlap
 
 
 def test_quasi_cuts_all_have_zero_length_without_messages():
@@ -239,7 +234,7 @@ def test_monitors_match_stepwise_engine_on_mid_size_traces(cfg):
         assert lengths == [cut_length(c) for c in slow]
         for eps in (0, cfg.epsilon_app):
             assert detect_partialsync(trace, eps, procs) == [c for c in slow if cut_length(c) <= eps]
-        assert detect_quasi(trace, procs) == [c for c in slow if _shares_tick(c)]
+        assert detect_quasi(trace, procs) == [c for c in slow if shares_tick(c)]
     cuts = detect_async(trace)
     assert len(cuts) > 100
     learned = _learned_steps(cuts)
@@ -269,7 +264,9 @@ def test_monitors_and_counts_match_references_on_edge_configs(cfg, eps_mon, data
             kept = detect_partialsync(trace, eps, procs)
             assert kept == brute_partialsync(trace, eps, procs)
             assert kept == [c for c in cuts if cut_length(c) <= eps]
-        assert detect_quasi(trace, procs) == brute_quasi(trace, procs)
+        quasi = detect_quasi(trace, procs)
+        assert quasi == brute_quasi(trace, procs)
+        assert quasi == [c for c in cuts if cut_length(c) == 0]
 
     # the experiments skip the warmup prefix by bisection: at the default
     # and at every edge of the horizon their counts equal the per-cut rule

@@ -456,8 +456,7 @@ def test_table_runs_compose_steps(n, eps, k):
     """Every offset state and every code of ``k`` coin rows: the run entry
     equals ``k`` successive step entries, its reach being the largest
     mover clock over them, measured from the ``lo`` before the run."""
-    states, number = simkernel._offset_states(n, eps)
-    steps, runs = simkernel._table_entries(states, eps, number, k)
+    states, steps, runs = simkernel._table_entries(n, eps, k)
     assert len(steps) == len(states) << n and len(runs) == len(states) << n * k
     assert len(states) << 2 * n * k > simkernel._TABLE_ENTRIES  # the driver's k: no larger one fits
     for state in range(len(states)):
@@ -620,10 +619,11 @@ _DRIVER_CONFIGS = [
 
 
 def _driver_domain(path: str, cfg: SimConfig) -> bool:
-    """Where a driver runs: the table needs 0 < eps_app < horizon and
-    one 2**n-entry row per offset state, the kernel eps_app >= 1."""
+    """Where a driver runs: the table exactly where ``_schedule_path``
+    picks it (its whole table must fit), the kernel at eps_app >= 1."""
     eps = cfg.epsilon_app
-    return {"table": cfg.n <= 5 and 0 < eps < cfg.horizon, "kernel": eps >= 1, "loop": True}[path]
+    table = simkernel._schedule_path(cfg.n, eps, cfg.horizon) == "table"
+    return {"table": table, "kernel": eps >= 1, "loop": True}[path]
 
 
 @pytest.mark.parametrize("cfg", _DRIVER_CONFIGS, ids=[f"n{c.n}-eps{c.epsilon_app}-h{c.horizon}" for c in _DRIVER_CONFIGS])
@@ -647,15 +647,14 @@ def test_trace_records_hold_python_ints(cfg):
             assert all(type(v) is int for v in values), rec
 
 
-def _assert_every_driver_gives(cfg: SimConfig, expect: simkernel.Trace) -> None:
-    """Each driver in whose domain ``cfg`` lies takes a fresh event state
-    to ``expect``, calling ``events`` with the same ``(p, v)`` sequence,
-    and getting the same receivers, as the step loop."""
-    dispatched = {}
+def _driver_runs(cfg: SimConfig) -> dict[str, tuple[simkernel.Trace, list]]:
+    """Per driver in whose domain ``cfg`` lies: the trace it drives a
+    fresh event state to, and its ``(p, v, receiver)`` event calls."""
+    runs = {}
     for path, driver in simkernel._DRIVERS.items():
         if _driver_domain(path, cfg):
             events, watch, finish = simkernel._event_state(cfg)
-            calls = dispatched[path] = []
+            calls = []
 
             def recorded(p: int, v: int) -> int | None:
                 q = events(p, v)
@@ -663,9 +662,18 @@ def _assert_every_driver_gives(cfg: SimConfig, expect: simkernel.Trace) -> None:
                 return q
 
             rng = simkernel._stream(cfg.seed, simkernel._S_SCHED)
-            assert finish(driver(recorded, watch, cfg.epsilon_app, cfg.horizon, rng)) == expect, path
-    for path, calls in dispatched.items():
-        assert calls == dispatched["loop"], path
+            runs[path] = finish(driver(recorded, watch, cfg.epsilon_app, cfg.horizon, rng)), calls
+    return runs
+
+
+def _assert_every_driver_gives(cfg: SimConfig, expect: simkernel.Trace) -> None:
+    """Each driver in whose domain ``cfg`` lies takes a fresh event state
+    to ``expect``, calling ``events`` with the same ``(p, v)`` sequence,
+    and getting the same receivers, as the step loop."""
+    runs = _driver_runs(cfg)
+    for path, (trace, calls) in runs.items():
+        assert trace == expect, path
+        assert calls == runs["loop"][1], path
 
 
 # table cells with a message on every tick, delivered in the step it is due,
@@ -760,6 +768,30 @@ def test_long_intervals_crossed_by_messages(cfg):
     _assert_every_driver_gives(cfg, expect)
 
 
+def _assert_hlc_rides_the_tick(trace: simkernel.Trace) -> None:
+    """Every hybrid stamp's ``l`` is its event's own tick: the premise
+    under which the quasi monitor is the length-0 filter."""
+    assert all(iv.hlc_start[0] == iv.start for ivs in trace.intervals for iv in ivs)
+    assert all(m.hlc_send[0] == m.send_pt for m in trace.messages)
+
+
+@settings(max_examples=200, deadline=None)
+@given(EDGE_CONFIGS)
+def test_hlc_l_is_the_event_tick_on_edge_configs(cfg):
+    """No message arrives before its send tick, so along every process
+    ``l`` never runs ahead of the physical clock, on every driver."""
+    for trace, _ in _driver_runs(cfg).values():
+        _assert_hlc_rides_the_tick(trace)
+
+
+@pytest.mark.parametrize("cfg", _DRIVER_CONFIGS + _LONG_CELLS, ids=[
+    f"n{c.n}-eps{c.epsilon_app}-delta{c.delta}-alpha{c.alpha}-h{c.horizon}-s{c.seed}"
+    for c in _DRIVER_CONFIGS + _LONG_CELLS])
+def test_hlc_l_is_the_event_tick_on_driver_and_long_cells(cfg):
+    for trace, _ in _driver_runs(cfg).values():
+        _assert_hlc_rides_the_tick(trace)
+
+
 def test_random_streams_are_pinned():
     """The first draws of every ``Generator`` method psml reads, under
     ``_stream`` for a few (seed, purpose, proc) keys.  The golden digests
@@ -782,10 +814,26 @@ def test_random_streams_are_pinned():
 
 
 def test_driver_configs_reach_paths_the_rule_does_not_pick():
+    """The kernel and the loop also run where the rule picks another
+    driver; the table runs only where it is picked."""
     picked = [simkernel._schedule_path(c.n, c.epsilon_app, c.horizon) for c in _DRIVER_CONFIGS]
     assert picked[:3] == ["table", "loop", "kernel"]
-    for path in simkernel._DRIVERS:
+    for path in ("kernel", "loop"):
         assert any(p != path and _driver_domain(path, c) for p, c in zip(picked, _DRIVER_CONFIGS)), path
+
+
+def test_offset_table_rejects_configs_outside_its_rule():
+    """The table driver builds its whole table or refuses the config
+    before any coin is drawn: here n=5 at eps_app 10, whose one-step
+    table (61,051 states times 32 coin rows) exceeds the budget."""
+    cfg = _DRIVER_CONFIGS[1]
+    assert simkernel._table_states(cfg.n, cfg.epsilon_app) << cfg.n > simkernel._TABLE_ENTRIES
+    events, watch, _ = simkernel._event_state(cfg)
+    rng = simkernel._stream(cfg.seed, simkernel._S_SCHED)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="offset table"):
+        simkernel._run_table(events, watch, cfg.epsilon_app, cfg.horizon, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_reflection_kernel_rejects_eps_zero_before_drawing():
