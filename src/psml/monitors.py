@@ -63,8 +63,8 @@ new head knows what the old one knew, no other head.  Summing all ``n``
 entries is conservative when only some processes are monitored.
 
 The three ``detect_*`` monitors run with the cyclic garbage collector
-paused (:func:`psml.simkernel._collector_paused`): the engine's cut
-tuples create no reference cycles.
+paused (:func:`psml.simkernel._collector_paused`, ``detect_quasi`` through
+``detect_partialsync``): the engine's cut tuples create no reference cycles.
 """
 
 from __future__ import annotations
@@ -228,12 +228,12 @@ def detect_partialsync(
     exactly detect_async's length-filtered subsequence."""
     if not eps_mon >= 0:
         raise ValueError("eps_mon must be non-negative")
-    # the engine appends a cut's length just before yielding the cut
+    # the engine appends a cut's length just before yielding the cut,
+    # and the filter takes it off, so the list holds one length at most
     lengths: list[int] = []
-    return [h for h in _detect(candidate_queues(trace, procs), lengths) if lengths[-1] <= eps_mon]
+    return [h for h in _detect(candidate_queues(trace, procs), lengths) if lengths.pop() <= eps_mon]
 
 
-@_collector_paused
 def detect_quasi(
     trace: Trace, procs: Iterable[int] | None = None
 ) -> list[tuple[PredicateInterval, ...]]:

@@ -240,8 +240,9 @@ class PredicateInterval(NamedTuple):
     """One maximal span [start, end] of local-predicate truth on
     process ``proc``; point predicates have end == start.
 
-    ``vc_start``/``hlc_start`` stamp the truthification event, the only
-    stamps the monitors read.  Ends are not events and carry no stamp.
+    ``vc_start``/``hlc_start`` stamp the truthification event; the
+    monitors read ``vc_start``, and ``hlc_start`` is kept for the export
+    and the scalar-clock proof.  Ends are not events and carry no stamp.
     """
 
     proc: int
@@ -535,17 +536,15 @@ def _shared(make: Callable[..., tuple], *cols: np.ndarray) -> list[tuple]:
     return made[where].tolist()
 
 
-def _reflected_schedule(
-    clocks: list[int], eps: int, horizon: int, rng: np.random.Generator
-) -> Iterator[tuple[np.ndarray, int]]:
-    """The scheduler run from ``clocks`` to the horizon, one coin block at
-    a time, as segments ``(rows, forced)``.
+def _reflected_schedule(n: int, eps: int, horizon: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """The scheduler run of ``n`` processes from zero clocks to the
+    horizon, one coin block at a time, as segments of clock rows.
 
     ``rows[:, 0]`` holds the clocks before the segment and ``rows[:, s]``
     the clocks after its step s, in which every coin winner below the
-    drift cap moved.  ``forced`` is the process that the step after the
-    last row moves because no coin winner could, or -1 if the segment
-    ends at the block end or the run end.
+    drift cap moved, or, at the segment's last step, the first process at
+    the minimum clock if no coin winner could (forced progress).  Every
+    segment has at least one step, and the last one ends at the horizon.
 
     Within a block, step s caps every clock at ``b(s) = min(lo(s-1) +
     eps, horizon)``, with ``lo(s-1)`` the minimum clock before the step.
@@ -555,14 +554,15 @@ def _reflected_schedule(
     depends on ``C``, so it is iterated from the uncapped clocks; each
     pass fixes at least one more row and the sequence only falls, so it
     stops at the schedule.  The first row in which no clock moves is a
-    forced step; the block goes on from the row after it.
+    forced step: its column is overwritten with the forced move, and the
+    block goes on from it.
 
     Needs ``eps >= 1``: at eps 0 the iteration does not stop, so it
     raises ``ValueError`` there before any coin is drawn.
     """
     if eps < 1:
         raise ValueError("the reflection kernel needs epsilon_app >= 1")
-    n, c0 = len(clocks), np.array(clocks, dtype=np.int64)
+    c0 = np.zeros(n, dtype=np.int64)
     while c0.min() < horizon:
         coins = np.zeros((n, _SCHED_BLOCK + 1), dtype=np.int64)  # column 0: no step
         coins[:, 1:] = _coin_rows(rng, n).T
@@ -583,16 +583,18 @@ def _reflected_schedule(
             stall = np.flatnonzero(total[1:] == total[:-1])
             s = int(stall[0]) + 1 if stall.size else len(lo)
             if lo[-1] == horizon and (end := int(np.searchsorted(lo, horizon))) < s:
-                yield rows[:, : end + 1], -1
+                yield rows[:, : end + 1]
                 return
             if s == len(lo):
-                yield rows, -1
+                yield rows
                 c0 = rows[:, -1]
                 break
+            # the next pass rebuilds rows from coins[:, s:], so nothing
+            # reads the stalled column after it holds the forced move
             c0 = rows[:, s - 1].copy()
-            forced = int(np.argmin(c0))
-            yield rows[:, :s], forced
-            c0[forced] += 1
+            c0[c0.argmin()] += 1
+            rows[:, s] = c0
+            yield rows[:, : s + 1]
             if c0.min() == horizon:
                 return
             coins = coins[:, s:]
@@ -787,58 +789,54 @@ def _run_table(events: _Events, watch: list[int], eps: int, horizon: int, rng: n
 
 def _run_kernel(events: _Events, watch: list[int], eps: int, horizon: int, rng: np.random.Generator) -> list[int]:
     """The reflection-kernel driver (:func:`_reflected_schedule`), for
-    ``eps >= 1``."""
-    clocks = [0] * len(watch)
-    for seg, forced in _reflected_schedule(clocks, eps, horizon, rng):
-        if (steps := seg.shape[1] - 1) > 0:
-            # p's k-th advance in the segment is flat[offs[p] + k - 1],
-            # as p * steps + its step, and takes p's clock to
-            # c0[p] + k = index - base[p].  An event runs at the advance
-            # that reaches the watch, in (step, process) order, from a
-            # heap of (step, p, index) whose live entry for p is at[p]:
-            # the top entry is read, and replaced by p's next one after
-            # its event (or dropped if stale).
-            flat = memoryview(np.flatnonzero(seg[:, 1:] != seg[:, :-1]))
-            c0, ups = seg[:, 0], seg[:, -1] - seg[:, 0]
-            offs = [0, *itertools.accumulate(ups.tolist())]
-            base = (np.cumsum(ups) - ups - c0 - 1).tolist()
-            at, due = offs[1:], []
-            for p in np.flatnonzero(seg[:, -1] >= watch).tolist():
-                i = base[p] + watch[p]
-                if i < offs[p]:
-                    i = offs[p]
-                if i < at[p]:
-                    at[p] = i
-                    due.append((flat[i] - p * steps, p, i))
-            heapq.heapify(due)
-            while due:
-                s, p, i = due[0]
-                if at[p] != i:
-                    heapq.heappop(due)
-                    continue
-                q = events(p, i - base[p])
-                i = base[p] + watch[p]
-                if i < offs[p + 1]:
-                    at[p] = i
-                    heapq.heapreplace(due, (flat[i] - p * steps, p, i))
-                else:
-                    at[p] = offs[p + 1]
-                    heapq.heappop(due)
-                if q is not None:
-                    # q takes the message at its first advance that reaches
-                    # the new watch and comes after p's: in step s if q > p
-                    i = bisect_left(flat, q * steps + s + (q < p), offs[q], offs[q + 1])
-                    if i < base[q] + watch[q]:
-                        i = base[q] + watch[q]
-                    if i < at[q]:
-                        at[q] = i
-                        heapq.heappush(due, (flat[i] - q * steps, q, i))
-            clocks = seg[:, -1].tolist()
-        if forced >= 0:
-            v = clocks[forced] = clocks[forced] + 1
-            if v >= watch[forced]:
-                events(forced, v)
-    return clocks
+    ``eps >= 1``.
+
+    p's k-th advance in a segment of ``steps`` steps is ``flat[offs[p] +
+    k - 1]``, as ``p * steps`` plus its step, and takes p's clock to
+    ``c0[p] + k = index - base[p]``.  An event runs at the advance that
+    reaches the watch, in (step, process) order, from a heap of ``(step,
+    p, index)`` whose live entry for p is ``at[p]``: the top entry is
+    read, and replaced by p's next one after its event (or dropped if
+    stale).  A forced step is a segment's last step, so it runs here too.
+    """
+    for seg in _reflected_schedule(len(watch), eps, horizon, rng):
+        steps = seg.shape[1] - 1
+        flat = memoryview(np.flatnonzero(seg[:, 1:] != seg[:, :-1]))
+        c0, ups = seg[:, 0], seg[:, -1] - seg[:, 0]
+        offs = [0, *itertools.accumulate(ups.tolist())]
+        base = (np.cumsum(ups) - ups - c0 - 1).tolist()
+        at, due = offs[1:], []
+        for p in np.flatnonzero(seg[:, -1] >= watch).tolist():
+            i = base[p] + watch[p]
+            if i < offs[p]:
+                i = offs[p]
+            if i < at[p]:
+                at[p] = i
+                due.append((flat[i] - p * steps, p, i))
+        heapq.heapify(due)
+        while due:
+            s, p, i = due[0]
+            if at[p] != i:
+                heapq.heappop(due)
+                continue
+            q = events(p, i - base[p])
+            i = base[p] + watch[p]
+            if i < offs[p + 1]:
+                at[p] = i
+                heapq.heapreplace(due, (flat[i] - p * steps, p, i))
+            else:
+                at[p] = offs[p + 1]
+                heapq.heappop(due)
+            if q is not None:
+                # q takes the message at its first advance that reaches
+                # the new watch and comes after p's: in step s if q > p
+                i = bisect_left(flat, q * steps + s + (q < p), offs[q], offs[q + 1])
+                if i < base[q] + watch[q]:
+                    i = base[q] + watch[q]
+                if i < at[q]:
+                    at[q] = i
+                    heapq.heappush(due, (flat[i] - q * steps, q, i))
+    return seg[:, -1].tolist()
 
 
 def _run_loop(events: _Events, watch: list[int], eps: int, horizon: int, rng: np.random.Generator,

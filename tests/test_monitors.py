@@ -7,6 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from psml import monitors
 from psml.metrics import _counted_lengths, _pr_counts, default_warmup, fpr_experiment
 from psml.monitors import (
     candidate_queues,
@@ -179,6 +180,24 @@ def test_monitors_on_empty_queue():
     if all(trace.intervals):
         pytest.skip("seed produced candidates everywhere")
     assert detect_async(trace) == []
+
+
+def test_windowed_monitors_hold_one_engine_length_at_a_time(monkeypatch):
+    """The window filter takes each length off as its cut comes, so the
+    engine's length list never holds more than the current cut's."""
+    engine, held = monitors._detect, []
+
+    def recording(queues, lengths=None):
+        for cut in engine(queues, lengths):
+            held.append(len(lengths))
+            yield cut
+
+    monkeypatch.setattr(monitors, "_detect", recording)
+    trace = generate(SimConfig(n=4, epsilon_app=10, beta=0.2, horizon=2_000, seed=3))
+    for detect in (lambda: detect_partialsync(trace, 5), lambda: detect_quasi(trace)):
+        held.clear()
+        assert detect()
+        assert len(held) > 1 and max(held) == 1
 
 
 def test_partialsync_rejects_bad_window():

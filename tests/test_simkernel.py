@@ -489,21 +489,15 @@ def test_schedule_path_serves_each_workload():
             assert simkernel._schedule_path(base["n"], eps, base["horizon"]) == path, (base, eps)
 
 
-def _kernel_run(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _kernel_run(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """The reflection kernel's run from zero clocks, one row per step:
-    the clocks before the step, the processes it moves and whether it
-    was forced."""
+    the clocks before the step and the processes it moves."""
     rng = simkernel._stream(cfg.seed, simkernel._S_SCHED)
-    before, moved, forced = [], [], []
-    for seg, p in simkernel._reflected_schedule([0] * cfg.n, cfg.epsilon_app, cfg.horizon, rng):
+    before, moved = [], []
+    for seg in simkernel._reflected_schedule(cfg.n, cfg.epsilon_app, cfg.horizon, rng):
         before.append(seg[:, :-1].T)
         moved.append((seg[:, 1:] != seg[:, :-1]).T)
-        forced.append(np.zeros(seg.shape[1] - 1, dtype=bool))
-        if p >= 0:
-            before.append(seg[:, -1:].T)
-            moved.append(np.arange(cfg.n)[None, :] == p)
-            forced.append(np.ones(1, dtype=bool))
-    return np.vstack(before), np.vstack(moved), np.concatenate(forced)
+    return np.vstack(before), np.vstack(moved)
 
 
 # a cut of the grid n in {2, 4, 20, 50}, eps in {1, 3, 50, 200}, horizon in
@@ -533,15 +527,16 @@ def test_reflection_kernel_matches_reference_schedule(n):
         moved = np.zeros(clocks.shape, dtype=bool)
         for s, (_, advancing) in enumerate(steps):
             moved[s, list(advancing)] = True
-        # a step is forced when no coin winner is below the cap
+        # a step is forced when no coin winner is below the cap, and then
+        # it moves a process that lost its coin
         coins = simkernel._stream(seed, simkernel._S_SCHED).random(clocks.shape) < 0.5
         cap = np.minimum(clocks.min(axis=1) + eps, horizon)[:, None]
         forced = ~(coins & (clocks < cap)).any(axis=1)
-        got = _kernel_run(cfg)
-        assert np.array_equal(got[0], clocks), cfg
-        assert np.array_equal(got[1], moved), cfg
-        assert np.array_equal(got[2], forced), cfg
-        assert tuple(got[0][-1] + got[1][-1]) == final
+        got, got_moved = _kernel_run(cfg)
+        assert np.array_equal(got, clocks), cfg
+        assert np.array_equal(got_moved, moved), cfg
+        assert np.array_equal((got_moved & ~coins).any(axis=1), forced), cfg
+        assert tuple(got[-1] + got_moved[-1]) == final
 
 
 # a kernel-path case in which a process receives on the tick of one of its
@@ -576,6 +571,9 @@ _COINCIDING = SimConfig(n=20, epsilon_app=50, delta=5, alpha=0.1, beta=0.1,
         # sent by receivers above and below the sender
         SimConfig(n=20, epsilon_app=12, delta=0, alpha=1.0, beta=0.05, horizon=800, seed=10),
         SimConfig(n=50, epsilon_app=10, delta=0, alpha=1.0, beta=0.05, horizon=200, seed=11),
+        # the smallest n the kernel runs at: 9 forced steps, each with a send
+        # due at once
+        SimConfig(n=10, epsilon_app=10, delta=0, alpha=1.0, beta=0.05, horizon=1_000, seed=18),
         # all horizon tail
         SimConfig(n=20, epsilon_app=30, delta=1, alpha=0.3, beta=0.3, horizon=30, seed=12),
         SimConfig(n=50, epsilon_app=40, delta=0, alpha=0.3, beta=0.3, horizon=25, seed=13),
@@ -585,11 +583,11 @@ _COINCIDING = SimConfig(n=20, epsilon_app=50, delta=5, alpha=0.1, beta=0.1,
     ],
     ids=["few-long-20k", "dense-fixed3", "dense-drift", "n2-eps200",
          "horizon-eps", "horizon-eps+1", "n4-horizon-eps+1", "n20-eps0",
-         "n20-delta0-alpha1", "n50-delta0-alpha1", "n20-horizon-eps", "n50-horizon-eps",
+         "n20-delta0-alpha1", "n50-delta0-alpha1", "n10-delta0-alpha1", "n20-horizon-eps", "n50-horizon-eps",
          "n20-pmaj-geom", "n50-pmaj-geom"],
 )
 def test_generate_equals_reference_at_long_horizons(cfg):
-    if cfg.n >= 20 and cfg.epsilon_app:  # these cases are there for the kernel
+    if cfg.n >= 10 and cfg.epsilon_app:  # these cases are there for the kernel
         assert simkernel._schedule_path(cfg.n, cfg.epsilon_app, cfg.horizon) == "kernel"
     trace = generate(cfg)
     assert trace == reference_generate(cfg)
