@@ -224,8 +224,9 @@ def recall(eps_mon: float, eps_app: float, n: int, beta: float, ell: float = 1) 
 class EpsInterval:
     """A range of admissible monitor windows ``[lo, hi]``.
 
-    ``unbounded_hi`` marks hi = +inf (any window at least ``lo`` works);
-    ``empty`` marks an interval with no admissible value at all.
+    ``unbounded_hi`` marks hi = +inf (any window at least ``lo`` works).
+    ``empty`` is always False, as the interval always holds eps_app; it
+    stays because ``analytic bound`` prints it.
     """
 
     lo: float
@@ -244,8 +245,9 @@ def admissible_eps_mon(eps_app: float, n: int, beta: float, ell: float, eta: flo
         hi = log_{1-beta}(1 - g/s)   - ell + 1   (precision = eta there)
 
     ``lo`` is clamped at 0.  When g >= s the precision constraint never
-    binds and hi is unbounded.  At eta = 1 the interval degenerates to
-    the single point eps_app.
+    binds and hi is unbounded.  Precision and recall are both 1 at
+    eps_app, so ``lo <= eps_app <= hi``, clamped against rounding, and
+    the interval is the point eps_app when s rounds to 1.
     """
     _check_n(n)
     _check_beta(beta, allow_one=False)
@@ -253,16 +255,16 @@ def admissible_eps_mon(eps_app: float, n: int, beta: float, ell: float, eta: flo
     _check_ell(ell)
     if not 0.0 < eta <= 1.0:
         raise ValueError("eta must be in (0, 1]")
-    if eta == 1.0:
-        return EpsInterval(float(eps_app), float(eps_app))
     s = eta ** (1.0 / (n - 1))
+    eps = float(eps_app)
+    if s == 1.0:
+        return EpsInterval(eps, eps)
     g = _one_minus_q_pow(beta, eps_app + (ell - 1))
-    lo = max(_log_q(beta, 1.0 - s * g) - ell + 1, 0.0)
+    lo = min(max(_log_q(beta, 1.0 - s * g) - ell + 1, 0.0), eps)
     a_hi = 1.0 - g / s
     if a_hi <= 0.0:
         return EpsInterval(lo, math.inf, unbounded_hi=True)
-    hi = _log_q(beta, a_hi) - ell + 1
-    return EpsInterval(lo, hi, empty=lo > hi)
+    return EpsInterval(lo, max(_log_q(beta, a_hi) - ell + 1, eps))
 
 
 def phase_transition(n: int, beta: float, ell: float, eta: float) -> float:

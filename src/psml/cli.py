@@ -373,19 +373,9 @@ def _tune(eps_app: int, n: int, beta: float, ell: float, eta: float) -> list[tup
             ("phase_transition", phase_transition(n, beta, ell, eta)),
             ("hypersensitive", is_hypersensitive(eps_app, n, beta, ell, eta)),
         ]
-    if interval.empty:
-        # no window satisfies both targets; offer the one-sided picks
-        pairs += [
-            ("admissible", "empty"),
-            ("recall_first_eps_mon", interval.lo),
-            ("recall_first_precision", precision(interval.lo, eps_app, n, beta, ell)),
-            ("precision_first_eps_mon", interval.hi),
-            ("precision_first_recall", recall(interval.hi, eps_app, n, beta, ell)),
-        ]
-    else:
-        hi = "inf" if interval.unbounded_hi else _fmt(interval.hi)
-        closer = ")" if interval.unbounded_hi else "]"
-        pairs.append(("admissible", f"[{_fmt(interval.lo)}, {hi}{closer}"))
+    hi = "inf" if interval.unbounded_hi else _fmt(interval.hi)
+    closer = ")" if interval.unbounded_hi else "]"
+    pairs.append(("admissible", f"[{_fmt(interval.lo)}, {hi}{closer}"))
     return pairs
 
 
@@ -565,9 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
     tune = sub.add_parser(
         "tune",
         help="pick a monitor window for an accuracy target",
-        description="Report the admissible window interval, the "
-        "hypersensitivity verdict, and one-sided fallbacks when no window "
-        "meets both targets.",
+        description="Report the admissible window interval and the "
+        "hypersensitivity verdict.",
     )
     _add_flags(tune, *_TUNE[0], "config", "out")
     tune.set_defaults(func=_cmd_analytic, closed_form=_TUNE)

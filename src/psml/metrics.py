@@ -29,10 +29,11 @@ False positive rate follows the asynchronous-monitor convention:
 ``fpr = 1 - y_f / y`` where ``y`` counts the cuts the asynchronous
 monitor reports and ``y_f`` counts those that are also eps-consistent
 for the checked window.  One count rule, :func:`_counted_lengths`, gives
-the sorted lengths of the counted cuts, so ``y_f`` and every window
-count of simulated ``pr_diagram`` are one bisection of that list.  The
-engine measures each cut as it yields it (``detect_async``'s
-``lengths``), so no counted cut is re-read here.
+the sorted lengths of the counted cuts, so ``y_f``, every window count
+of simulated ``pr_diagram`` and ``partial_fractions``' quasi (length 0)
+and ``eps_app``-window counts are bisections of that list.  The engine
+measures each cut as it yields it (``detect_async``'s ``lengths``), so
+no counted cut is re-read here.
 
 The experiment entries ``fpr_experiment``, ``_pr_counts`` (simulated
 ``pr_diagram``), ``partial_fractions`` and ``hlc_recall_curve`` run
@@ -50,7 +51,7 @@ import numbers
 from bisect import bisect_left, bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -109,15 +110,16 @@ def _resolve_warmup(config: SimConfig, warmup: int | None) -> int:
     return warmup
 
 
-def _counted_lengths(trace: Trace, warmup: int) -> list[int]:
-    """The lengths of the asynchronous monitor's cuts whose earliest
-    candidate starts at or after ``warmup``, sorted, so the cuts that fit
-    a window are counted by one ``bisect_right``.  The engine's heads
-    only advance, so a cut's minimum start never falls along the
-    enumeration: these cuts are a suffix of it, found by one bisection.
-    The engine measures every cut as it yields it."""
+def _counted_lengths(trace: Trace, warmup: int, procs: Iterable[int] | None = None) -> list[int]:
+    """The lengths of the asynchronous monitor's cuts over ``procs`` (all
+    by default) whose earliest candidate starts at or after ``warmup``,
+    sorted, so the cuts that fit a window are counted by one
+    ``bisect_right``.  The engine's heads only advance, so a cut's
+    minimum start never falls along the enumeration: these cuts are a
+    suffix of it, found by one bisection.  The engine measures every cut
+    as it yields it."""
     lengths: list[int] = []
-    cuts = detect_async(trace, lengths=lengths)
+    cuts = detect_async(trace, procs, lengths=lengths)
     del lengths[: bisect_left(cuts, warmup, key=lambda cut: min(c.start for c in cut))]
     lengths.sort()
     return lengths
@@ -140,9 +142,7 @@ def config_with(base: SimConfig, **overrides: Any) -> SimConfig:
         overrides["interval"] = FixedLength(int(ell))
     elif "geom_p" in overrides:
         overrides["interval"] = GeometricLength(overrides.pop("geom_p"))
-    cfg = dataclasses.replace(base, **overrides)
-    cfg.validate()
-    return cfg
+    return dataclasses.replace(base, **overrides)
 
 
 def config_columns(cfg: SimConfig) -> dict[str, Any]:
@@ -390,8 +390,8 @@ def partial_fractions(
     for rep in _replicas(config, replicates):
         trace = generate(rep)
         for runs, p in zip(ratios, p_values):
-            denom = len(detect_partialsync(trace, config.epsilon_app, range(p)))
-            runs.append(_ratio(len(detect_quasi(trace, range(p))), denom))
+            lengths = _counted_lengths(trace, 0, range(p))
+            runs.append(_ratio(bisect_right(lengths, 0), bisect_right(lengths, config.epsilon_app)))
     return [_mean_defined(runs) for runs in ratios]
 
 
@@ -458,7 +458,8 @@ def clustered_ztest(
     diff = float(p1 - p2)
     se = math.hypot(se1, se2)
     if se == 0.0:
-        return diff, 0.0, 1.0
+        # no spread in either arm: a difference is certain, none is no evidence
+        return (diff, math.copysign(math.inf, diff), 0.0) if diff else (diff, 0.0, 1.0)
     z = diff / se
     return diff, z, math.erfc(abs(z) / math.sqrt(2.0))
 

@@ -67,6 +67,7 @@ import itertools
 import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import length_hint
 from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
@@ -181,7 +182,8 @@ CorrelationSpec = Independent | PMA | HNMA | PMAJ
 @dataclass(frozen=True, slots=True)
 class SimConfig:
     """Full description of one execution; two equal configs generate
-    bit-identical traces."""
+    bit-identical traces.  An invalid field raises ``ValueError`` where
+    the config is built, so every config in hand is valid."""
 
     n: int
     epsilon_app: int
@@ -193,7 +195,7 @@ class SimConfig:
     correlation: CorrelationSpec = Independent()
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("n", "epsilon_app", "delta", "horizon", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
@@ -366,7 +368,6 @@ def predicate_intervals(config: SimConfig) -> list[np.ndarray]:
     decisions (:func:`_point_intervals`), every other length through
     :func:`truthify`.
     """
-    config.validate()
     n, horizon, seed = config.n, config.horizon, config.seed
     match config.correlation:
         case PMA(group1=lead, p_dep=p_dep):
@@ -376,7 +377,7 @@ def predicate_intervals(config: SimConfig) -> list[np.ndarray]:
             p_dep = 0.5
         case PMAJ():
             lead, group, p_dep = 1, n - 1, 0.5
-        case _:  # Independent; validate() rejects every other spec
+        case _:  # Independent; a SimConfig holds no other spec
             lead, group, p_dep = n, 0, 0.0
     minority = isinstance(config.correlation, HNMA)
     point = config.interval == FixedLength(1)
@@ -633,7 +634,7 @@ def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[
     empty and is left out of the trace.  ``finish(clocks)`` is the
     trace, given the final clocks.
     """
-    placement = predicate_intervals(config)  # validates the config
+    placement = predicate_intervals(config)
     n, horizon, delta = map(int, (config.n, config.horizon, config.delta))
     never = horizon + 1  # sentinel tick past every plan
 
@@ -781,7 +782,9 @@ def _run_table(events: _Events, watch: list[int], eps: int, horizon: int, rng: n
                             events(p, lo + o[p])
                     low = min(min(watch), stop)
                 if lo >= stop:
-                    r = _SCHED_BLOCK - k * len(list(todo)) - k + j // n + 1
+                    # the block rows used, this step's included; a list
+                    # iterator's length hint is exactly the runs it has left
+                    r = _SCHED_BLOCK - k * length_hint(todo) - k + j // n + 1
                     return _run_loop(events, watch, eps, horizon, rng, [lo + x for x in offs[b >> n]],
                                      block[r:].tolist())
             base = b << shift

@@ -323,7 +323,6 @@ def reference_predicate_intervals(config: SimConfig) -> list[np.ndarray]:
     the strict majority (HNMA: the strict minority).  Every length, 1
     included, goes through ``truthify``.
     """
-    config.validate()
     n, horizon, seed = config.n, config.horizon, config.seed
     corr = config.correlation
     # (first follower, its group as a function of p, p_dep)
@@ -375,7 +374,6 @@ def reference_generate(config: SimConfig) -> Trace:
     send), and every step draws its coins with one
     ``rng.random(n)`` call through :func:`reference_step_schedule`.
     """
-    config.validate()
     n, horizon, delta = config.n, config.horizon, config.delta
 
     plans = simkernel.predicate_intervals(config)

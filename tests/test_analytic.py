@@ -214,6 +214,26 @@ def test_admissible_interval_degenerates_at_eta_one():
     assert not iv.empty
 
 
+@given(
+    st.integers(0, 10**12),
+    st.integers(2, 500),
+    st.floats(1e-9, 0.98),
+    st.integers(1, 10_000),
+    st.one_of(
+        st.floats(1e-6, 1.0),
+        # targets within rounding of 1, where s = eta**(1/(n-1)) rounds to 1
+        st.integers(1, 10**6).map(lambda k: 1.0 - k * 1e-16),
+    ),
+)
+def test_admissible_interval_always_holds_eps_app(eps_app, n, beta, ell, eta):
+    """At eps_mon = eps_app precision and recall are both 1, so the
+    interval holds eps_app whatever the rounding, and is never empty."""
+    iv = admissible_eps_mon(eps_app, n, beta, ell, eta)
+    assert type(iv.lo) is float and type(iv.hi) is float
+    assert iv.lo <= eps_app <= iv.hi
+    assert not iv.empty
+
+
 def test_admissible_interval_unbounded_for_saturated_window():
     # with the window this wide the precision constraint never binds
     iv = admissible_eps_mon(5000, 5, 0.05, 1, 0.9)
@@ -246,6 +266,9 @@ def test_tuning_domain_errors():
         admissible_eps_mon(10, 5, 0.05, 1, 1.5)
     with pytest.raises(ValueError):
         admissible_eps_mon(10, 5, 1.0, 1, 0.9)  # beta = 1 has no log base
+    for eta in (0.0, 1.0):  # the threshold needs a target strictly inside (0, 1)
+        with pytest.raises(ValueError, match="eta must be in"):
+            phase_transition(10, 0.02, 1, eta)
 
 
 # ---------------------------------------------------------------------------
@@ -285,3 +308,5 @@ def test_pma_fpr_estimate_shape():
     assert vals[-1] == pytest.approx(0.0, abs=1e-6)
     with pytest.raises(ValueError):
         pma_fpr_estimate(10, 0, 0.1, 0.5)
+    with pytest.raises(ValueError, match="p_ind must be in"):
+        pma_fpr_estimate(10, 10, 0.1, 1.5)

@@ -483,6 +483,42 @@ def test_tune_point_interval_at_eta_one():
     assert "phase_transition" not in keys
 
 
+# targets within rounding of 1: the interval used to come out empty or
+# raise, though it always holds eps_app
+_ROUNDED_ETA = {
+    "tune-eps0": (
+        ["tune", "--eps-app", "0", "--n", "100", "--beta", "5.06766562885366e-07",
+         "--ell", "30", "--eta", "0.9999999999"],
+        "admissible",
+    ),
+    "bound-eps0": (
+        ["analytic", "bound", "--eps-app", "0", "--n", "100", "--beta", "5.06766562885366e-07",
+         "--ell", "30", "--eta", "0.9999999999"],
+        "hi",
+    ),
+    "bound-s-rounds-to-1": (
+        ["analytic", "bound", "--eps-app", "1000000000", "--n", "100",
+         "--beta", "3.310532441484666e-05", "--ell", "3", "--eta", "0.9999999999999999"],
+        "hi",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", _ROUNDED_ETA)
+def test_interval_holds_eps_app_at_targets_near_one(name):
+    argv, key = _ROUNDED_ETA[name]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    keys = dict(l.split(" = ") for l in out.strip().splitlines())
+    eps_app = float(argv[argv.index("--eps-app") + 1])
+    if key == "admissible":
+        lo, hi = json.loads(keys["admissible"])
+    else:
+        lo, hi = float(keys["lo"]), float(keys["hi"])
+        assert keys["empty"] == "no"
+    assert lo <= eps_app <= hi
+
+
 # stdout at the commit before the analytic forms became one table
 _ANALYTIC_BYTES = {
     "phi": (

@@ -112,6 +112,8 @@ def test_fpr_experiment_flags_sparse_counts():
 def test_fpr_experiment_rejects_bad_window():
     with pytest.raises(ValueError):
         fpr_experiment(CFG, eps_check=-1)
+    with pytest.raises(ValueError, match="warmup must be non-negative"):
+        fpr_experiment(CFG, 5, warmup=-1)
 
 
 def test_pr_experiment_matches_two_direct_runs():
@@ -219,6 +221,8 @@ def test_sweep_validation():
         sweep(CFG, {"beta": [0.1]}, [])
     with pytest.raises(ValueError):
         sweep(CFG, {"beta": []}, [0])
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        sweep(CFG, {"beta": [0.1]}, [0], jobs=0)
 
 
 def test_sweep_is_repeatable():
@@ -340,6 +344,22 @@ def test_partial_fractions_equal_direct_enumeration():
         assert partial_fractions(cfg, [p], replicates=3) == [frac]
 
 
+def test_partial_fractions_enumerate_once_per_replicate_and_p(monkeypatch):
+    """Both counts of a (replicate, p) pair are filters of one engine
+    enumeration by length, so the engine runs once per pair."""
+    from psml import monitors
+
+    engine, calls = monitors._detect, []
+
+    def counted(queues, lengths=None):
+        calls.append(len(queues))
+        return engine(queues, lengths)
+
+    monkeypatch.setattr(monitors, "_detect", counted)
+    partial_fractions(config_with(CFG, n=4, ell=5, horizon=300), [2, 3], replicates=2)
+    assert calls == [2, 3, 2, 3]
+
+
 def test_pr_diagram_rejects_bad_mode_and_interval():
     with pytest.raises(ValueError):
         pr_diagram(CFG, [3], [3], mode="wrong")
@@ -384,6 +404,14 @@ def test_clustered_ztest_identical_arms():
     counts = [(10, 100), (20, 150), (12, 110)]
     diff, z, p = clustered_ztest(counts, counts)
     assert diff == 0.0 and z == 0.0 and p == 1.0
+
+
+def test_clustered_ztest_zero_spread_arms_that_differ_are_certain():
+    # each arm's replicates share one proportion: no residual variance,
+    # but the arms differ, so the evidence of a difference is total
+    arm1, arm2 = [(1, 2), (2, 4)], [(2, 2), (3, 3)]
+    assert clustered_ztest(arm1, arm2) == (-0.5, -math.inf, 0.0)
+    assert clustered_ztest(arm2, arm1) == (0.5, math.inf, 0.0)
 
 
 def test_clustered_ztest_detects_separated_arms():

@@ -78,9 +78,8 @@ BASE = SimConfig(n=4, epsilon_app=5, delta=8, alpha=0.1, beta=0.1, horizon=300, 
     ],
 )
 def test_validate_rejects(kwargs):
-    cfg = SimConfig(**{"n": 4, "epsilon_app": 5, **kwargs})
     with pytest.raises(ValueError):
-        cfg.validate()
+        SimConfig(**{"n": 4, "epsilon_app": 5, **kwargs})
 
 
 def test_numpy_integer_counts_are_accepted():
