@@ -373,9 +373,8 @@ def _tune(eps_app: int, n: int, beta: float, ell: float, eta: float) -> list[tup
             ("phase_transition", phase_transition(n, beta, ell, eta)),
             ("hypersensitive", is_hypersensitive(eps_app, n, beta, ell, eta)),
         ]
-    hi = "inf" if interval.unbounded_hi else _fmt(interval.hi)
     closer = ")" if interval.unbounded_hi else "]"
-    pairs.append(("admissible", f"[{_fmt(interval.lo)}, {hi}{closer}"))
+    pairs.append(("admissible", f"[{_fmt(interval.lo)}, {_fmt(interval.hi)}{closer}"))
     return pairs
 
 

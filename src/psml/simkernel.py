@@ -38,7 +38,9 @@ straight from their per-tick decisions.
 Events never change a clock, so the schedule is kept apart from them:
 :func:`_event_state` owns the plans, inboxes, stamps and the trace, and
 one of three schedule drivers, each giving the same steps, calls its
-event body; :func:`_schedule_path` holds the rule that picks one.
+event body; :func:`_schedule_path` holds the rule that picks one.  Only
+the step loop meets the horizon: the offset table and the reflection
+kernel run the coin blocks clear of it and hand it the rest of the run.
 
 Randomness is split into independent per-process streams keyed by
 purpose, and every decision is indexed by clock value rather than by
@@ -67,8 +69,7 @@ import itertools
 import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import length_hint
-from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -432,14 +433,16 @@ def _schedule_path(n: int, eps: int, horizon: int) -> str:
     """The path ``generate`` runs the schedule on; all three give the
     same steps.
 
-    * ``"table"`` (:func:`_run_table`), when ``0 < eps < horizon`` and
-      the one-step offset table, ``(eps+1)**n - eps**n`` offset states
-      times ``2**n`` coin rows, has at most ``_TABLE_ENTRIES`` entries
-      (n=3 at eps 10 has 2,648).  Below the horizon tail a step depends
-      only on the clocks' offsets from the minimum and the coin row, so
-      the table holds every step, and every run of ``k`` steps for the
-      largest ``k`` that fits; the step loop runs the tail from the same
-      block.
+    A short run, ``horizon <= eps + _SCHED_BLOCK``, takes the loop: the
+    other two run only whole coin blocks clear of the horizon.
+
+    * ``"table"`` (:func:`_run_table`), when ``eps > 0`` and the
+      one-step offset table, ``(eps+1)**n - eps**n`` offset states times
+      ``2**n`` coin rows, has at most ``_TABLE_ENTRIES`` entries (n=3 at
+      eps 10 has 2,648).  Clear of the horizon a step depends only on
+      the clocks' offsets from the minimum and the coin row, so the
+      table holds every step, and every run of ``k`` steps for the
+      largest ``k`` that fits.
     * ``"kernel"``, the reflection kernel (:func:`_run_kernel`), when
       ``n >= 10`` and ``eps >= 10``.  It restarts its block at every
       forced step, which takes all ``n`` coins lost, so it runs where
@@ -449,7 +452,9 @@ def _schedule_path(n: int, eps: int, horizon: int) -> str:
       faster at eps 10 and 0.06-0.12x at eps 2.
     * ``"loop"``, the step loop (:func:`_run_loop`), for the rest.
     """
-    if 0 < eps < horizon and _table_states(n, eps) << n <= _TABLE_ENTRIES:
+    if horizon <= eps + _SCHED_BLOCK:
+        return "loop"
+    if eps > 0 and _table_states(n, eps) << n <= _TABLE_ENTRIES:
         return "table"
     return "kernel" if eps >= 10 and 1 << n > _SCHED_BLOCK else "loop"
 
@@ -481,7 +486,7 @@ def _offset_states(n: int, eps: int) -> tuple[np.ndarray, Callable[[np.ndarray],
 
 
 def _steps(offsets: np.ndarray, eps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One scheduler step below the horizon tail, from every offset state
+    """One scheduler step clear of the horizon, from every offset state
     in ``offsets`` (one row each, offsets in 0..eps) under every coin row
     (p's coin in bit p).  Returns, indexed ``[state, row]``, the offsets
     after the step, the rise of the minimum clock and the movers, a bool
@@ -538,17 +543,20 @@ def _shared(make: Callable[..., tuple], *cols: np.ndarray) -> list[tuple]:
 
 
 def _reflected_schedule(n: int, eps: int, horizon: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """The scheduler run of ``n`` processes from zero clocks to the
-    horizon, one coin block at a time, as segments of clock rows.
+    """The scheduler run of ``n`` processes from zero clocks, one coin
+    block at a time, as segments of clock rows.
 
     ``rows[:, 0]`` holds the clocks before the segment and ``rows[:, s]``
     the clocks after its step s, in which every coin winner below the
     drift cap moved, or, at the segment's last step, the first process at
     the minimum clock if no coin winner could (forced progress).  Every
-    segment has at least one step, and the last one ends at the horizon.
+    segment has at least one step.  The run stops before the first block
+    that could reach the horizon: ``lo`` rises by at most one a step and
+    no clock is more than ``eps`` above it, so a block that starts with
+    ``lo + _SCHED_BLOCK + eps < horizon`` never meets it.
 
-    Within a block, step s caps every clock at ``b(s) = min(lo(s-1) +
-    eps, horizon)``, with ``lo(s-1)`` the minimum clock before the step.
+    Within a block, step s caps every clock at ``b(s) = lo(s-1) + eps``,
+    with ``lo(s-1)`` the minimum clock before the step.
     No clock is above its next cap, so a clock is the capped cumulative
     sum ``C(s) = min(C(s-1) + coin(s), b(s))`` of its coins, in closed
     form ``S + min(c0, cummin(b - S))`` with ``S`` the coin count.  ``b``
@@ -564,28 +572,24 @@ def _reflected_schedule(n: int, eps: int, horizon: int, rng: np.random.Generator
     if eps < 1:
         raise ValueError("the reflection kernel needs epsilon_app >= 1")
     c0 = np.zeros(n, dtype=np.int64)
-    while c0.min() < horizon:
+    while c0.min() + _SCHED_BLOCK + eps < horizon:
         coins = np.zeros((n, _SCHED_BLOCK + 1), dtype=np.int64)  # column 0: no step
         coins[:, 1:] = _coin_rows(rng, n).T
         while coins.shape[1] > 1:
             ups = coins.cumsum(axis=1)
-            cap = np.full(coins.shape[1], horizon)
-            rows = np.minimum(c0[:, None] + ups, horizon)  # the clocks under that cap
+            cap = np.full(coins.shape[1], horizon)  # above every clock
+            rows = c0[:, None] + ups  # the clocks under that cap
             while True:
                 lo = rows.min(axis=0)
-                below = np.minimum(lo[:-1] + eps, horizon)
+                below = lo[:-1] + eps
                 if (below == cap[1:]).all():
                     break
                 cap[1:] = below
                 rows = ups + np.minimum(c0[:, None], np.minimum.accumulate(cap - ups, axis=1))
-            # s: the first forced step, where the clock total does not rise;
-            # the run ends at the first row whose minimum is the horizon
+            # s: the first forced step, where the clock total does not rise
             total = rows.sum(axis=0)
             stall = np.flatnonzero(total[1:] == total[:-1])
             s = int(stall[0]) + 1 if stall.size else len(lo)
-            if lo[-1] == horizon and (end := int(np.searchsorted(lo, horizon))) < s:
-                yield rows[:, : end + 1]
-                return
             if s == len(lo):
                 yield rows
                 c0 = rows[:, -1]
@@ -596,8 +600,6 @@ def _reflected_schedule(n: int, eps: int, horizon: int, rng: np.random.Generator
             c0[c0.argmin()] += 1
             rows[:, s] = c0
             yield rows[:, : s + 1]
-            if c0.min() == horizon:
-                return
             coins = coins[:, s:]
             coins[:, 0] = 0
 
@@ -730,27 +732,28 @@ def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[
 
 
 def _run_table(events: _Events, watch: list[int], eps: int, horizon: int, rng: np.random.Generator) -> list[int]:
-    """The offset-table driver, for ``0 < eps < horizon`` where the
-    one-step table fits ``_TABLE_ENTRIES`` (:func:`_schedule_path`'s
-    rule).  Below ``stop = horizon - eps`` a step depends only on the
-    clock offsets from the minimum ``lo`` and the coin row, so a table
-    holds it (:func:`_table_entries`), and every run of ``k`` steps.
-    Both tables are built whole, with ``k`` the largest power of two
-    that divides ``_SCHED_BLOCK`` and keeps the run table within
-    ``_TABLE_ENTRIES`` (2 at n=3, eps 10: 331 states times 64 codes).
+    """The offset-table driver, where :func:`_schedule_path` picks it:
+    ``eps > 0``, a one-step table within ``_TABLE_ENTRIES`` and a whole
+    coin block clear of the horizon.  While ``lo + eps`` is below the
+    horizon a step depends only on the clock offsets from the minimum
+    ``lo`` and the coin row, so a table holds it (:func:`_table_entries`),
+    and every run of ``k`` steps.  Both tables are built whole, with ``k``
+    the largest power of two that divides ``_SCHED_BLOCK`` and keeps the
+    run table within ``_TABLE_ENTRIES`` (2 at n=3, eps 10: 331 states
+    times 64 codes).
 
-    A lookup takes a whole run while no mover in it can reach
-    ``min(watch)`` or ``stop``.  Otherwise the run's steps are walked one
-    at a time, and a step's movers only when one of them may have
-    reached ``min(watch)``: an event in one step may lower a watch that
-    the next reaches.  A run's reach is at least its rise, so a run
-    taken whole ends below ``stop``; a walk hands the horizon tail, with
-    the rest of the coin block, to :func:`_run_loop` at the step that
-    reaches ``stop``.
+    It runs whole coin blocks while ``lo + _SCHED_BLOCK < horizon -
+    eps``, so no step of one meets the horizon, and hands the rest of
+    the run to :func:`_run_loop`.  A lookup takes a whole run while no
+    mover in it can reach ``min(watch)``.  Otherwise the run's steps are
+    walked one at a time, and a step's movers only when one of them may
+    have reached ``min(watch)``: an event in one step may lower a watch
+    that the next reaches.
     """
     n = len(watch)
     if _schedule_path(n, eps, horizon) != "table":
-        raise ValueError("the offset table needs 0 < epsilon_app < horizon and a table that fits")
+        raise ValueError("the offset table needs epsilon_app > 0, a horizon past "
+                         "epsilon_app + _SCHED_BLOCK and a table that fits")
     k = 1
     while _SCHED_BLOCK % (2 * k) == 0 and _table_states(n, eps) << 2 * n * k <= _TABLE_ENTRIES:
         k *= 2
@@ -758,12 +761,9 @@ def _run_table(events: _Events, watch: list[int], eps: int, horizon: int, rng: n
     offs = list(map(tuple, states.tolist()))
     weights, shift, mask = 1 << np.arange(n * k), n * k - n, (1 << n) - 1
     lo = base = 0  # base: the current state << n*k
-    stop = horizon - eps
-    low = min(min(watch), stop)
-    while True:
-        block = _coin_rows(rng, n)
-        todo = iter((block.reshape(-1, n * k) @ weights).tolist())  # row j of a run: bits n*j on
-        for code in todo:
+    low = min(watch)
+    while lo + _SCHED_BLOCK < horizon - eps:
+        for code in (_coin_rows(rng, n).reshape(-1, n * k) @ weights).tolist():  # row j of a run: bits n*j on
             nxt, rise, reach = runs[base | code]
             if lo + reach < low:
                 base = nxt
@@ -780,19 +780,15 @@ def _run_table(events: _Events, watch: list[int], eps: int, horizon: int, rng: n
                     for p in movers:  # ascending, as in the step loop
                         if lo + o[p] >= watch[p]:
                             events(p, lo + o[p])
-                    low = min(min(watch), stop)
-                if lo >= stop:
-                    # the block rows used, this step's included; a list
-                    # iterator's length hint is exactly the runs it has left
-                    r = _SCHED_BLOCK - k * length_hint(todo) - k + j // n + 1
-                    return _run_loop(events, watch, eps, horizon, rng, [lo + x for x in offs[b >> n]],
-                                     block[r:].tolist())
+                    low = min(watch)
             base = b << shift
+    return _run_loop(events, watch, eps, horizon, rng, [lo + x for x in offs[base >> n * k]])
 
 
 def _run_kernel(events: _Events, watch: list[int], eps: int, horizon: int, rng: np.random.Generator) -> list[int]:
     """The reflection-kernel driver (:func:`_reflected_schedule`), for
-    ``eps >= 1``.
+    ``eps >= 1``.  It runs the coin blocks clear of the horizon, and
+    :func:`_run_loop` the rest of the run from the last segment's clocks.
 
     p's k-th advance in a segment of ``steps`` steps is ``flat[offs[p] +
     k - 1]``, as ``p * steps`` plus its step, and takes p's clock to
@@ -802,6 +798,7 @@ def _run_kernel(events: _Events, watch: list[int], eps: int, horizon: int, rng: 
     read, and replaced by p's next one after its event (or dropped if
     stale).  A forced step is a segment's last step, so it runs here too.
     """
+    seg = np.zeros((len(watch), 1), dtype=np.int64)  # zero clocks, if no block runs
     for seg in _reflected_schedule(len(watch), eps, horizon, rng):
         steps = seg.shape[1] - 1
         flat = memoryview(np.flatnonzero(seg[:, 1:] != seg[:, :-1]))
@@ -839,16 +836,16 @@ def _run_kernel(events: _Events, watch: list[int], eps: int, horizon: int, rng: 
                 if i < at[q]:
                     at[q] = i
                     heapq.heappush(due, (flat[i] - q * steps, q, i))
-    return seg[:, -1].tolist()
+    return _run_loop(events, watch, eps, horizon, rng, seg[:, -1].tolist())
 
 
 def _run_loop(events: _Events, watch: list[int], eps: int, horizon: int, rng: np.random.Generator,
-              clocks: list[int] | None = None, rows: Sequence[Sequence[bool]] = ()) -> list[int]:
-    """The per-process step loop, from ``clocks`` (zeros if None) on,
-    reading the coin rows in ``rows`` before it draws more."""
+              clocks: list[int] | None = None) -> list[int]:
+    """The per-process step loop, from ``clocks`` (zeros if None) to the
+    horizon: the one driver that meets it."""
     n = len(watch)
     clocks = [0] * n if clocks is None else clocks
-    r, procs = 0, range(n)
+    r, rows, procs = 0, (), range(n)
     while (lo := min(clocks)) < horizon:
         if r == len(rows):
             # at eps 0 every step is forced, so no coin is ever read

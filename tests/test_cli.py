@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import psml
+from psml import simkernel
 from psml.analytic import (
     admissible_eps_mon,
     hlc_min_len_half_recall,
@@ -328,6 +330,24 @@ def test_simulate_byte_identical():
     assert first == second
 
 
+@pytest.mark.parametrize("fmt, echoed", [
+    ([], "# jobs = {}\n"),
+    (["--format", "structured"], '"jobs": {},'),
+], ids=["csv", "structured"])
+def test_sweep_output_does_not_depend_on_jobs(fmt, echoed):
+    """A preset sweep prints the same bytes at one job and at three but
+    for the echoed ``jobs``.  Its rows run the reflection kernel and hand
+    the run to the step loop before the horizon."""
+    base = PRESETS["fig-ad-independence"]["base"]
+    assert simkernel._schedule_path(base["n"], base["epsilon_app"], base["horizon"]) == "kernel"
+    argv = ["sweep", "--preset", "fig-ad-independence", "--replicates", "1", *fmt]
+    code_one, one, err_one = run_cli([*argv, "--jobs", "1"])
+    code_three, three, err_three = run_cli([*argv, "--jobs", "3"])
+    assert code_one == code_three == 0, err_one + err_three
+    assert one.count(echoed.format(1)) == 1
+    assert three == one.replace(echoed.format(1), echoed.format(3))
+
+
 def test_out_file_matches_stdout(tmp_path):
     target = tmp_path / "rows.csv"
     code, out, _ = run_cli(SIM_FAST + ["--out", str(target)])
@@ -583,6 +603,12 @@ _ANALYTIC_BYTES = {
     "tune-eta1": (
         ["tune", "--eps-app", "50", "--n", "10", "--beta", "0.05", "--eta", "1.0"],
         "eps_app = 50\nn = 10\nbeta = 0.05\nell = 1\neta = 1.0\nadmissible = [50.0, 50.0]\n",
+    ),
+    "tune-unbounded": (
+        ["tune", "--eps-app", "10", "--n", "20", "--beta", "0.5", "--eta", "0.5"],
+        "eps_app = 10\nn = 20\nbeta = 0.5\nell = 1\neta = 0.5\n"
+        "phase_transition = 4.750298094664899\nhypersensitive = no\n"
+        "admissible = [4.765500438170741, inf)\n",
     ),
 }
 
@@ -854,3 +880,17 @@ def test_hlc_curve_command():
     body = [l for l in out.splitlines() if not l.startswith("#")]
     assert body[0].split(",") == ["ell", "recall_sim", "recall_analytic", "flags"]
     assert len(body) == 3
+
+
+def test_readme_command_lines_parse():
+    """Every ``psml ...`` line of README's "Command line" block parses
+    with the command line's own parser, and nothing runs: a renamed flag
+    or preset fails here instead of in the docs."""
+    from psml import cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```", 2)[1]
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("psml ")]
+    assert lines
+    for _, *argv in lines:
+        assert cli.build_parser().parse_args(argv).command == argv[0]

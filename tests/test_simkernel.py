@@ -1,6 +1,7 @@
 """Trace generator: determinism, synchrony invariants, and the
 schedule-independence of predicate placement."""
 
+import dataclasses
 import hashlib
 import inspect
 import itertools
@@ -13,6 +14,7 @@ from typing import Iterator
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psml import simkernel
 from psml.metrics import PRESETS
@@ -500,28 +502,30 @@ def _kernel_run(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 # a cut of the grid n in {2, 4, 20, 50}, eps in {1, 3, 50, 200}, horizon in
-# {300, 2500}, seeds 0 and 7, which passed in full when the kernel was
-# written.  The full grid is slow: at eps 1 the caps bind on most steps, so
-# a block takes about as many passes as it has rows (5 s a config at n=50,
-# horizon 2500; the switch rule never picks the kernel there).  Kept:
-# horizon 300 (about one coin block, mostly horizon tail) at both seeds for
-# eps >= 3 and at seed 0 for eps 1 and n <= 20, and several blocks at
-# horizon 2500 where the rule picks it.
+# {eps + _SCHED_BLOCK + 300, 2500}, seeds 0 and 7.  The full grid is slow:
+# at eps 1 the caps bind on most steps, so a block takes about as many
+# passes as it has rows (the switch rule never picks the kernel there).
+# Kept: horizon eps + _SCHED_BLOCK + 300 (one to three blocks before the
+# kernel stops) at both seeds for eps >= 3 and at seed 0 for eps 1 and
+# n <= 20, and several blocks at horizon 2500 where the rule picks it.
 _KERNEL_GRID = [
-    (n, eps, horizon, seed)
-    for n, eps, horizon, seed in itertools.product((2, 4, 20, 50), (1, 3, 50, 200), (300, 2_500), (0, 7))
-    if (horizon == 300 and (eps > 1 or (seed == 0 and n <= 20)))
-    or (horizon == 2_500 and seed == 0 and n >= 20 and eps >= 50)
+    (n, eps, eps + simkernel._SCHED_BLOCK + 300 if short else 2_500, seed)
+    for n, eps, short, seed in itertools.product((2, 4, 20, 50), (1, 3, 50, 200), (True, False), (0, 7))
+    if (short and (eps > 1 or (seed == 0 and n <= 20)))
+    or (not short and seed == 0 and n >= 20 and eps >= 50)
 ]
 
 
 @pytest.mark.parametrize("n", [2, 4, 20, 50])
 def test_reflection_kernel_matches_reference_schedule(n):
-    """The kernel alone, whatever the rule that picks it: every step's
-    clocks, movers and forced flag equal the reference scheduler's."""
+    """The kernel alone, whatever the rule that picks it: every step it
+    runs equals the reference scheduler's in clocks, movers and forced
+    flag, and it stops at the first coin block that could reach the
+    horizon, after at least one whole block."""
+    block = simkernel._SCHED_BLOCK
     for _, eps, horizon, seed in (g for g in _KERNEL_GRID if g[0] == n):
         cfg = SimConfig(n=n, epsilon_app=eps, horizon=horizon, seed=seed)
-        steps, final = replay_schedule(cfg)
+        steps, _ = replay_schedule(cfg)
         clocks = np.array([c for c, _ in steps])
         moved = np.zeros(clocks.shape, dtype=bool)
         for s, (_, advancing) in enumerate(steps):
@@ -532,10 +536,13 @@ def test_reflection_kernel_matches_reference_schedule(n):
         cap = np.minimum(clocks.min(axis=1) + eps, horizon)[:, None]
         forced = ~(coins & (clocks < cap)).any(axis=1)
         got, got_moved = _kernel_run(cfg)
-        assert np.array_equal(got, clocks), cfg
-        assert np.array_equal(got_moved, moved), cfg
-        assert np.array_equal((got_moved & ~coins).any(axis=1), forced), cfg
-        assert tuple(got[-1] + got_moved[-1]) == final
+        ran = len(got)
+        clear = clocks[::block].min(axis=1) + block + eps < horizon  # per block start
+        assert ran == block * int(clear.argmin()) > 0, cfg
+        assert np.array_equal(got, clocks[:ran]), cfg
+        assert np.array_equal(got_moved, moved[:ran]), cfg
+        assert np.array_equal((got_moved & ~coins[:ran]).any(axis=1), forced[:ran]), cfg
+        assert np.array_equal(got[-1] + got_moved[-1], clocks[ran]), cfg
 
 
 # a kernel-path case in which a process receives on the tick of one of its
@@ -546,48 +553,47 @@ _COINCIDING = SimConfig(n=20, epsilon_app=50, delta=5, alpha=0.1, beta=0.1,
 
 
 @pytest.mark.parametrize(
-    "cfg",
+    "cfg, path",
     [
         # the few-long shape, where every table entry is used many times
-        SimConfig(n=3, epsilon_app=10, delta=100, alpha=0.001, beta=0.005,
-                  interval=FixedLength(30), horizon=20_000, seed=3),
+        (SimConfig(n=3, epsilon_app=10, delta=100, alpha=0.001, beta=0.005,
+                   interval=FixedLength(30), horizon=20_000, seed=3), "table"),
         # a message on every tick, delivered in the step it is due
-        SimConfig(n=3, epsilon_app=4, delta=0, alpha=1.0, beta=0.2,
-                  interval=FixedLength(3), horizon=2_000, seed=4),
-        SimConfig(n=3, epsilon_app=4, delta=0, alpha=1.0, beta=0.2,
-                  horizon=2_000, seed=5),
-        SimConfig(n=2, epsilon_app=200, delta=7, alpha=0.05, beta=0.02,
-                  interval=GeometricLength(0.1), horizon=8_000, seed=6),
-        # the run is all horizon tail, or leaves the table after one tick
-        SimConfig(n=3, epsilon_app=10, delta=1, alpha=0.3, beta=0.3, horizon=10, seed=7),
-        SimConfig(n=3, epsilon_app=10, delta=1, alpha=0.3, beta=0.3, horizon=11, seed=7),
-        SimConfig(n=4, epsilon_app=6, delta=0, alpha=0.5, beta=0.3, horizon=7, seed=8),
+        (SimConfig(n=3, epsilon_app=4, delta=0, alpha=1.0, beta=0.2,
+                   interval=FixedLength(3), horizon=2_000, seed=4), "table"),
+        (SimConfig(n=3, epsilon_app=4, delta=0, alpha=1.0, beta=0.2,
+                   horizon=2_000, seed=5), "table"),
+        (SimConfig(n=2, epsilon_app=200, delta=7, alpha=0.05, beta=0.02,
+                   interval=GeometricLength(0.1), horizon=8_000, seed=6), "table"),
+        # runs with no whole coin block clear of the horizon: the step loop
+        (SimConfig(n=3, epsilon_app=10, delta=1, alpha=0.3, beta=0.3, horizon=10, seed=7), "loop"),
+        (SimConfig(n=3, epsilon_app=10, delta=1, alpha=0.3, beta=0.3, horizon=11, seed=7), "loop"),
+        (SimConfig(n=4, epsilon_app=6, delta=0, alpha=0.5, beta=0.3, horizon=7, seed=8), "loop"),
         # eps_app 0: every step is forced, so the processes move one at a
         # time; messages due in the step they are sent
-        SimConfig(n=20, epsilon_app=0, delta=0, alpha=0.1, beta=0.05,
-                  interval=FixedLength(3), horizon=2_000, seed=9),
+        (SimConfig(n=20, epsilon_app=0, delta=0, alpha=0.1, beta=0.05,
+                   interval=FixedLength(3), horizon=2_000, seed=9), "loop"),
         # reflection kernel: a message on every tick, taken in the step it is
         # sent by receivers above and below the sender
-        SimConfig(n=20, epsilon_app=12, delta=0, alpha=1.0, beta=0.05, horizon=800, seed=10),
-        SimConfig(n=50, epsilon_app=10, delta=0, alpha=1.0, beta=0.05, horizon=200, seed=11),
-        # the smallest n the kernel runs at: 9 forced steps, each with a send
-        # due at once
-        SimConfig(n=10, epsilon_app=10, delta=0, alpha=1.0, beta=0.05, horizon=1_000, seed=18),
-        # all horizon tail
-        SimConfig(n=20, epsilon_app=30, delta=1, alpha=0.3, beta=0.3, horizon=30, seed=12),
-        SimConfig(n=50, epsilon_app=40, delta=0, alpha=0.3, beta=0.3, horizon=25, seed=13),
-        _COINCIDING,
-        SimConfig(n=50, epsilon_app=15, delta=3, alpha=0.05, beta=0.1, interval=GeometricLength(0.5),
-                  horizon=600, correlation=PMAJ(), seed=17),
+        (SimConfig(n=20, epsilon_app=12, delta=0, alpha=1.0, beta=0.05, horizon=800, seed=10), "kernel"),
+        (SimConfig(n=50, epsilon_app=10, delta=0, alpha=1.0, beta=0.05, horizon=200, seed=11), "loop"),
+        (SimConfig(n=50, epsilon_app=10, delta=0, alpha=1.0, beta=0.05, horizon=700, seed=11), "kernel"),
+        # the smallest n the kernel runs at: 6 forced steps in its three
+        # blocks, each with a send due at once
+        (SimConfig(n=10, epsilon_app=10, delta=0, alpha=1.0, beta=0.05, horizon=1_000, seed=18), "kernel"),
+        (SimConfig(n=20, epsilon_app=30, delta=1, alpha=0.3, beta=0.3, horizon=30, seed=12), "loop"),
+        (SimConfig(n=50, epsilon_app=40, delta=0, alpha=0.3, beta=0.3, horizon=25, seed=13), "loop"),
+        (_COINCIDING, "kernel"),
+        (SimConfig(n=50, epsilon_app=15, delta=3, alpha=0.05, beta=0.1, interval=GeometricLength(0.5),
+                   horizon=600, correlation=PMAJ(), seed=17), "kernel"),
     ],
     ids=["few-long-20k", "dense-fixed3", "dense-drift", "n2-eps200",
          "horizon-eps", "horizon-eps+1", "n4-horizon-eps+1", "n20-eps0",
-         "n20-delta0-alpha1", "n50-delta0-alpha1", "n10-delta0-alpha1", "n20-horizon-eps", "n50-horizon-eps",
-         "n20-pmaj-geom", "n50-pmaj-geom"],
+         "n20-delta0-alpha1", "n50-delta0-alpha1", "n50-delta0-alpha1-h700", "n10-delta0-alpha1",
+         "n20-horizon-eps", "n50-horizon-eps", "n20-pmaj-geom", "n50-pmaj-geom"],
 )
-def test_generate_equals_reference_at_long_horizons(cfg):
-    if cfg.n >= 10 and cfg.epsilon_app:  # these cases are there for the kernel
-        assert simkernel._schedule_path(cfg.n, cfg.epsilon_app, cfg.horizon) == "kernel"
+def test_generate_equals_reference_at_long_horizons(cfg, path):
+    assert simkernel._schedule_path(cfg.n, cfg.epsilon_app, cfg.horizon) == path
     trace = generate(cfg)
     assert trace == reference_generate(cfg)
     if cfg is _COINCIDING:
@@ -613,6 +619,13 @@ _DRIVER_CONFIGS = [
     SimConfig(n=4, epsilon_app=0, delta=0, alpha=1.0, beta=0.3, interval=FixedLength(2),
               horizon=300, seed=27),
 ]
+
+
+# the cells above with eps_app >= 1 and no whole coin block clear of the
+# horizon (the table at eps_app 1 among them), moved past eps_app +
+# _SCHED_BLOCK, where the table and the kernel each run a block on them
+_DRIVER_PAST_CELLS = [dataclasses.replace(c, horizon=c.epsilon_app + simkernel._SCHED_BLOCK + c.horizon)
+                      for c in _DRIVER_CONFIGS if 1 <= c.epsilon_app and c.horizon <= c.epsilon_app + simkernel._SCHED_BLOCK]
 
 
 def _driver_domain(path: str, cfg: SimConfig) -> bool:
@@ -673,35 +686,74 @@ def _assert_every_driver_gives(cfg: SimConfig, expect: simkernel.Trace) -> None:
         assert calls == runs["loop"][1], path
 
 
-# table cells with a message on every tick, delivered in the step it is due,
-# at horizons of both parities: n=3 takes runs of two steps, n=2 of four
-_RUN_CELLS = [
+def _hand_offs(monkeypatch) -> list[list[int]]:
+    """Wrap ``simkernel._run_loop`` so that each call the table or the
+    kernel makes to it appends the clocks it is handed to the returned
+    list; ``_DRIVERS`` keeps the unwrapped loop, so the loop driver run
+    on its own appends nothing."""
+    entries, loop = [], simkernel._run_loop
+
+    def handed(events, watch, eps, horizon, rng, clocks=None):
+        entries.append(list(clocks))
+        return loop(events, watch, eps, horizon, rng, clocks)
+
+    monkeypatch.setattr(simkernel, "_run_loop", handed)
+    return entries
+
+
+def _assert_handed_at_a_block_boundary(cfg: SimConfig, clocks: list[int]) -> None:
+    """``clocks`` are the reference's clocks before step ``m *
+    _SCHED_BLOCK``, ``m >= 1`` the first coin block that could reach the
+    horizon: ``lo + _SCHED_BLOCK + eps >= horizon`` at its start, ``lo``
+    the minimum clock (the table's ``lo + _SCHED_BLOCK >= horizon - eps``
+    is the same rule).  The clock sum rises at every step, so this pins
+    the step at which the fast driver handed over."""
+    block = simkernel._SCHED_BLOCK
+    starts = [c for c, _ in replay_schedule(cfg)[0][::block]]
+    m = next(i for i, c in enumerate(starts) if min(c) + block + cfg.epsilon_app >= cfg.horizon)
+    assert m >= 1 and list(starts[m]) == clocks, (cfg, m, clocks)
+
+
+# delta=0, alpha=1 cells at the first horizons past eps_app + _SCHED_BLOCK,
+# where a fast driver runs one whole block, and 1,000 ticks past it, where
+# it runs several: n=2 and n=3 on the table and the kernel, n=20 on the
+# kernel at eps 12, and at eps 1 (whose caps bind on most rows) only the
+# first
+_HAND_OFF_CELLS = [
     SimConfig(n=n, epsilon_app=eps, delta=0, alpha=1.0, beta=0.2, interval=FixedLength(3),
-              horizon=horizon, seed=30 + horizon % 2)
-    for n, eps, horizons in [(3, 10, (600, 601)), (2, 3, (600, 602, 603, 604))]
-    for horizon in horizons
+              horizon=eps + simkernel._SCHED_BLOCK + past, seed=30 + i)
+    for n, eps, pasts in [(2, 3, (1, 2, 3, 1_000)), (3, 10, (1, 2, 3, 1_000)), (20, 12, (1, 2, 3)), (20, 1, (1,))]
+    for i, past in enumerate(pasts)
 ]
 
 
-def test_table_runs_hand_the_tail_over_at_every_step(monkeypatch):
-    """The table driver reaches ``stop`` inside a run, one step at a time,
-    and hands the tail to the step loop after each of the run's steps
-    across these cells; every driver gives the reference on each."""
-    handed = {2: set(), 4: set()}
-    loop = simkernel._run_loop
-
-    def tail(events, watch, eps, horizon, rng, clocks=None, rows=()):
-        if clocks is not None:  # called by the table driver
-            k = 2 if len(watch) == 3 else 4
-            assert min(clocks) == horizon - eps
-            handed[k].add(k - 1 - len(rows) % k)  # the run step that reached stop
-        return loop(events, watch, eps, horizon, rng, clocks, rows)
-
-    monkeypatch.setattr(simkernel, "_run_loop", tail)
-    for cfg in _RUN_CELLS:
-        assert simkernel._schedule_path(cfg.n, cfg.epsilon_app, cfg.horizon) == "table"
+def test_fast_drivers_hand_the_run_to_the_loop_at_a_block_boundary(monkeypatch):
+    """The table and the kernel each call the step loop exactly once, at
+    the first coin block boundary from which a block could reach the
+    horizon and after at least one whole block; every driver gives the
+    reference on each cell, and on the driver cells moved past a block."""
+    entries = _hand_offs(monkeypatch)
+    for cfg in _HAND_OFF_CELLS + _DRIVER_PAST_CELLS:
+        fast = [path for path in ("table", "kernel") if _driver_domain(path, cfg)]
+        assert fast == (["kernel"] if cfg.n == 20 else ["table", "kernel"]), cfg
+        entries.clear()
         _assert_every_driver_gives(cfg, reference_generate(cfg))
-    assert handed == {2: {0, 1}, 4: {0, 1, 2, 3}}
+        assert len(entries) == len(fast), cfg
+        for clocks in entries:
+            _assert_handed_at_a_block_boundary(cfg, clocks)
+
+
+def test_schedule_path_leaves_runs_with_no_clear_block_to_the_loop():
+    """The fast drivers run only whole coin blocks clear of the horizon,
+    so where the other rules allow one, the rule picks the loop exactly
+    when ``horizon <= eps_app + _SCHED_BLOCK``."""
+    block = simkernel._SCHED_BLOCK
+    for n, eps, fast in [(2, 3, "table"), (3, 10, "table"), (2, 16_383, "table"), (20, 12, "kernel"),
+                         (50, 200, "kernel")]:
+        for horizon in (1, eps, eps + block - 1, eps + block):
+            assert simkernel._schedule_path(n, eps, horizon) == "loop", (n, eps, horizon)
+        for horizon in (eps + block + 1, eps + block + 2, 10 * (eps + block)):
+            assert simkernel._schedule_path(n, eps, horizon) == fast, (n, eps, horizon)
 
 
 # sparse cells: many interval starts and ends, few messages
@@ -746,10 +798,15 @@ _LONG_CELLS = [
     for i, (n, delta, alpha, interval) in enumerate(itertools.product(
         (3, 20), (0, 1), (0.3, 1.0), (FixedLength(30), GeometricLength(0.05))))
 ]
+# the same shapes past eps_app + _SCHED_BLOCK: the table (n=3) and the
+# kernel run one whole block before the step loop takes the run over
+_LONG_PAST_CELLS = [dataclasses.replace(c, horizon=c.epsilon_app + simkernel._SCHED_BLOCK + c.horizon)
+                    for c in _LONG_CELLS]
 
 
-@pytest.mark.parametrize("cfg", _LONG_CELLS, ids=[
-    f"n{c.n}-delta{c.delta}-alpha{c.alpha}-{type(c.interval).__name__}" for c in _LONG_CELLS])
+@pytest.mark.parametrize("cfg", _LONG_CELLS + _LONG_PAST_CELLS, ids=[
+    f"n{c.n}-delta{c.delta}-alpha{c.alpha}-{type(c.interval).__name__}{suffix}"
+    for cells, suffix in [(_LONG_CELLS, ""), (_LONG_PAST_CELLS, "-past-block")] for c in cells])
 def test_long_intervals_crossed_by_messages(cfg):
     """Long intervals hold several receives, and some start or end on a
     send tick, so the closed-form stamping carries a process's stamps
@@ -789,6 +846,25 @@ def test_hlc_l_is_the_event_tick_on_driver_and_long_cells(cfg):
         _assert_hlc_rides_the_tick(trace)
 
 
+# EDGE_CONFIGS at eps_app >= 1 and horizons past eps_app + _SCHED_BLOCK, so
+# that the kernel, and the table where it fits, run at least one whole
+# block and hand the run to the step loop
+LONG_EDGE_CONFIGS = EDGE_CONFIGS.filter(lambda c: c.epsilon_app >= 1).flatmap(
+    lambda c: st.sampled_from([1, 2, 3, 300]).map(
+        lambda d: dataclasses.replace(c, horizon=c.epsilon_app + simkernel._SCHED_BLOCK + d)))
+
+
+@settings(max_examples=15, deadline=None)
+@given(LONG_EDGE_CONFIGS)
+def test_fast_drivers_equal_reference_on_long_edge_configs(cfg):
+    """The edge configurations reach only the step loop at their own
+    horizons; at these every driver in whose domain a config lies gives
+    the reference trace, in whose stamps ``l`` is the event tick."""
+    expect = reference_generate(cfg)
+    _assert_every_driver_gives(cfg, expect)
+    _assert_hlc_rides_the_tick(expect)
+
+
 def test_random_streams_are_pinned():
     """The first draws of every ``Generator`` method psml reads, under
     ``_stream`` for a few (seed, purpose, proc) keys.  The golden digests
@@ -822,15 +898,18 @@ def test_driver_configs_reach_paths_the_rule_does_not_pick():
 def test_offset_table_rejects_configs_outside_its_rule():
     """The table driver builds its whole table or refuses the config
     before any coin is drawn: here n=5 at eps_app 10, whose one-step
-    table (61,051 states times 32 coin rows) exceeds the budget."""
-    cfg = _DRIVER_CONFIGS[1]
-    assert simkernel._table_states(cfg.n, cfg.epsilon_app) << cfg.n > simkernel._TABLE_ENTRIES
-    events, watch, _ = simkernel._event_state(cfg)
-    rng = simkernel._stream(cfg.seed, simkernel._S_SCHED)
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError, match="offset table"):
-        simkernel._run_table(events, watch, cfg.epsilon_app, cfg.horizon, rng)
-    assert rng.bit_generator.state == state
+    table (61,051 states times 32 coin rows) exceeds the budget, and n=3
+    at eps_app 10 with no whole coin block clear of the horizon."""
+    big = _DRIVER_CONFIGS[1]
+    short = SimConfig(n=3, epsilon_app=10, beta=0.3, horizon=10 + simkernel._SCHED_BLOCK, seed=5)
+    assert simkernel._table_states(big.n, big.epsilon_app) << big.n > simkernel._TABLE_ENTRIES
+    for cfg in (big, short):
+        events, watch, _ = simkernel._event_state(cfg)
+        rng = simkernel._stream(cfg.seed, simkernel._S_SCHED)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="offset table"):
+            simkernel._run_table(events, watch, cfg.epsilon_app, cfg.horizon, rng)
+        assert rng.bit_generator.state == state
 
 
 def test_reflection_kernel_rejects_eps_zero_before_drawing():
@@ -854,12 +933,12 @@ def _nested_codes(code: types.CodeType) -> Iterator[types.CodeType]:
             yield from _nested_codes(const)
 
 
-def _generate_lines(cfg: SimConfig) -> int:
-    """Lines ``generate`` and its schedule drivers run in their own frames
-    and in the functions nested in them, such as the grown table's
-    ``grow`` (not in the event bodies, nor in the collector pause around
-    it)."""
-    funcs = (inspect.unwrap(simkernel.generate), *simkernel._DRIVERS.values())
+def _generate_lines(cfg: SimConfig, drivers: tuple[str, ...] = tuple(simkernel._DRIVERS)) -> int:
+    """Lines run in the frames of ``generate`` and of the named schedule
+    drivers, and of the comprehensions nested in them; not in the event
+    bodies, the coin draws, ``_reflected_schedule`` or the collector
+    pause around ``generate``."""
+    funcs = (inspect.unwrap(simkernel.generate), *(simkernel._DRIVERS[d] for d in drivers))
     codes = {c for f in funcs for c in _nested_codes(f.__code__)}
     count = 0
 
@@ -891,15 +970,17 @@ def test_table_path_walks_movers_only_near_a_watch():
     assert busy < 1.25 * quiet, (busy, quiet)
 
 
-def test_reflection_kernel_pays_per_event_not_per_advance():
+def test_reflection_kernel_pays_per_event_not_per_advance(monkeypatch):
     """At n=20 the kernel runs Python per segment and per event body: a
     run with almost no events executes far fewer lines of ``generate``
-    than it takes scheduler steps, and events add a few lines each."""
+    and the kernel than it takes scheduler steps, and events add a few
+    lines each.  The step loop, which runs the last blocks, is entered
+    once, at the block boundary, and is not counted."""
     shape = dict(n=20, epsilon_app=200, delta=100, horizon=20_000, seed=3)
     quiet_cfg = SimConfig(**shape, alpha=0.0, beta=1e-12)
     busy_cfg = SimConfig(**shape, alpha=0.001, beta=0.005)
     assert simkernel._schedule_path(20, 200, shape["horizon"]) == "kernel"
-    quiet, busy = _generate_lines(quiet_cfg), _generate_lines(busy_cfg)
+    quiet, busy = _generate_lines(quiet_cfg, ("kernel",)), _generate_lines(busy_cfg, ("kernel",))
     # every step moves a clock by at most one, so there are at least
     # horizon steps
     assert quiet < shape["horizon"] / 10, quiet
@@ -907,6 +988,10 @@ def test_reflection_kernel_pays_per_event_not_per_advance():
     events = sum(map(len, trace.intervals)) + len(trace.messages)
     assert events > 1_000
     assert busy - quiet < 20 * events, (busy, quiet, events)
+    entries = _hand_offs(monkeypatch)
+    assert generate(busy_cfg) == trace
+    assert len(entries) == 1
+    _assert_handed_at_a_block_boundary(busy_cfg, entries[0])
 
 
 def test_generate_is_deterministic():
@@ -965,8 +1050,9 @@ def test_messages_dropped_at_the_horizon(n, delta):
     """Every tick sends (alpha=1), so some sends fall within ``delta`` of
     the horizon or go to a receiver that has already stopped.  Those are
     dropped; the delivered rest come out in send order."""
-    cfg = SimConfig(n=n, epsilon_app=10, delta=delta, alpha=1.0, beta=0.1, horizon=120, seed=5)
-    # n=3: the offset table, then the step loop for the horizon tail
+    cfg = SimConfig(n=n, epsilon_app=10, delta=delta, alpha=1.0, beta=0.1,
+                    horizon=10 + simkernel._SCHED_BLOCK + 120, seed=5)
+    # the table (n=3) or the kernel for one whole block, then the step loop
     assert simkernel._schedule_path(n, 10, cfg.horizon) == ("table" if n == 3 else "kernel")
     trace = generate(cfg)
     assert trace == reference_generate(cfg)
@@ -978,7 +1064,8 @@ def test_messages_dropped_at_the_horizon(n, delta):
     vcs = np.array([m.vc_send for m in trace.messages])
     senders = np.array([m.sender for m in trace.messages])
     own = vcs[np.arange(len(vcs)), senders]
-    assert not np.triu(vcs[:, senders] >= own, 1).any()
+    before = np.maximum.accumulate(vcs, axis=0)[:-1]  # row j: the most the first j + 1 knew
+    assert (before[np.arange(len(vcs) - 1), senders[1:]] < own[1:]).all()
 
 
 def test_alpha_zero_means_no_messages():
