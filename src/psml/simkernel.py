@@ -27,14 +27,15 @@ stamps.
 Work is paid per message event, not per advance: an advance below the
 process's watch tick only moves the clock, and the scheduler coins come
 in blocks of steps, one ``(steps, n)`` draw giving the same values as
-one draw per step.  For small ``n`` the offset table takes a run of
-steps per lookup while no clock in it can reach a watch.  The watch is
-the smaller of two heads: the process's next send tick and its inbox
-head.  Interval starts and ends run no code of their own.  Between two
-message events a process's stamps move by the local-event rules alone,
-which have a closed form, so its starts are stamped at its next send or
-receive (and the rest when the run ends).  Point predicates are placed
-straight from their per-tick decisions.
+one draw per step: the offset table draws every block it surely runs at
+once, the reflection kernel one a call.  For small ``n`` the offset
+table takes a run of steps per lookup while no clock in it can reach a
+watch.  The watch is the smaller of two heads: the process's next send
+tick and its inbox head.  Interval starts and ends run no code of their
+own.  Between two message events a process's stamps move by the
+local-event rules alone, which have a closed form, so its starts are
+stamped at its next send or receive (and the rest when the run ends).
+Point predicates are placed straight from their per-tick decisions.
 Events never change a clock, so the schedule is kept apart from them:
 :func:`_event_state` owns the plans, inboxes, stamps and the trace, and
 one of three schedule drivers, each giving the same steps, calls its
@@ -417,11 +418,12 @@ _TABLE_ENTRIES = 1 << 17
 _Events = Callable[[int, int], int | None]
 
 
-def _coin_rows(rng: np.random.Generator, n: int) -> np.ndarray:
-    """The next ``_SCHED_BLOCK`` rows of ``n`` scheduler coins, True for
-    a won coin: ``rng.random((_SCHED_BLOCK, n)) < 0.5``, read as the top
-    bit of the raw words that ``random`` turns into doubles."""
-    return rng.bit_generator.random_raw((_SCHED_BLOCK, n)) < 1 << 63
+def _coin_rows(rng: np.random.Generator, n: int, blocks: int = 1) -> np.ndarray:
+    """The next ``blocks * _SCHED_BLOCK`` rows of ``n`` scheduler coins,
+    True for a won coin: ``rng.random((blocks * _SCHED_BLOCK, n)) < 0.5``,
+    read as the top bit of the raw words that ``random`` turns into
+    doubles, so also ``blocks`` one-block draws in a row."""
+    return rng.bit_generator.random_raw((blocks * _SCHED_BLOCK, n)) < 1 << 63
 
 
 def _table_states(n: int, eps: int) -> int:
@@ -448,8 +450,9 @@ def _schedule_path(n: int, eps: int, horizon: int) -> str:
       forced step, which takes all ``n`` coins lost, so it runs where
       fewer than one is expected per block (``2**n > _SCHED_BLOCK``) and
       where its caps rarely bind: on the schedule alone at n in {10, 20,
-      50} (2 CPUs) it overtakes the loop between eps 6 and 8, 1.8-2.8x
-      faster at eps 10 and 0.06-0.12x at eps 2.
+      50}, H=20,000 (2 CPUs) it overtakes the loop between eps 6 and 7 at
+      n=10 and below eps 6 at n=20 and 50, and is 1.8-3.2x faster at eps
+      10 and 0.05-0.11x at eps 2.
     * ``"loop"``, the step loop (:func:`_run_loop`), for the rest.
     """
     if horizon <= eps + _SCHED_BLOCK:
@@ -562,30 +565,33 @@ def _reflected_schedule(n: int, eps: int, horizon: int, rng: np.random.Generator
     form ``S + min(c0, cummin(b - S))`` with ``S`` the coin count.  ``b``
     depends on ``C``, so it is iterated from the uncapped clocks; each
     pass fixes at least one more row and the sequence only falls, so it
-    stops at the schedule.  The first row in which no clock moves is a
-    forced step: its column is overwritten with the forced move, and the
-    block goes on from it.
+    stops at the schedule.  A pass recomputes only the processes whose
+    clocks pass the new ``b`` somewhere (all of them where most do): a
+    clock never above a falling ``b`` keeps its value.  The first row in
+    which no clock moves is a forced step: its column is overwritten with
+    the forced move, and the block goes on from it, the coin counts
+    rebased there.  Clocks are int32 while ``2 * horizon`` fits, so no
+    ``lo + eps`` overflows.
 
     Needs ``eps >= 1``: at eps 0 the iteration does not stop, so it
     raises ``ValueError`` there before any coin is drawn.
     """
     if eps < 1:
         raise ValueError("the reflection kernel needs epsilon_app >= 1")
-    c0 = np.zeros(n, dtype=np.int64)
+    dtype = np.promote_types(np.min_scalar_type(-2 * horizon), np.int32)  # holds every lo + eps
+    c0 = np.zeros(n, dtype=dtype)
     while c0.min() + _SCHED_BLOCK + eps < horizon:
-        coins = np.zeros((n, _SCHED_BLOCK + 1), dtype=np.int64)  # column 0: no step
-        coins[:, 1:] = _coin_rows(rng, n).T
-        while coins.shape[1] > 1:
-            ups = coins.cumsum(axis=1)
-            cap = np.full(coins.shape[1], horizon)  # above every clock
+        ups = np.zeros((n, _SCHED_BLOCK + 1), dtype=dtype)  # coin counts; column 0: no step
+        # cast first: a cumsum that casts as it goes took three times as long
+        np.cumsum(_coin_rows(rng, n).T.astype(dtype), axis=1, out=ups[:, 1:])
+        while ups.shape[1] > 1:
+            cap = np.full(ups.shape[1], horizon, dtype=dtype)  # above every clock
             rows = c0[:, None] + ups  # the clocks under that cap
-            while True:
-                lo = rows.min(axis=0)
-                below = lo[:-1] + eps
-                if (below == cap[1:]).all():
-                    break
-                cap[1:] = below
-                rows = ups + np.minimum(c0[:, None], np.minimum.accumulate(cap - ups, axis=1))
+            while (cap[1:] > (lo := rows.min(axis=0))[:-1] + eps).any():
+                cap[1:] = lo[:-1] + eps
+                hit = np.flatnonzero((rows > cap).any(axis=1))
+                hit = slice(None) if 2 * hit.size > n else hit  # most rows: no gather
+                rows[hit] = ups[hit] + np.minimum(c0[hit, None], np.minimum.accumulate(cap - ups[hit], axis=1))
             # s: the first forced step, where the clock total does not rise
             total = rows.sum(axis=0)
             stall = np.flatnonzero(total[1:] == total[:-1])
@@ -594,14 +600,13 @@ def _reflected_schedule(n: int, eps: int, horizon: int, rng: np.random.Generator
                 yield rows
                 c0 = rows[:, -1]
                 break
-            # the next pass rebuilds rows from coins[:, s:], so nothing
-            # reads the stalled column after it holds the forced move
+            # the next pass rebuilds rows from ups[:, s:] rebased at the
+            # stalled column, so nothing reads it after it holds the forced move
             c0 = rows[:, s - 1].copy()
             c0[c0.argmin()] += 1
             rows[:, s] = c0
             yield rows[:, : s + 1]
-            coins = coins[:, s:]
-            coins[:, 0] = 0
+            ups = ups[:, s:] - ups[:, s:s + 1]
 
 
 def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[int]], Trace]]:
@@ -744,11 +749,13 @@ def _run_table(events: _Events, watch: list[int], eps: int, horizon: int, rng: n
 
     It runs whole coin blocks while ``lo + _SCHED_BLOCK < horizon -
     eps``, so no step of one meets the horizon, and hands the rest of
-    the run to :func:`_run_loop`.  A lookup takes a whole run while no
-    mover in it can reach ``min(watch)``.  Otherwise the run's steps are
-    walked one at a time, and a step's movers only when one of them may
-    have reached ``min(watch)``: an event in one step may lower a watch
-    that the next reaches.
+    the run to :func:`_run_loop`.  ``lo`` rises at most one a step, so
+    one draw takes every block that surely runs, up to ``_TABLE_ENTRIES``
+    coins, and never a coin of the loop's.  A lookup takes a whole run
+    while no mover in it can reach ``min(watch)``.  Otherwise the run's
+    steps are walked one at a time, and a step's movers only when one of
+    them may have reached ``min(watch)``: an event in one step may lower
+    a watch that the next reaches.
     """
     n = len(watch)
     if _schedule_path(n, eps, horizon) != "table":
@@ -763,7 +770,8 @@ def _run_table(events: _Events, watch: list[int], eps: int, horizon: int, rng: n
     lo = base = 0  # base: the current state << n*k
     low = min(watch)
     while lo + _SCHED_BLOCK < horizon - eps:
-        for code in (_coin_rows(rng, n).reshape(-1, n * k) @ weights).tolist():  # row j of a run: bits n*j on
+        blocks = min((horizon - eps - lo - 1) // _SCHED_BLOCK, _TABLE_ENTRIES // (_SCHED_BLOCK * n))
+        for code in (_coin_rows(rng, n, blocks).reshape(-1, n * k) @ weights).tolist():  # row j of a run: bits n*j on
             nxt, rise, reach = runs[base | code]
             if lo + reach < low:
                 base = nxt

@@ -393,13 +393,24 @@ def test_block_coin_draws_equal_per_step_draws():
 def test_coin_rows_equal_generator_coins(n):
     """The drivers' scheduler coins, read from the raw words, equal the
     ``Generator.random(...) < 0.5`` coins of the same stream, block after
-    block, for several stream keys."""
+    block and several blocks at once, for several stream keys."""
+    block = simkernel._SCHED_BLOCK
     for seed, purpose, proc in [(0, simkernel._S_SCHED, 0), (7, simkernel._S_SCHED, 0),
                                 (11, simkernel._S_SCHED, 3), (5, simkernel._S_PRED, 2)]:
         raw = simkernel._stream(seed, purpose, proc)
         drawn = simkernel._stream(seed, purpose, proc)
         for _ in range(3):
-            assert np.array_equal(simkernel._coin_rows(raw, n), drawn.random((simkernel._SCHED_BLOCK, n)) < 0.5)
+            assert np.array_equal(simkernel._coin_rows(raw, n), drawn.random((block, n)) < 0.5)
+        assert np.array_equal(simkernel._coin_rows(raw, n, 4), drawn.random((4 * block, n)) < 0.5)
+        # a draw of several blocks: as many one-block draws in a row, and
+        # the stream left where they leave it
+        for blocks in (1, 2, 5):
+            many, single = simkernel._stream(seed, purpose, proc), simkernel._stream(seed, purpose, proc)
+            rows = simkernel._coin_rows(many, n, blocks)
+            assert rows.shape == (blocks * block, n)
+            assert np.array_equal(rows, np.vstack([simkernel._coin_rows(single, n) for _ in range(blocks)]))
+            assert many.bit_generator.state == single.bit_generator.state
+            assert many.random() == single.random()
 
 
 # ---------------------------------------------------------------------------
@@ -516,33 +527,62 @@ _KERNEL_GRID = [
 ]
 
 
-@pytest.mark.parametrize("n", [2, 4, 20, 50])
-def test_reflection_kernel_matches_reference_schedule(n):
+def _assert_kernel_is_reference(cfg: SimConfig) -> np.ndarray:
     """The kernel alone, whatever the rule that picks it: every step it
     runs equals the reference scheduler's in clocks, movers and forced
     flag, and it stops at the first coin block that could reach the
-    horizon, after at least one whole block."""
-    block = simkernel._SCHED_BLOCK
+    horizon, after at least one whole block.  Returns, per step it ran and
+    process, whether the process won its coin at the drift cap."""
+    block, eps, horizon = simkernel._SCHED_BLOCK, cfg.epsilon_app, cfg.horizon
+    steps, _ = replay_schedule(cfg)
+    clocks = np.array([c for c, _ in steps])
+    moved = np.zeros(clocks.shape, dtype=bool)
+    for s, (_, advancing) in enumerate(steps):
+        moved[s, list(advancing)] = True
+    # a step is forced when no coin winner is below the cap, and then
+    # it moves a process that lost its coin
+    coins = simkernel._stream(cfg.seed, simkernel._S_SCHED).random(clocks.shape) < 0.5
+    cap = np.minimum(clocks.min(axis=1) + eps, horizon)[:, None]
+    forced = ~(coins & (clocks < cap)).any(axis=1)
+    got, got_moved = _kernel_run(cfg)
+    ran = len(got)
+    clear = clocks[::block].min(axis=1) + block + eps < horizon  # per block start
+    assert ran == block * int(clear.argmin()) > 0, cfg
+    assert np.array_equal(got, clocks[:ran]), cfg
+    assert np.array_equal(got_moved, moved[:ran]), cfg
+    assert np.array_equal((got_moved & ~coins[:ran]).any(axis=1), forced[:ran]), cfg
+    assert np.array_equal(got[-1] + got_moved[-1], clocks[ran]), cfg
+    return (coins & (clocks == cap))[:ran]
+
+
+@pytest.mark.parametrize("n", [2, 4, 20, 50])
+def test_reflection_kernel_matches_reference_schedule(n):
+    """Every ``_KERNEL_GRID`` cell at ``n``: :func:`_assert_kernel_is_reference`."""
     for _, eps, horizon, seed in (g for g in _KERNEL_GRID if g[0] == n):
-        cfg = SimConfig(n=n, epsilon_app=eps, horizon=horizon, seed=seed)
-        steps, _ = replay_schedule(cfg)
-        clocks = np.array([c for c, _ in steps])
-        moved = np.zeros(clocks.shape, dtype=bool)
-        for s, (_, advancing) in enumerate(steps):
-            moved[s, list(advancing)] = True
-        # a step is forced when no coin winner is below the cap, and then
-        # it moves a process that lost its coin
-        coins = simkernel._stream(seed, simkernel._S_SCHED).random(clocks.shape) < 0.5
-        cap = np.minimum(clocks.min(axis=1) + eps, horizon)[:, None]
-        forced = ~(coins & (clocks < cap)).any(axis=1)
-        got, got_moved = _kernel_run(cfg)
-        ran = len(got)
-        clear = clocks[::block].min(axis=1) + block + eps < horizon  # per block start
-        assert ran == block * int(clear.argmin()) > 0, cfg
-        assert np.array_equal(got, clocks[:ran]), cfg
-        assert np.array_equal(got_moved, moved[:ran]), cfg
-        assert np.array_equal((got_moved & ~coins[:ran]).any(axis=1), forced[:ran]), cfg
-        assert np.array_equal(got[-1] + got_moved[-1], clocks[ran]), cfg
+        _assert_kernel_is_reference(SimConfig(n=n, epsilon_app=eps, horizon=horizon, seed=seed))
+
+
+# the two ends of the kernel's cap pass, which recomputes only the processes
+# that pass the cap: none do in any block (a spread of eps_app 600 is not
+# reached in 4,000 ticks), and nearly all do in every block (n=10 at eps_app
+# 10, the edge of the kernel's path, where the pass takes whole rows)
+@pytest.mark.parametrize("cfg, fewest, mean", [
+    (SimConfig(n=20, epsilon_app=600, horizon=4_000, seed=3), 0.0, 0.0),
+    (SimConfig(n=10, epsilon_app=10, horizon=6_000, seed=1), 0.7, 0.9),
+    (SimConfig(n=10, epsilon_app=10, horizon=6_000, seed=2), 0.7, 0.9),
+], ids=["n20-eps600-no-cap", "n10-eps10-caps-1", "n10-eps10-caps-2"])
+def test_reflection_kernel_matches_reference_at_both_ends_of_the_cap_pass(cfg, fewest, mean):
+    """On the kernel's path, every step equals the reference; the share of
+    processes that win a coin at the cap in a block is at least
+    ``fewest`` in every block and ``mean`` on average (0 in the first
+    cell, where no cap binds)."""
+    assert simkernel._schedule_path(cfg.n, cfg.epsilon_app, cfg.horizon) == "kernel"
+    capped = _assert_kernel_is_reference(cfg)
+    block = simkernel._SCHED_BLOCK
+    share = [capped[i:i + block].any(axis=0).mean() for i in range(0, len(capped), block)]
+    assert len(share) >= 5 and min(share) >= fewest and np.mean(share) >= mean, share
+    if fewest == 0.0:
+        assert not capped.any()
 
 
 # a kernel-path case in which a process receives on the tick of one of its
@@ -701,17 +741,19 @@ def _hand_offs(monkeypatch) -> list[list[int]]:
     return entries
 
 
-def _assert_handed_at_a_block_boundary(cfg: SimConfig, clocks: list[int]) -> None:
+def _assert_handed_at_a_block_boundary(cfg: SimConfig, clocks: list[int]) -> int:
     """``clocks`` are the reference's clocks before step ``m *
     _SCHED_BLOCK``, ``m >= 1`` the first coin block that could reach the
     horizon: ``lo + _SCHED_BLOCK + eps >= horizon`` at its start, ``lo``
     the minimum clock (the table's ``lo + _SCHED_BLOCK >= horizon - eps``
     is the same rule).  The clock sum rises at every step, so this pins
-    the step at which the fast driver handed over."""
+    the step at which the fast driver handed over.  Returns ``m``, the
+    blocks the fast driver ran."""
     block = simkernel._SCHED_BLOCK
     starts = [c for c, _ in replay_schedule(cfg)[0][::block]]
     m = next(i for i, c in enumerate(starts) if min(c) + block + cfg.epsilon_app >= cfg.horizon)
     assert m >= 1 and list(starts[m]) == clocks, (cfg, m, clocks)
+    return m
 
 
 # delta=0, alpha=1 cells at the first horizons past eps_app + _SCHED_BLOCK,
@@ -741,6 +783,37 @@ def test_fast_drivers_hand_the_run_to_the_loop_at_a_block_boundary(monkeypatch):
         assert len(entries) == len(fast), cfg
         for clocks in entries:
             _assert_handed_at_a_block_boundary(cfg, clocks)
+
+
+def test_offset_table_draws_every_block_that_surely_runs_at_once(monkeypatch):
+    """A table run long enough that a draw holds the most blocks it may,
+    ``_TABLE_ENTRIES`` coins: the first draw takes that many, no draw
+    takes more, the table runs every block it drew and hands over at the
+    reference's block boundary, and the trace, whose deliveries at
+    ``delta`` 0 depend on the schedule, is the reference's."""
+    cfg = SimConfig(n=3, epsilon_app=10, delta=0, alpha=0.02, beta=0.01, interval=FixedLength(5),
+                    horizon=50_000, seed=42)
+    most = simkernel._TABLE_ENTRIES // (simkernel._SCHED_BLOCK * cfg.n)
+    assert (cfg.horizon - cfg.epsilon_app - 1) // simkernel._SCHED_BLOCK > most
+    assert simkernel._schedule_path(cfg.n, cfg.epsilon_app, cfg.horizon) == "table"
+    draws, handed = [], []
+    coin_rows, loop = simkernel._coin_rows, simkernel._run_loop
+
+    def counted(rng, n, blocks=1):
+        draws.append(blocks)
+        return coin_rows(rng, n, blocks)
+
+    def hand_off(events, watch, eps, horizon, rng, clocks=None):
+        handed.append((len(draws), list(clocks)))
+        return loop(events, watch, eps, horizon, rng, clocks)
+
+    monkeypatch.setattr(simkernel, "_coin_rows", counted)
+    monkeypatch.setattr(simkernel, "_run_loop", hand_off)
+    assert generate(cfg) == reference_generate(cfg)
+    [(drawn, clocks)] = handed
+    table = draws[:drawn]
+    assert table[0] == most and max(table) == most and len(table) > 1, table
+    assert sum(table) == _assert_handed_at_a_block_boundary(cfg, clocks), table
 
 
 def test_schedule_path_leaves_runs_with_no_clear_block_to_the_loop():
