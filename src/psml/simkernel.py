@@ -27,21 +27,31 @@ stamps.
 Work is paid per message event, not per advance: an advance below the
 process's watch tick only moves the clock, and the scheduler coins come
 in blocks of steps, one ``(steps, n)`` draw giving the same values as
-one draw per step: the offset table draws every block it surely runs at
-once, the reflection kernel one a call.  For small ``n`` the offset
-table takes a run of steps per lookup while no clock in it can reach a
-watch.  The watch is the smaller of two heads: the process's next send
-tick and its inbox head.  Interval starts and ends run no code of their
-own.  Between two message events a process's stamps move by the
-local-event rules alone, which have a closed form, so its starts are
-stamped at its next send or receive (and the rest when the run ends).
-Point predicates are placed straight from their per-tick decisions.
-Events never change a clock, so the schedule is kept apart from them:
-:func:`_event_state` owns the plans, inboxes, stamps and the trace, and
-one of three schedule drivers, each giving the same steps, calls its
-event body; :func:`_schedule_path` holds the rule that picks one.  Only
-the step loop meets the horizon: the offset table and the reflection
-kernel run the coin blocks clear of it and hand it the rest of the run.
+one draw per step.  The watch is the smaller of two heads: the
+process's next send tick and its inbox head.  Interval starts and ends
+run no code of their own.  Between two message events a process's
+stamps move by the local-event rules alone, which have a closed form,
+so its starts are stamped at its next send or receive (and the rest
+when the run ends).  Point predicates are placed straight from their
+per-tick decisions.  Events never change a clock, so the schedule is
+kept apart from them: :func:`_event_state` owns the plans, inboxes,
+stamps and the trace, and one of three drivers calls its event body;
+:func:`_schedule_path` holds the rule that picks one.
+
+Where ``delta >= max(epsilon_app, 1)`` no schedule reaches the trace.
+Take the step in which p sends at tick v: the minimum clock before it
+is at most ``v - 1``, a coin move stays at or below the minimum plus
+``epsilon_app`` and a forced move lifts a minimum clock by one, so after
+the step every clock is at most ``v - 1 + max(epsilon_app, 1) < v +
+delta``.  So every message is received at exactly ``send_pt + delta``,
+and every stamp is a function of the placement, the send plan and
+``delta``; the schedule only orders the events of different processes,
+which no stamp reads.  There the schedule-free driver runs the events
+in (tick, process) order and draws no coin, and the trace lists its
+messages in ``(send_pt, sender)`` order.  Elsewhere the reflection
+kernel or the step loop runs the schedule, both giving the same steps;
+only the step loop meets the horizon, the kernel runs the coin blocks
+clear of it and hands it the rest of the run.
 
 Randomness is split into independent per-process streams keyed by
 purpose, and every decision is indexed by clock value rather than by
@@ -274,8 +284,10 @@ class Trace:
     """A complete generated execution.
 
     ``intervals[p]`` lists process p's predicate intervals in time
-    order; ``messages`` lists delivered messages in send order;
-    ``final_clocks`` holds every process's clock when the run ends.
+    order; ``messages`` lists delivered messages in send order, which is
+    ``(send_pt, sender)`` order where ``delta >= max(epsilon_app, 1)``
+    and scheduler-step order elsewhere; ``final_clocks`` holds every
+    process's clock when the run ends.
     """
 
     config: SimConfig
@@ -409,140 +421,43 @@ def predicate_intervals(config: SimConfig) -> list[np.ndarray]:
 # scheduler steps per coin draw; a (B, n) draw equals B successive draws of n.
 # The reflection kernel solves one block of steps at a time.
 _SCHED_BLOCK = 512
-# largest offset table, in (state, coin code) entries, that generate builds
-_TABLE_ENTRIES = 1 << 17
-# A schedule driver runs the scheduler to the horizon and returns the final
-# clocks.  It sees only the watch ticks and events(p, v), which it calls at
-# each advance of p to v >= watch[p], in (step, process) order, and which
-# returns the receiver of the send it made, if any.
+# A driver runs the events to the horizon and returns the final clocks.  It
+# sees only the watch ticks and events(p, v), which it calls at each advance
+# of p to v >= watch[p] (in (step, process) order on the schedule drivers,
+# in (tick, process) order on the free one), and which returns the receiver
+# of the send it made, if any.
 _Events = Callable[[int, int], int | None]
 
 
-def _coin_rows(rng: np.random.Generator, n: int, blocks: int = 1) -> np.ndarray:
-    """The next ``blocks * _SCHED_BLOCK`` rows of ``n`` scheduler coins,
-    True for a won coin: ``rng.random((blocks * _SCHED_BLOCK, n)) < 0.5``,
-    read as the top bit of the raw words that ``random`` turns into
-    doubles, so also ``blocks`` one-block draws in a row."""
-    return rng.bit_generator.random_raw((blocks * _SCHED_BLOCK, n)) < 1 << 63
+def _coin_rows(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The next ``_SCHED_BLOCK`` rows of ``n`` scheduler coins, True for a
+    won coin: ``rng.random((_SCHED_BLOCK, n)) < 0.5``, read as the top
+    bit of the raw words that ``random`` turns into doubles."""
+    return rng.bit_generator.random_raw((_SCHED_BLOCK, n)) < 1 << 63
 
 
-def _table_states(n: int, eps: int) -> int:
-    """The number of offset states: offsets in 0..eps, at least one 0."""
-    return (eps + 1) ** n - eps ** n
+def _schedule_path(n: int, eps: int, delta: int, horizon: int) -> str:
+    """The driver ``generate`` runs the events on.
 
-
-def _schedule_path(n: int, eps: int, horizon: int) -> str:
-    """The path ``generate`` runs the schedule on; all three give the
-    same steps.
-
-    A short run, ``horizon <= eps + _SCHED_BLOCK``, takes the loop: the
-    other two run only whole coin blocks clear of the horizon.
-
-    * ``"table"`` (:func:`_run_table`), when ``eps > 0`` and the
-      one-step offset table, ``(eps+1)**n - eps**n`` offset states times
-      ``2**n`` coin rows, has at most ``_TABLE_ENTRIES`` entries (n=3 at
-      eps 10 has 2,648).  Clear of the horizon a step depends only on
-      the clocks' offsets from the minimum and the coin row, so the
-      table holds every step, and every run of ``k`` steps for the
-      largest ``k`` that fits.
+    * ``"free"``, the schedule-free driver (:func:`_run_free`), when
+      ``delta >= max(eps, 1)``: there no schedule reaches the trace (see
+      the module docstring), so none is run.
     * ``"kernel"``, the reflection kernel (:func:`_run_kernel`), when
-      ``n >= 10`` and ``eps >= 10``.  It restarts its block at every
-      forced step, which takes all ``n`` coins lost, so it runs where
-      fewer than one is expected per block (``2**n > _SCHED_BLOCK``) and
-      where its caps rarely bind: on the schedule alone at n in {10, 20,
-      50}, H=20,000 (2 CPUs) it overtakes the loop between eps 6 and 7 at
-      n=10 and below eps 6 at n=20 and 50, and is 1.8-3.2x faster at eps
-      10 and 0.05-0.11x at eps 2.
+      ``n >= 10``, ``eps >= 10`` and a whole coin block is clear of the
+      horizon, ``horizon > eps + _SCHED_BLOCK``.  It restarts its block
+      at every forced step, which takes all ``n`` coins lost, so it runs
+      where fewer than one is expected per block (``2**n >
+      _SCHED_BLOCK``) and where its caps rarely bind: on the schedule
+      alone at n in {10, 20, 50}, H=20,000 (2 CPUs) it overtakes the loop
+      between eps 6 and 7 at n=10 and below eps 6 at n=20 and 50, and is
+      1.8-3.2x faster at eps 10 and 0.05-0.11x at eps 2.
     * ``"loop"``, the step loop (:func:`_run_loop`), for the rest.
+
+    The kernel and the loop give the same steps.
     """
-    if horizon <= eps + _SCHED_BLOCK:
-        return "loop"
-    if eps > 0 and _table_states(n, eps) << n <= _TABLE_ENTRIES:
-        return "table"
-    return "kernel" if eps >= 10 and 1 << n > _SCHED_BLOCK else "loop"
-
-
-def _offset_states(n: int, eps: int) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-    """Every offset state, numbered: a ``(_table_states(n, eps), n)``
-    array whose row i holds state i's offsets, and the function from an
-    array of states (offsets in the last axis) to their numbers.
-
-    The states come in groups by their first process at offset 0, j,
-    and within group j count in mixed radix, process 0 fastest: ``o[p] -
-    1`` in base eps below j, ``o[p]`` in base eps + 1 above it.  So the
-    zero state is 0, and no sort, search or ``(eps+1)**n`` grid is needed
-    (n=2 runs on the table up to eps 16,383)."""
-    parts, place, first = [], np.zeros((n, n), dtype=np.int64), np.zeros(n, dtype=np.int64)
-    for j in range(n):
-        digits = [eps] * j + [1] + [eps + 1] * (n - 1 - j)
-        part = np.indices(digits[::-1])[::-1].reshape(n, -1).T
-        part[:, :j] += 1
-        place[j] = np.cumprod([1] + digits[:-1])
-        first[j] = sum(map(len, parts)) - place[j, :j].sum()
-        parts.append(part)
-
-    def number(states: np.ndarray) -> np.ndarray:
-        j = (states == 0).argmax(axis=-1)
-        return (states * place[j]).sum(axis=-1) + first[j]
-
-    return np.concatenate(parts).astype(np.min_scalar_type(eps)), number
-
-
-def _steps(offsets: np.ndarray, eps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One scheduler step clear of the horizon, from every offset state
-    in ``offsets`` (one row each, offsets in 0..eps) under every coin row
-    (p's coin in bit p).  Returns, indexed ``[state, row]``, the offsets
-    after the step, the rise of the minimum clock and the movers, a bool
-    per process: the coin winners below the drift cap or, where there
-    are none, the first process at offset 0."""
-    n = offsets.shape[1]
-    won = np.arange(1 << n)[:, None] >> np.arange(n) & 1 == 1
-    moved = won & (offsets[:, None, :] < eps)
-    state, row = np.nonzero(~moved.any(axis=2))
-    moved[state, row, offsets.argmin(axis=1)[state]] = True
-    after = offsets[:, None, :] + moved
-    rise = after.min(axis=2)
-    return after - rise[:, :, None], rise, moved
-
-
-def _table_entries(n: int, eps: int, k: int) -> tuple[np.ndarray, list[tuple], list[tuple]]:
-    """Every offset state, state i in row i (:func:`_offset_states`), and
-    its offset-table entries, as ``(offsets, steps, runs)``.
-
-    ``steps[i << n | row]``, state i under coin row ``row``, is ``(next
-    << n, rise of lo, movers in ascending order, their largest offset
-    after the step)``.  ``runs[i << n*k | code]`` covers the ``k`` steps
-    whose coin rows are bits ``n*j`` to ``n*j + n - 1`` of ``code``:
-    ``(next << n*k, rise of lo, reach)``, with ``reach`` the largest
-    mover clock over the k steps, measured from the lo before them, so
-    at least the rise.
-    """
-    offsets, number = _offset_states(n, eps)
-    after, rise, moved = _steps(offsets, eps)
-    nxt, reach = number(after), (after * moved).max(axis=2)
-    bits = [tuple(p for p in range(n) if m >> p & 1) for m in range(1 << n)]  # mask -> processes
-    steps = _shared(lambda b, r, m, h: (b, r, bits[m], h), nxt << n, rise, moved @ (1 << np.arange(n)), reach)
-    state, code = np.arange(len(offsets))[:, None], np.arange(1 << n * k)
-    up = top = np.zeros((), np.min_scalar_type(eps + k))  # the rise and reach so far
-    for j in range(k):
-        row = code >> n * j & (1 << n) - 1
-        up = up + rise[state, row]
-        top = np.maximum(top, up + reach[state, row])
-        state = nxt[state, row]
-    state <<= n * k
-    return offsets, steps, _shared(lambda *run: run, state, up, top)
-
-
-def _shared(make: Callable[..., tuple], *cols: np.ndarray) -> list[tuple]:
-    """``[make(*row) for row in zip(*cols)]`` over non-negative int
-    arrays of one shape, read flat, with one object for equal rows: a
-    table holds a few thousand distinct entries among tens of thousands."""
-    flat = [col.ravel() for col in cols]
-    key = np.ravel_multi_index(flat, [int(col.max()) + 1 for col in flat])
-    _, first, where = np.unique(key, return_index=True, return_inverse=True)
-    made = np.fromiter(itertools.starmap(make, zip(*(col[first].tolist() for col in flat))),
-                       dtype=object, count=first.size)
-    return made[where].tolist()
+    if delta >= max(eps, 1):
+        return "free"
+    return "kernel" if eps >= 10 and 1 << n > _SCHED_BLOCK and horizon > eps + _SCHED_BLOCK else "loop"
 
 
 def _reflected_schedule(n: int, eps: int, horizon: int, rng: np.random.Generator) -> Iterator[np.ndarray]:
@@ -736,63 +651,6 @@ def _event_state(config: SimConfig) -> tuple[_Events, list[int], Callable[[list[
     return events, watch, finish
 
 
-def _run_table(events: _Events, watch: list[int], eps: int, horizon: int, rng: np.random.Generator) -> list[int]:
-    """The offset-table driver, where :func:`_schedule_path` picks it:
-    ``eps > 0``, a one-step table within ``_TABLE_ENTRIES`` and a whole
-    coin block clear of the horizon.  While ``lo + eps`` is below the
-    horizon a step depends only on the clock offsets from the minimum
-    ``lo`` and the coin row, so a table holds it (:func:`_table_entries`),
-    and every run of ``k`` steps.  Both tables are built whole, with ``k``
-    the largest power of two that divides ``_SCHED_BLOCK`` and keeps the
-    run table within ``_TABLE_ENTRIES`` (2 at n=3, eps 10: 331 states
-    times 64 codes).
-
-    It runs whole coin blocks while ``lo + _SCHED_BLOCK < horizon -
-    eps``, so no step of one meets the horizon, and hands the rest of
-    the run to :func:`_run_loop`.  ``lo`` rises at most one a step, so
-    one draw takes every block that surely runs, up to ``_TABLE_ENTRIES``
-    coins, and never a coin of the loop's.  A lookup takes a whole run
-    while no mover in it can reach ``min(watch)``.  Otherwise the run's
-    steps are walked one at a time, and a step's movers only when one of
-    them may have reached ``min(watch)``: an event in one step may lower
-    a watch that the next reaches.
-    """
-    n = len(watch)
-    if _schedule_path(n, eps, horizon) != "table":
-        raise ValueError("the offset table needs epsilon_app > 0, a horizon past "
-                         "epsilon_app + _SCHED_BLOCK and a table that fits")
-    k = 1
-    while _SCHED_BLOCK % (2 * k) == 0 and _table_states(n, eps) << 2 * n * k <= _TABLE_ENTRIES:
-        k *= 2
-    states, steps, runs = _table_entries(n, eps, k)
-    offs = list(map(tuple, states.tolist()))
-    weights, shift, mask = 1 << np.arange(n * k), n * k - n, (1 << n) - 1
-    lo = base = 0  # base: the current state << n*k
-    low = min(watch)
-    while lo + _SCHED_BLOCK < horizon - eps:
-        blocks = min((horizon - eps - lo - 1) // _SCHED_BLOCK, _TABLE_ENTRIES // (_SCHED_BLOCK * n))
-        for code in (_coin_rows(rng, n, blocks).reshape(-1, n * k) @ weights).tolist():  # row j of a run: bits n*j on
-            nxt, rise, reach = runs[base | code]
-            if lo + reach < low:
-                base = nxt
-                lo += rise
-                continue
-            b = base >> shift
-            for j in range(0, n * k, n):
-                b, rise, movers, reach = steps[b | code >> j & mask]
-                lo += rise
-                # no mover's clock is past lo + reach, and watches change
-                # only in events, so a step below low has no event
-                if lo + reach >= low:
-                    o = offs[b >> n]
-                    for p in movers:  # ascending, as in the step loop
-                        if lo + o[p] >= watch[p]:
-                            events(p, lo + o[p])
-                    low = min(watch)
-            base = b << shift
-    return _run_loop(events, watch, eps, horizon, rng, [lo + x for x in offs[base >> n * k]])
-
-
 def _run_kernel(events: _Events, watch: list[int], eps: int, horizon: int, rng: np.random.Generator) -> list[int]:
     """The reflection-kernel driver (:func:`_reflected_schedule`), for
     ``eps >= 1``.  It runs the coin blocks clear of the horizon, and
@@ -881,24 +739,46 @@ def _run_loop(events: _Events, watch: list[int], eps: int, horizon: int, rng: np
     return clocks
 
 
-_DRIVERS = {"table": _run_table, "kernel": _run_kernel, "loop": _run_loop}
+def _run_free(events: _Events, watch: list[int], eps: int, horizon: int, rng: np.random.Generator) -> list[int]:
+    """The schedule-free driver, where ``delta >= max(eps, 1)``: each
+    message is received at exactly ``send_pt + delta`` whatever the
+    schedule (module docstring), so it runs the events in (tick,
+    process) order, from a heap of ``(watch[p], p)`` whose stale entries
+    are dropped, and reads neither ``eps`` nor ``rng``.  Every clock ends
+    at the horizon."""
+    due = [(w, p) for p, w in enumerate(watch)]
+    heapq.heapify(due)
+    while due[0][0] <= horizon:
+        v, p = due[0]
+        if watch[p] != v:
+            heapq.heappop(due)
+            continue
+        q = events(p, v)
+        heapq.heapreplace(due, (watch[p], p))
+        if q is not None:  # the send set q's watch to v + delta
+            heapq.heappush(due, (watch[q], q))
+    return [horizon] * len(watch)
+
+
+_DRIVERS = {"free": _run_free, "kernel": _run_kernel, "loop": _run_loop}
 
 
 @_collector_paused
 def generate(config: SimConfig) -> Trace:
     """Generate a complete trace; a pure function of ``config``.
 
-    Equal configs give equal traces.  The schedule is drawn from its
-    own stream, one row of ``n`` advance coins per step and
+    Equal configs give equal traces.  The schedule, where one runs, is
+    drawn from its own stream, one row of ``n`` advance coins per step and
     ``_SCHED_BLOCK`` rows per draw, so it depends only on (seed, n,
     epsilon_app, horizon).  :func:`_event_state` owns the events and
-    the trace; the schedule runs on the driver :func:`_schedule_path`
-    picks, which sees only the event body and the watch ticks.
+    the trace; they run on the driver :func:`_schedule_path` picks,
+    which sees only the event body and the watch ticks.
     """
     events, watch, finish = _event_state(config)
-    # as Python ints: a numpy integer would overflow the table-size test
+    # as Python ints: the drivers' final clocks become the trace's, and the
+    # free driver's are the horizon itself
     eps, horizon = int(config.epsilon_app), int(config.horizon)
-    run = _DRIVERS[_schedule_path(len(watch), eps, horizon)]
+    run = _DRIVERS[_schedule_path(len(watch), eps, config.delta, horizon)]
     return finish(run(events, watch, eps, horizon, _stream(config.seed, _S_SCHED)))
 
 
@@ -913,9 +793,11 @@ def _fmt(stamp: tuple[int, ...]) -> str:
 
 def trace_records(trace: Trace) -> Iterator[str]:
     """Flat key-value line records: intervals (by process), then messages
-    (in send order).  A line holds every field of its record, so the
-    records can be read back from it: ``vc`` and ``hlc`` are the
-    interval's start stamps or the message's send stamps."""
+    (in send order: ``(send_pt, sender)`` where ``delta >=
+    max(epsilon_app, 1)``, scheduler-step order elsewhere).  A line holds
+    every field of its record, so the records can be read back from it:
+    ``vc`` and ``hlc`` are the interval's start stamps or the message's
+    send stamps."""
     for ivs in trace.intervals:
         for iv in ivs:
             yield (

@@ -336,10 +336,13 @@ def test_simulate_byte_identical():
 ], ids=["csv", "structured"])
 def test_sweep_output_does_not_depend_on_jobs(fmt, echoed):
     """A preset sweep prints the same bytes at one job and at three but
-    for the echoed ``jobs``.  Its rows run the reflection kernel and hand
-    the run to the step loop before the horizon."""
-    base = PRESETS["fig-ad-independence"]["base"]
-    assert simkernel._schedule_path(base["n"], base["epsilon_app"], base["horizon"]) == "kernel"
+    for the echoed ``jobs``.  Its delta 10 rows run the reflection kernel
+    and hand the run to the step loop before the horizon; its delta 100
+    rows run no schedule."""
+    preset = PRESETS["fig-ad-independence"]
+    base = preset["base"]
+    assert [simkernel._schedule_path(base["n"], base["epsilon_app"], delta, base["horizon"])
+            for delta in preset["grid"]["delta"]] == ["kernel", "free"]
     argv = ["sweep", "--preset", "fig-ad-independence", "--replicates", "1", *fmt]
     code_one, one, err_one = run_cli([*argv, "--jobs", "1"])
     code_three, three, err_three = run_cli([*argv, "--jobs", "3"])

@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psml import simkernel
@@ -86,14 +86,20 @@ def test_validate_rejects(kwargs):
 
 def test_numpy_integer_counts_are_accepted():
     """A config of numpy integers generates the trace of the same config
-    in Python ints, on every schedule path."""
-    for n, eps in ((3, 10), (5, 10), (20, 50)):
-        plain = SimConfig(n=n, epsilon_app=eps, delta=4, alpha=0.1, beta=0.1,
-                          interval=FixedLength(2), horizon=300, correlation=PMA(1), seed=3)
-        wide = SimConfig(n=np.int64(n), epsilon_app=np.int64(eps), delta=np.int64(4), alpha=0.1,
-                         beta=0.1, interval=FixedLength(np.int64(2)), horizon=np.int64(300),
+    in Python ints, on every path, and its final clocks are Python ints
+    (``==`` alone would not tell: ``np.int64(300) == 300``)."""
+    for n, eps, delta, horizon, path in ((3, 10, 4, 300, "loop"), (5, 10, 4, 300, "loop"),
+                                         (20, 50, 4, 300, "loop"), (20, 50, 4, 700, "kernel"),
+                                         (3, 10, 100, 300, "free")):
+        assert simkernel._schedule_path(n, eps, delta, horizon) == path
+        plain = SimConfig(n=n, epsilon_app=eps, delta=delta, alpha=0.1, beta=0.1,
+                          interval=FixedLength(2), horizon=horizon, correlation=PMA(1), seed=3)
+        wide = SimConfig(n=np.int64(n), epsilon_app=np.int64(eps), delta=np.int64(delta), alpha=0.1,
+                         beta=0.1, interval=FixedLength(np.int64(2)), horizon=np.int64(horizon),
                          correlation=PMA(np.int64(1)), seed=np.int64(3))
-        assert generate(wide) == generate(plain)
+        trace = generate(wide)
+        assert trace == generate(plain)
+        assert all(type(c) is int for c in trace.final_clocks), (path, trace.final_clocks)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +366,7 @@ def test_generated_spread_never_exceeds_epsilon():
         cfg = SimConfig(**{**kw, **overrides})
         steps, final = replay_schedule(cfg)
         trace = generate(cfg)
-        assert trace == reference_generate(cfg), overrides
+        assert trace == _reference_as_generated(cfg), overrides
         assert final == trace.final_clocks == (cfg.horizon,) * cfg.n
         # spread holds before every step and after the last one
         for clocks in [clocks for clocks, _ in steps] + [final]:
@@ -393,7 +399,7 @@ def test_block_coin_draws_equal_per_step_draws():
 def test_coin_rows_equal_generator_coins(n):
     """The drivers' scheduler coins, read from the raw words, equal the
     ``Generator.random(...) < 0.5`` coins of the same stream, block after
-    block and several blocks at once, for several stream keys."""
+    block, for several stream keys."""
     block = simkernel._SCHED_BLOCK
     for seed, purpose, proc in [(0, simkernel._S_SCHED, 0), (7, simkernel._S_SCHED, 0),
                                 (11, simkernel._S_SCHED, 3), (5, simkernel._S_PRED, 2)]:
@@ -401,16 +407,6 @@ def test_coin_rows_equal_generator_coins(n):
         drawn = simkernel._stream(seed, purpose, proc)
         for _ in range(3):
             assert np.array_equal(simkernel._coin_rows(raw, n), drawn.random((block, n)) < 0.5)
-        assert np.array_equal(simkernel._coin_rows(raw, n, 4), drawn.random((4 * block, n)) < 0.5)
-        # a draw of several blocks: as many one-block draws in a row, and
-        # the stream left where they leave it
-        for blocks in (1, 2, 5):
-            many, single = simkernel._stream(seed, purpose, proc), simkernel._stream(seed, purpose, proc)
-            rows = simkernel._coin_rows(many, n, blocks)
-            assert rows.shape == (blocks * block, n)
-            assert np.array_equal(rows, np.vstack([simkernel._coin_rows(single, n) for _ in range(blocks)]))
-            assert many.bit_generator.state == single.bit_generator.state
-            assert many.random() == single.random()
 
 
 # ---------------------------------------------------------------------------
@@ -421,84 +417,33 @@ def test_coin_rows_equal_generator_coins(n):
 @settings(max_examples=200, deadline=None)
 @given(EDGE_CONFIGS)
 def test_generate_equals_reference_generator(cfg):
-    """``generate`` and every schedule driver whose domain holds the
-    config, picked or not, give the reference trace."""
-    assert generate(cfg) == reference_generate(cfg)
-    _assert_every_driver_gives(cfg, reference_generate(cfg))
-
-
-class _Coins:
-    """A scheduler stream whose next n draws are a fixed row: 0.0 for a
-    won coin, 1.0 for a lost one."""
-
-    def __init__(self, won: list[bool]):
-        self.row = np.array([0.0 if w else 1.0 for w in won])
-
-    def random(self, n: int) -> np.ndarray:
-        assert n == len(self.row)
-        return self.row
-
-
-@pytest.mark.parametrize("n, eps", [(2, 1), (2, 3), (3, 2), (4, 1)])
-def test_table_transition_matches_reference_step(n, eps):
-    """Every offset state and every coin row: the step the offset table
-    holds moves the processes the reference scheduler moves."""
-    horizon = 1000  # far from every clock, as in the table's region
-    states = [s for s in itertools.product(range(eps + 1), repeat=n) if min(s) == 0]
-    assert len(states) == (eps + 1) ** n - eps ** n
-    grid, number = simkernel._offset_states(n, eps)
-    assert sorted(map(tuple, grid.tolist())) == states
-    assert number(grid).tolist() == list(range(len(states)))
-    after, rise, moved = simkernel._steps(grid, eps)
-    for i, offsets in enumerate(map(tuple, grid.tolist())):
-        for row in range(1 << n):
-            won = [bool(row >> p & 1) for p in range(n)]
-            for lo in (0, 37):
-                clocks = [lo + o for o in offsets]
-                expect = reference_step_schedule(clocks, eps, horizon, _Coins(won))
-                assert np.flatnonzero(moved[i, row]).tolist() == expect, (offsets, row)
-            stepped = [o + (p in expect) for p, o in enumerate(offsets)]
-            assert rise[i, row] == min(stepped)
-            assert tuple(after[i, row].tolist()) == tuple(o - rise[i, row] for o in stepped)
-            assert max(after[i, row]) <= eps
-
-
-@pytest.mark.parametrize("n, eps, k", [(3, 10, 2), (2, 1, 4), (2, 2, 4), (2, 3, 4)])
-def test_table_runs_compose_steps(n, eps, k):
-    """Every offset state and every code of ``k`` coin rows: the run entry
-    equals ``k`` successive step entries, its reach being the largest
-    mover clock over them, measured from the ``lo`` before the run."""
-    states, steps, runs = simkernel._table_entries(n, eps, k)
-    assert len(steps) == len(states) << n and len(runs) == len(states) << n * k
-    assert len(states) << 2 * n * k > simkernel._TABLE_ENTRIES  # the driver's k: no larger one fits
-    for state in range(len(states)):
-        for code in range(1 << n * k):
-            b, up, top = state << n, 0, 0
-            for j in range(k):
-                b, rise, movers, reach = steps[b | code >> n * j & (1 << n) - 1]
-                up += rise
-                top = max(top, up + reach)
-            assert runs[state << n * k | code] == (b >> n << n * k, up, top), (state, code)
+    """``generate`` and every driver whose domain holds the config, picked
+    or not, give the reference trace (:func:`_assert_every_driver_gives`)."""
+    expect = reference_generate(cfg)
+    assert generate(cfg) == _as_generated(cfg, expect)
+    _assert_every_driver_gives(cfg, expect)
 
 
 def test_schedule_path_serves_each_workload():
-    """The path each preset and benchmark shape runs its schedule on, at
-    every eps_app its grid lists."""
+    """The path each preset and benchmark shape runs on, at every
+    eps_app and delta its grid lists: no schedule where ``delta >=
+    eps_app``, the reflection kernel elsewhere."""
     hlc, partial = PRESETS["fig-hlc"]["base"], PRESETS["table-partial"]["base"]
-    fpr, ad, pr = PRESETS["fig-fpr-n20"], PRESETS["fig-ad-independence"]["base"], PRESETS["fig-pr-diagram"]
-    cells = [
-        (hlc, [hlc["epsilon_app"]], "table"),
-        ({"n": 3, "horizon": 300_000}, [10], "table"),  # few-long
-        (partial, [partial["epsilon_app"]], "loop"),
-        (fpr["base"], fpr["grid"]["epsilon_app"], "kernel"),
-        (ad, [ad["epsilon_app"]], "kernel"),
-        (pr["base"], pr["eps_app"], "kernel"),
-        ({"n": 20, "horizon": 100_000}, [200], "kernel"),  # sparse-ref
-        ({"n": 20, "horizon": 20_000}, [50], "kernel"),  # dense-corr
+    fpr, ad, pr = PRESETS["fig-fpr-n20"], PRESETS["fig-ad-independence"], PRESETS["fig-pr-diagram"]
+    cells = [  # (n, eps_app, delta, horizon, path)
+        (3, hlc["epsilon_app"], hlc["delta"], hlc["horizon"], "free"),
+        (3, 10, 100, 300_000, "free"),  # few-long
+        (5, partial["epsilon_app"], partial["delta"], partial["horizon"], "free"),
+        *[(20, eps, 100, fpr["base"]["horizon"], "free" if eps <= 100 else "kernel")
+          for eps in fpr["grid"]["epsilon_app"]],
+        *[(20, ad["base"]["epsilon_app"], delta, ad["base"]["horizon"], "free" if delta == 100 else "kernel")
+          for delta in ad["grid"]["delta"]],
+        *[(20, eps, 100, pr["base"]["horizon"], "free" if eps <= 100 else "kernel") for eps in pr["eps_app"]],
+        (20, 200, 100, 100_000, "kernel"),  # sparse-ref
+        (20, 50, 10, 20_000, "kernel"),  # dense-corr
     ]
-    for base, eps_values, path in cells:
-        for eps in eps_values:
-            assert simkernel._schedule_path(base["n"], eps, base["horizon"]) == path, (base, eps)
+    for n, eps, delta, horizon, path in cells:
+        assert simkernel._schedule_path(n, eps, delta, horizon) == path, (n, eps, delta, horizon)
 
 
 def _kernel_run(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -568,15 +513,15 @@ def test_reflection_kernel_matches_reference_schedule(n):
 # 10, the edge of the kernel's path, where the pass takes whole rows)
 @pytest.mark.parametrize("cfg, fewest, mean", [
     (SimConfig(n=20, epsilon_app=600, horizon=4_000, seed=3), 0.0, 0.0),
-    (SimConfig(n=10, epsilon_app=10, horizon=6_000, seed=1), 0.7, 0.9),
-    (SimConfig(n=10, epsilon_app=10, horizon=6_000, seed=2), 0.7, 0.9),
+    (SimConfig(n=10, epsilon_app=10, delta=1, horizon=6_000, seed=1), 0.7, 0.9),
+    (SimConfig(n=10, epsilon_app=10, delta=1, horizon=6_000, seed=2), 0.7, 0.9),
 ], ids=["n20-eps600-no-cap", "n10-eps10-caps-1", "n10-eps10-caps-2"])
 def test_reflection_kernel_matches_reference_at_both_ends_of_the_cap_pass(cfg, fewest, mean):
     """On the kernel's path, every step equals the reference; the share of
     processes that win a coin at the cap in a block is at least
     ``fewest`` in every block and ``mean`` on average (0 in the first
     cell, where no cap binds)."""
-    assert simkernel._schedule_path(cfg.n, cfg.epsilon_app, cfg.horizon) == "kernel"
+    assert simkernel._schedule_path(cfg.n, cfg.epsilon_app, cfg.delta, cfg.horizon) == "kernel"
     capped = _assert_kernel_is_reference(cfg)
     block = simkernel._SCHED_BLOCK
     share = [capped[i:i + block].any(axis=0).mean() for i in range(0, len(capped), block)]
@@ -595,16 +540,16 @@ _COINCIDING = SimConfig(n=20, epsilon_app=50, delta=5, alpha=0.1, beta=0.1,
 @pytest.mark.parametrize(
     "cfg, path",
     [
-        # the few-long shape, where every table entry is used many times
+        # the few-long shape, which runs no schedule
         (SimConfig(n=3, epsilon_app=10, delta=100, alpha=0.001, beta=0.005,
-                   interval=FixedLength(30), horizon=20_000, seed=3), "table"),
+                   interval=FixedLength(30), horizon=20_000, seed=3), "free"),
         # a message on every tick, delivered in the step it is due
         (SimConfig(n=3, epsilon_app=4, delta=0, alpha=1.0, beta=0.2,
-                   interval=FixedLength(3), horizon=2_000, seed=4), "table"),
+                   interval=FixedLength(3), horizon=2_000, seed=4), "loop"),
         (SimConfig(n=3, epsilon_app=4, delta=0, alpha=1.0, beta=0.2,
-                   horizon=2_000, seed=5), "table"),
+                   horizon=2_000, seed=5), "loop"),
         (SimConfig(n=2, epsilon_app=200, delta=7, alpha=0.05, beta=0.02,
-                   interval=GeometricLength(0.1), horizon=8_000, seed=6), "table"),
+                   interval=GeometricLength(0.1), horizon=8_000, seed=6), "loop"),
         # runs with no whole coin block clear of the horizon: the step loop
         (SimConfig(n=3, epsilon_app=10, delta=1, alpha=0.3, beta=0.3, horizon=10, seed=7), "loop"),
         (SimConfig(n=3, epsilon_app=10, delta=1, alpha=0.3, beta=0.3, horizon=11, seed=7), "loop"),
@@ -633,17 +578,17 @@ _COINCIDING = SimConfig(n=20, epsilon_app=50, delta=5, alpha=0.1, beta=0.1,
          "n20-horizon-eps", "n50-horizon-eps", "n20-pmaj-geom", "n50-pmaj-geom"],
 )
 def test_generate_equals_reference_at_long_horizons(cfg, path):
-    assert simkernel._schedule_path(cfg.n, cfg.epsilon_app, cfg.horizon) == path
+    assert simkernel._schedule_path(cfg.n, cfg.epsilon_app, cfg.delta, cfg.horizon) == path
     trace = generate(cfg)
-    assert trace == reference_generate(cfg)
+    assert trace == _reference_as_generated(cfg)
     if cfg is _COINCIDING:
         received = {(m.receiver, m.receive_pt) for m in trace.messages}
         assert received & {(iv.proc, iv.end) for ivs in trace.intervals for iv in ivs}
         assert received & {(m.sender, m.send_pt) for m in trace.messages}
 
 
-# configs for every schedule driver; _schedule_path picks the table for
-# the first, the loop for the second and the kernel for the third
+# configs for every driver; _schedule_path picks the loop for the first two,
+# the kernel for the third and the free driver for the last two
 _DRIVER_CONFIGS = [
     SimConfig(n=3, epsilon_app=10, delta=0, alpha=1.0, beta=0.2, interval=GeometricLength(0.3),
               horizon=1_500, seed=21),
@@ -658,27 +603,49 @@ _DRIVER_CONFIGS = [
     SimConfig(n=3, epsilon_app=2, delta=0, alpha=1.0, beta=0.3, horizon=1, seed=26),
     SimConfig(n=4, epsilon_app=0, delta=0, alpha=1.0, beta=0.3, interval=FixedLength(2),
               horizon=300, seed=27),
+    # the free driver at the edge of its domain: delta == eps_app, and
+    # eps_app 0 with delta 1
+    SimConfig(n=3, epsilon_app=4, delta=4, alpha=1.0, beta=0.3, interval=FixedLength(3),
+              horizon=300, seed=28),
+    SimConfig(n=4, epsilon_app=0, delta=1, alpha=1.0, beta=0.3, interval=GeometricLength(0.5),
+              horizon=200, correlation=PMAJ(), seed=29),
 ]
 
 
 # the cells above with eps_app >= 1 and no whole coin block clear of the
-# horizon (the table at eps_app 1 among them), moved past eps_app +
-# _SCHED_BLOCK, where the table and the kernel each run a block on them
+# horizon, moved past eps_app + _SCHED_BLOCK, where the kernel runs a block
+# on them
 _DRIVER_PAST_CELLS = [dataclasses.replace(c, horizon=c.epsilon_app + simkernel._SCHED_BLOCK + c.horizon)
                       for c in _DRIVER_CONFIGS if 1 <= c.epsilon_app and c.horizon <= c.epsilon_app + simkernel._SCHED_BLOCK]
 
 
 def _driver_domain(path: str, cfg: SimConfig) -> bool:
-    """Where a driver runs: the table exactly where ``_schedule_path``
-    picks it (its whole table must fit), the kernel at eps_app >= 1."""
+    """Where a driver runs: the free driver exactly where ``delta >=
+    max(eps_app, 1)``, the kernel at eps_app >= 1, the loop anywhere."""
     eps = cfg.epsilon_app
-    table = simkernel._schedule_path(cfg.n, eps, cfg.horizon) == "table"
-    return {"table": table, "kernel": eps >= 1, "loop": True}[path]
+    return {"free": cfg.delta >= max(eps, 1), "kernel": eps >= 1, "loop": True}[path]
+
+
+def _as_generated(cfg: SimConfig, trace: simkernel.Trace) -> simkernel.Trace:
+    """A schedule driver's ``trace`` as ``generate`` lists it: where the
+    free driver runs, its messages in ``(send_pt, sender)`` order, the
+    order in which that driver sends them (unique: a process sends at most
+    once per tick); elsewhere as it is.  Intervals and final clocks are
+    never touched."""
+    if not _driver_domain("free", cfg):
+        return trace
+    return dataclasses.replace(trace, messages=tuple(sorted(trace.messages, key=lambda m: (m.send_pt, m.sender))))
+
+
+def _reference_as_generated(cfg: SimConfig) -> simkernel.Trace:
+    """The trace ``generate(cfg)`` must equal: the reference's, messages
+    ordered by :func:`_as_generated`."""
+    return _as_generated(cfg, reference_generate(cfg))
 
 
 @pytest.mark.parametrize("cfg", _DRIVER_CONFIGS, ids=[f"n{c.n}-eps{c.epsilon_app}-h{c.horizon}" for c in _DRIVER_CONFIGS])
 def test_every_driver_matches_reference_in_its_domain(cfg):
-    """Every schedule driver, on each config in its domain, whichever one
+    """Every driver, on each config in its domain, whichever one
     ``_schedule_path`` picks there, drives the event state to the
     reference trace."""
     _assert_every_driver_gives(cfg, reference_generate(cfg))
@@ -697,9 +664,11 @@ def test_trace_records_hold_python_ints(cfg):
             assert all(type(v) is int for v in values), rec
 
 
-def _driver_runs(cfg: SimConfig) -> dict[str, tuple[simkernel.Trace, list]]:
+def _driver_runs(cfg: SimConfig, sched_seed: int | None = None) -> dict[str, tuple[simkernel.Trace, list]]:
     """Per driver in whose domain ``cfg`` lies: the trace it drives a
-    fresh event state to, and its ``(p, v, receiver)`` event calls."""
+    fresh event state to, and its ``(p, v, receiver)`` event calls.  The
+    schedule is drawn from seed ``sched_seed``'s stream, by default the
+    config's own."""
     runs = {}
     for path, driver in simkernel._DRIVERS.items():
         if _driver_domain(path, cfg):
@@ -711,26 +680,34 @@ def _driver_runs(cfg: SimConfig) -> dict[str, tuple[simkernel.Trace, list]]:
                 calls.append((p, v, q))
                 return q
 
-            rng = simkernel._stream(cfg.seed, simkernel._S_SCHED)
+            rng = simkernel._stream(cfg.seed if sched_seed is None else sched_seed, simkernel._S_SCHED)
             runs[path] = finish(driver(recorded, watch, cfg.epsilon_app, cfg.horizon, rng)), calls
     return runs
 
 
 def _assert_every_driver_gives(cfg: SimConfig, expect: simkernel.Trace) -> None:
-    """Each driver in whose domain ``cfg`` lies takes a fresh event state
-    to ``expect``, calling ``events`` with the same ``(p, v)`` sequence,
-    and getting the same receivers, as the step loop."""
+    """Each schedule driver in whose domain ``cfg`` lies takes a fresh
+    event state to the reference trace ``expect``, calling ``events``
+    with the same ``(p, v)`` sequence, and getting the same receivers, as
+    the step loop.  The free driver makes the same calls in (tick,
+    process) order and gives ``expect`` with its messages in that order
+    (:func:`_as_generated`)."""
     runs = _driver_runs(cfg)
+    loop_calls = runs["loop"][1]
     for path, (trace, calls) in runs.items():
-        assert trace == expect, path
-        assert calls == runs["loop"][1], path
+        if path == "free":
+            assert trace == _as_generated(cfg, expect), path
+            assert calls == sorted(loop_calls, key=lambda call: call[1::-1]), path
+        else:
+            assert trace == expect, path
+            assert calls == loop_calls, path
 
 
 def _hand_offs(monkeypatch) -> list[list[int]]:
-    """Wrap ``simkernel._run_loop`` so that each call the table or the
-    kernel makes to it appends the clocks it is handed to the returned
-    list; ``_DRIVERS`` keeps the unwrapped loop, so the loop driver run
-    on its own appends nothing."""
+    """Wrap ``simkernel._run_loop`` so that each call the kernel makes to
+    it appends the clocks it is handed to the returned list; ``_DRIVERS``
+    keeps the unwrapped loop, so the loop driver run on its own appends
+    nothing."""
     entries, loop = [], simkernel._run_loop
 
     def handed(events, watch, eps, horizon, rng, clocks=None):
@@ -745,10 +722,9 @@ def _assert_handed_at_a_block_boundary(cfg: SimConfig, clocks: list[int]) -> int
     """``clocks`` are the reference's clocks before step ``m *
     _SCHED_BLOCK``, ``m >= 1`` the first coin block that could reach the
     horizon: ``lo + _SCHED_BLOCK + eps >= horizon`` at its start, ``lo``
-    the minimum clock (the table's ``lo + _SCHED_BLOCK >= horizon - eps``
-    is the same rule).  The clock sum rises at every step, so this pins
-    the step at which the fast driver handed over.  Returns ``m``, the
-    blocks the fast driver ran."""
+    the minimum clock.  The clock sum rises at every step, so this pins
+    the step at which the kernel handed over.  Returns ``m``, the blocks
+    the kernel ran."""
     block = simkernel._SCHED_BLOCK
     starts = [c for c, _ in replay_schedule(cfg)[0][::block]]
     m = next(i for i, c in enumerate(starts) if min(c) + block + cfg.epsilon_app >= cfg.horizon)
@@ -757,10 +733,9 @@ def _assert_handed_at_a_block_boundary(cfg: SimConfig, clocks: list[int]) -> int
 
 
 # delta=0, alpha=1 cells at the first horizons past eps_app + _SCHED_BLOCK,
-# where a fast driver runs one whole block, and 1,000 ticks past it, where
-# it runs several: n=2 and n=3 on the table and the kernel, n=20 on the
-# kernel at eps 12, and at eps 1 (whose caps bind on most rows) only the
-# first
+# where the kernel runs one whole block, and 1,000 ticks past it, where it
+# runs several: n=2 and n=3 (off the kernel's path), n=20 at eps 12, and at
+# eps 1 (whose caps bind on most rows) only the first
 _HAND_OFF_CELLS = [
     SimConfig(n=n, epsilon_app=eps, delta=0, alpha=1.0, beta=0.2, interval=FixedLength(3),
               horizon=eps + simkernel._SCHED_BLOCK + past, seed=30 + i)
@@ -770,63 +745,39 @@ _HAND_OFF_CELLS = [
 
 
 def test_fast_drivers_hand_the_run_to_the_loop_at_a_block_boundary(monkeypatch):
-    """The table and the kernel each call the step loop exactly once, at
-    the first coin block boundary from which a block could reach the
-    horizon and after at least one whole block; every driver gives the
-    reference on each cell, and on the driver cells moved past a block."""
+    """The kernel calls the step loop exactly once, at the first coin
+    block boundary from which a block could reach the horizon and after
+    at least one whole block; every driver gives the reference on each
+    cell, and on the driver cells moved past a block."""
     entries = _hand_offs(monkeypatch)
     for cfg in _HAND_OFF_CELLS + _DRIVER_PAST_CELLS:
-        fast = [path for path in ("table", "kernel") if _driver_domain(path, cfg)]
-        assert fast == (["kernel"] if cfg.n == 20 else ["table", "kernel"]), cfg
+        assert _driver_domain("kernel", cfg), cfg
         entries.clear()
         _assert_every_driver_gives(cfg, reference_generate(cfg))
-        assert len(entries) == len(fast), cfg
-        for clocks in entries:
-            _assert_handed_at_a_block_boundary(cfg, clocks)
-
-
-def test_offset_table_draws_every_block_that_surely_runs_at_once(monkeypatch):
-    """A table run long enough that a draw holds the most blocks it may,
-    ``_TABLE_ENTRIES`` coins: the first draw takes that many, no draw
-    takes more, the table runs every block it drew and hands over at the
-    reference's block boundary, and the trace, whose deliveries at
-    ``delta`` 0 depend on the schedule, is the reference's."""
-    cfg = SimConfig(n=3, epsilon_app=10, delta=0, alpha=0.02, beta=0.01, interval=FixedLength(5),
-                    horizon=50_000, seed=42)
-    most = simkernel._TABLE_ENTRIES // (simkernel._SCHED_BLOCK * cfg.n)
-    assert (cfg.horizon - cfg.epsilon_app - 1) // simkernel._SCHED_BLOCK > most
-    assert simkernel._schedule_path(cfg.n, cfg.epsilon_app, cfg.horizon) == "table"
-    draws, handed = [], []
-    coin_rows, loop = simkernel._coin_rows, simkernel._run_loop
-
-    def counted(rng, n, blocks=1):
-        draws.append(blocks)
-        return coin_rows(rng, n, blocks)
-
-    def hand_off(events, watch, eps, horizon, rng, clocks=None):
-        handed.append((len(draws), list(clocks)))
-        return loop(events, watch, eps, horizon, rng, clocks)
-
-    monkeypatch.setattr(simkernel, "_coin_rows", counted)
-    monkeypatch.setattr(simkernel, "_run_loop", hand_off)
-    assert generate(cfg) == reference_generate(cfg)
-    [(drawn, clocks)] = handed
-    table = draws[:drawn]
-    assert table[0] == most and max(table) == most and len(table) > 1, table
-    assert sum(table) == _assert_handed_at_a_block_boundary(cfg, clocks), table
+        assert len(entries) == 1, cfg
+        _assert_handed_at_a_block_boundary(cfg, entries[0])
 
 
 def test_schedule_path_leaves_runs_with_no_clear_block_to_the_loop():
-    """The fast drivers run only whole coin blocks clear of the horizon,
-    so where the other rules allow one, the rule picks the loop exactly
-    when ``horizon <= eps_app + _SCHED_BLOCK``."""
+    """The kernel runs only whole coin blocks clear of the horizon, so
+    where the other rules allow it, the rule picks the loop exactly when
+    ``horizon <= eps_app + _SCHED_BLOCK``."""
     block = simkernel._SCHED_BLOCK
-    for n, eps, fast in [(2, 3, "table"), (3, 10, "table"), (2, 16_383, "table"), (20, 12, "kernel"),
-                         (50, 200, "kernel")]:
+    for n, eps, delta in [(20, 12, 0), (20, 12, 11), (50, 200, 100)]:
         for horizon in (1, eps, eps + block - 1, eps + block):
-            assert simkernel._schedule_path(n, eps, horizon) == "loop", (n, eps, horizon)
+            assert simkernel._schedule_path(n, eps, delta, horizon) == "loop", (n, eps, horizon)
         for horizon in (eps + block + 1, eps + block + 2, 10 * (eps + block)):
-            assert simkernel._schedule_path(n, eps, horizon) == fast, (n, eps, horizon)
+            assert simkernel._schedule_path(n, eps, delta, horizon) == "kernel", (n, eps, horizon)
+
+
+def test_schedule_path_frees_exactly_where_delta_covers_the_spread():
+    """The free driver is picked exactly where ``delta >= max(eps_app,
+    1)``, at every n and horizon, ``delta == eps_app`` and eps_app 0 with
+    delta 1 included; elsewhere a schedule driver is."""
+    for n, eps, horizon in itertools.product((2, 3, 10, 20), (0, 1, 2, 10, 200), (1, 600, 10**6)):
+        for delta in sorted({0, 1, max(eps - 1, 0), eps, eps + 1, 100}):
+            path = simkernel._schedule_path(n, eps, delta, horizon)
+            assert (path == "free") == (delta >= max(eps, 1)), (n, eps, delta, horizon, path)
 
 
 # sparse cells: many interval starts and ends, few messages
@@ -842,7 +793,8 @@ def test_event_body_runs_only_at_message_events(cfg):
     """Interval starts and ends run no event body of their own: on every
     driver in its domain the body runs at most once per send and once
     per (receiver, receive tick), far fewer times than there are
-    intervals, and the trace is unchanged."""
+    intervals, and the trace is unchanged (messages ordered as
+    :func:`_as_generated` says)."""
     expect = generate(cfg)
     sends = sum(map(len, reference_send_plan(cfg)[0]))
     receives = len({(m.receiver, m.receive_pt) for m in expect.messages})
@@ -859,7 +811,7 @@ def test_event_body_runs_only_at_message_events(cfg):
             return events(p, v)
 
         rng = simkernel._stream(cfg.seed, simkernel._S_SCHED)
-        assert finish(driver(counted, watch, cfg.epsilon_app, cfg.horizon, rng)) == expect, path
+        assert _as_generated(cfg, finish(driver(counted, watch, cfg.epsilon_app, cfg.horizon, rng))) == expect, path
         assert calls <= sends + receives, (path, calls, sends, receives)
 
 
@@ -871,8 +823,8 @@ _LONG_CELLS = [
     for i, (n, delta, alpha, interval) in enumerate(itertools.product(
         (3, 20), (0, 1), (0.3, 1.0), (FixedLength(30), GeometricLength(0.05))))
 ]
-# the same shapes past eps_app + _SCHED_BLOCK: the table (n=3) and the
-# kernel run one whole block before the step loop takes the run over
+# the same shapes past eps_app + _SCHED_BLOCK: the kernel (off its path at
+# n=3) runs one whole block before the step loop takes the run over
 _LONG_PAST_CELLS = [dataclasses.replace(c, horizon=c.epsilon_app + simkernel._SCHED_BLOCK + c.horizon)
                     for c in _LONG_CELLS]
 
@@ -920,8 +872,8 @@ def test_hlc_l_is_the_event_tick_on_driver_and_long_cells(cfg):
 
 
 # EDGE_CONFIGS at eps_app >= 1 and horizons past eps_app + _SCHED_BLOCK, so
-# that the kernel, and the table where it fits, run at least one whole
-# block and hand the run to the step loop
+# that the kernel runs at least one whole block and hands the run to the
+# step loop
 LONG_EDGE_CONFIGS = EDGE_CONFIGS.filter(lambda c: c.epsilon_app >= 1).flatmap(
     lambda c: st.sampled_from([1, 2, 3, 300]).map(
         lambda d: dataclasses.replace(c, horizon=c.epsilon_app + simkernel._SCHED_BLOCK + d)))
@@ -936,6 +888,39 @@ def test_fast_drivers_equal_reference_on_long_edge_configs(cfg):
     expect = reference_generate(cfg)
     _assert_every_driver_gives(cfg, expect)
     _assert_hlc_rides_the_tick(expect)
+
+
+# EDGE_CONFIGS moved into the free driver's domain, delta = max(eps_app, 1)
+# + d, at their own horizons or past eps_app + _SCHED_BLOCK, where the
+# kernel runs at least one whole block
+FREE_EDGE_CONFIGS = st.tuples(EDGE_CONFIGS, st.sampled_from([0, 1, 7]), st.booleans()).map(
+    lambda t: dataclasses.replace(
+        t[0], delta=max(t[0].epsilon_app, 1) + t[1],
+        horizon=t[0].horizon + (t[0].epsilon_app + simkernel._SCHED_BLOCK if t[2] else 0)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(FREE_EDGE_CONFIGS, st.integers(1, 1_000))
+@example(SimConfig(n=2, epsilon_app=0, delta=1, alpha=1.0, beta=0.3, horizon=1, seed=0), 1)
+@example(SimConfig(n=2, epsilon_app=0, delta=1, alpha=1.0, beta=1.0, horizon=40, seed=3), 5)
+@example(SimConfig(n=3, epsilon_app=5, delta=5, alpha=1.0, beta=0.3, interval=FixedLength(3),
+                   horizon=5 + simkernel._SCHED_BLOCK + 60, correlation=PMAJ(), seed=4), 9)
+def test_schedule_does_not_reach_the_trace_where_delta_covers_the_spread(cfg, shift):
+    """Where ``delta >= max(eps_app, 1)`` the schedule does not reach the
+    trace: ``generate`` lists the messages in ``(send_pt, sender)`` order,
+    each received at exactly ``send_pt + delta``, and every driver, the
+    loop and the kernel (at eps_app >= 1) run on another seed's scheduler
+    stream, gives the same intervals, final clocks and message set."""
+    trace = generate(cfg)
+    keys = [(m.send_pt, m.sender) for m in trace.messages]
+    assert keys == sorted(set(keys))
+    assert all(m.receive_pt == m.send_pt + cfg.delta for m in trace.messages)
+    runs = _driver_runs(cfg, sched_seed=cfg.seed + shift)
+    assert set(runs) == ({"free", "loop", "kernel"} if cfg.epsilon_app else {"free", "loop"})
+    for path, (other, _) in runs.items():
+        assert other.intervals == trace.intervals, path
+        assert other.final_clocks == trace.final_clocks, path
+        assert set(other.messages) == set(trace.messages), path
 
 
 def test_random_streams_are_pinned():
@@ -961,28 +946,12 @@ def test_random_streams_are_pinned():
 
 def test_driver_configs_reach_paths_the_rule_does_not_pick():
     """The kernel and the loop also run where the rule picks another
-    driver; the table runs only where it is picked."""
-    picked = [simkernel._schedule_path(c.n, c.epsilon_app, c.horizon) for c in _DRIVER_CONFIGS]
-    assert picked[:3] == ["table", "loop", "kernel"]
+    driver; the free driver runs exactly where it is picked."""
+    picked = [simkernel._schedule_path(c.n, c.epsilon_app, c.delta, c.horizon) for c in _DRIVER_CONFIGS]
+    assert picked[:3] == ["loop", "loop", "kernel"] and picked[-2:] == ["free", "free"]
     for path in ("kernel", "loop"):
         assert any(p != path and _driver_domain(path, c) for p, c in zip(picked, _DRIVER_CONFIGS)), path
-
-
-def test_offset_table_rejects_configs_outside_its_rule():
-    """The table driver builds its whole table or refuses the config
-    before any coin is drawn: here n=5 at eps_app 10, whose one-step
-    table (61,051 states times 32 coin rows) exceeds the budget, and n=3
-    at eps_app 10 with no whole coin block clear of the horizon."""
-    big = _DRIVER_CONFIGS[1]
-    short = SimConfig(n=3, epsilon_app=10, beta=0.3, horizon=10 + simkernel._SCHED_BLOCK, seed=5)
-    assert simkernel._table_states(big.n, big.epsilon_app) << big.n > simkernel._TABLE_ENTRIES
-    for cfg in (big, short):
-        events, watch, _ = simkernel._event_state(cfg)
-        rng = simkernel._stream(cfg.seed, simkernel._S_SCHED)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="offset table"):
-            simkernel._run_table(events, watch, cfg.epsilon_app, cfg.horizon, rng)
-        assert rng.bit_generator.state == state
+    assert [p == "free" for p in picked] == [_driver_domain("free", c) for c in _DRIVER_CONFIGS]
 
 
 def test_reflection_kernel_rejects_eps_zero_before_drawing():
@@ -995,7 +964,7 @@ def test_reflection_kernel_rejects_eps_zero_before_drawing():
     with pytest.raises(ValueError, match="epsilon_app >= 1"):
         simkernel._run_kernel(events, watch, 0, cfg.horizon, rng)
     assert rng.bit_generator.state == state
-    assert simkernel._schedule_path(cfg.n, 0, cfg.horizon) == "loop"
+    assert simkernel._schedule_path(cfg.n, 0, 0, cfg.horizon) == "loop"
 
 
 def _nested_codes(code: types.CodeType) -> Iterator[types.CodeType]:
@@ -1032,17 +1001,6 @@ def _generate_lines(cfg: SimConfig, drivers: tuple[str, ...] = tuple(simkernel._
     return count
 
 
-def test_table_path_walks_movers_only_near_a_watch():
-    """Events cost Python per process only at steps that can reach a
-    watch tick: a sparse-event run executes about as many lines of the
-    step loop as the same schedule with no events at all."""
-    shape = dict(n=3, epsilon_app=10, delta=100, interval=FixedLength(30),
-                 horizon=20_000, seed=3)
-    quiet = _generate_lines(SimConfig(**shape, alpha=0.0, beta=1e-12))
-    busy = _generate_lines(SimConfig(**shape, alpha=0.001, beta=0.005))
-    assert busy < 1.25 * quiet, (busy, quiet)
-
-
 def test_reflection_kernel_pays_per_event_not_per_advance(monkeypatch):
     """At n=20 the kernel runs Python per segment and per event body: a
     run with almost no events executes far fewer lines of ``generate``
@@ -1052,7 +1010,7 @@ def test_reflection_kernel_pays_per_event_not_per_advance(monkeypatch):
     shape = dict(n=20, epsilon_app=200, delta=100, horizon=20_000, seed=3)
     quiet_cfg = SimConfig(**shape, alpha=0.0, beta=1e-12)
     busy_cfg = SimConfig(**shape, alpha=0.001, beta=0.005)
-    assert simkernel._schedule_path(20, 200, shape["horizon"]) == "kernel"
+    assert simkernel._schedule_path(20, 200, shape["delta"], shape["horizon"]) == "kernel"
     quiet, busy = _generate_lines(quiet_cfg, ("kernel",)), _generate_lines(busy_cfg, ("kernel",))
     # every step moves a clock by at most one, so there are at least
     # horizon steps
@@ -1117,20 +1075,28 @@ def test_messages_respect_delivery_rule():
     assert known > 0.9 * len(trace.messages), (known, len(trace.messages))
 
 
-@pytest.mark.parametrize("delta", [0, 6])
+@pytest.mark.parametrize("delta", [0, 6, 10])
 @pytest.mark.parametrize("n", [3, 20])
 def test_messages_dropped_at_the_horizon(n, delta):
     """Every tick sends (alpha=1), so some sends fall within ``delta`` of
     the horizon or go to a receiver that has already stopped.  Those are
-    dropped; the delivered rest come out in send order."""
+    dropped; the delivered rest come out in send order.  At ``delta``
+    10, eps_app 10, no schedule runs: a message is dropped exactly when
+    ``send_pt + delta > horizon``, and received at ``send_pt + delta``."""
     cfg = SimConfig(n=n, epsilon_app=10, delta=delta, alpha=1.0, beta=0.1,
                     horizon=10 + simkernel._SCHED_BLOCK + 120, seed=5)
-    # the table (n=3) or the kernel for one whole block, then the step loop
-    assert simkernel._schedule_path(n, 10, cfg.horizon) == ("table" if n == 3 else "kernel")
+    # the kernel (n=20) for one whole block, then the step loop
+    path = "free" if delta == 10 else "loop" if n == 3 else "kernel"
+    assert simkernel._schedule_path(n, 10, delta, cfg.horizon) == path
     trace = generate(cfg)
-    assert trace == reference_generate(cfg)
+    assert trace == _reference_as_generated(cfg)
     assert 0 < len(trace.messages) < n * cfg.horizon  # one send per process tick
     assert all(m.receive_pt <= cfg.horizon for m in trace.messages)
+    if path == "free":
+        planned = {(p, t) for p, ticks in enumerate(reference_send_plan(cfg)[0]) for t in ticks}
+        assert {(m.sender, m.send_pt) for m in trace.messages} == {
+            (p, t) for p, t in planned if t + delta <= cfg.horizon}
+        assert all(m.receive_pt == m.send_pt + delta for m in trace.messages)
     # send order: no listed message's send happened before an earlier one's.
     # Message j's send precedes message i's iff i's stamp learned j's count
     # at j's sender.
